@@ -23,6 +23,7 @@ from .points import (
     check_general_position,
     evaluation_matrix,
     rank_exact,
+    require_odd_prime,
     riemann_roch_counts,
     sample_curve_points,
 )
@@ -73,15 +74,18 @@ class RunConfig:
         if self.genus != "symbolic":
             if not isinstance(self.genus, int) or self.genus < 2:
                 raise ValueError("numeric genus must be an integer >= 2")
-        if self.prime % 2 == 0 or self.prime < 3:
-            raise ValueError("prime must be odd and >= 3")
+        require_odd_prime(self.prime)
         if self.format not in ("text", "json"):
             raise ValueError("format must be text or json")
 
 
 def default_prime() -> int:
     env = os.environ.get("CHOWFORGE_PRIME_DEFAULT")
-    return int(env) if env else DEFAULT_PRIME
+    if not env:
+        return DEFAULT_PRIME
+    prime = int(env)
+    require_odd_prime(prime)
+    return prime
 
 
 def _matrix_text(m) -> str:
@@ -194,11 +198,11 @@ def run_scenario(name: str, cfg: RunConfig) -> dict:
     if name == "i_g1":
         return scenario_I_g1(cfg.genus).to_dict()
     if name == "w_n":
-        return scenario_Wn(max(cfg.n, 2), cfg.genus).to_dict()
+        return scenario_Wn(cfg.n, cfg.genus).to_dict()
     if name == "a1_vanishing":
         return scenario_A1_vanishing(cfg.n, cfg.genus).to_dict()
     if name == "r2":
-        return scenario_R2(max(cfg.n, 2), cfg.genus).to_dict()
+        return scenario_R2(cfg.n, cfg.genus).to_dict()
     if name == "test_matrix":
         return _matrix_scenario(cfg)
     if name == "general_position":

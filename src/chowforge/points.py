@@ -10,6 +10,7 @@ trial achieved full rank.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +36,51 @@ class PointAtChartBoundary(ValueError):
 
 class SamplingExhausted(RuntimeError):
     """Raised when the sampling retry budget runs out (bad prime or seed)."""
+
+
+class CompositeModulus(ValueError):
+    """Raised when a prime-field modulus is not an odd prime, or is too
+    large for the primality test to decide."""
+
+
+# Miller-Rabin with the prime bases up to 41 decides primality exactly for
+# every n below this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below 3.3e24."""
+    if n >= _MR_EXACT_BELOW:
+        raise CompositeModulus(f"modulus {n} is too large to prove prime")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_odd_prime(prime: int) -> None:
+    """Reject moduli that are not odd primes: Fermat inverses and square
+    roots are meaningless modulo a composite, and rank witnesses become
+    false certificates."""
+    if prime < 3 or not is_prime(prime):
+        raise CompositeModulus(f"modulus {prime} is not an odd prime")
 
 
 @dataclass(frozen=True)
@@ -310,6 +356,7 @@ def check_general_position(
     PASS when some trial's evaluation matrix has full rank n-1."""
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
+    require_odd_prime(prime)
     target = n - 1
     if target > 3 * g + 5 and not allow_bound_violation:
         raise BoundViolated(f"n-1 = {target} exceeds 3g+5 = {3 * g + 5}")
@@ -412,7 +459,11 @@ def _poly_is_square_mod(d, p) -> bool:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """Square root modulo an odd prime (Tonelli-Shanks)."""
+    """Square root modulo an odd prime (Tonelli-Shanks).
+
+    The search for a quadratic non-residue stops at 2 ln^2 p, below which
+    one exists for every odd prime under GRH (Bach 1990); running past it
+    means the modulus is not prime."""
     a %= p
     if a == 0:
         return 0
@@ -424,9 +475,10 @@ def _sqrt_mod(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+    limit = min(p, int(2 * math.log(p) ** 2) + 2)
+    z = next((z for z in range(2, limit) if pow(z, (p - 1) // 2, p) == p - 1), None)
+    if z is None:
+        raise CompositeModulus(f"no quadratic non-residue below {limit} modulo {p}")
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
@@ -452,6 +504,7 @@ def sample_curve_points(
     Returns (coefficient list in monomial_basis order, list of points)."""
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
+    require_odd_prime(prime)
     basis = monomial_basis(g)
     rng = random.Random(f"{seed}:curve")
     p = prime

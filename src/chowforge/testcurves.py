@@ -10,13 +10,12 @@ standard expansion of a pulled-back section class with E^2 = -1.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import RatFunc, UniPoly, poly_divmod, poly_str, sturm_roots_geq
+from .rationals import RatFunc, UniPoly, poly_str, sturm_roots_geq
 
 
 class BadIndex(ValueError):
@@ -145,14 +144,6 @@ class IntersectionMatrix:
             sort_keys=False,
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([""] + list(self.col_labels))
-        for label, row in zip(self.row_labels, self.entries):
-            writer.writerow([label] + [poly_str(e) for e in row])
-        return buf.getvalue()
-
 
 def _pairs(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -211,39 +202,96 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
     return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))
 
 
+def _integer_bareiss(a) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so `//` keeps the entries
+    integral.  Rows are swapped to find a nonzero pivot; `a` is overwritten."""
+    size = len(a)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, size):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, size):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[size - 1][size - 1]
+
+
+def _interpolate(xs, ys) -> UniPoly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    by Newton divided differences expanded in the monomial basis."""
+    diffs = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
+    coeffs = [diffs[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        # coeffs <- coeffs * (g - xs[k]) + diffs[k]
+        shifted = [Fraction(0)] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] -= xs[k] * c
+        shifted[0] += diffs[k]
+        coeffs = shifted
+    return UniPoly(coeffs)
+
+
 def bareiss_determinant(entries) -> UniPoly:
-    """Fraction-free determinant of a matrix of UniPoly (Bareiss)."""
+    """Exact determinant of a square matrix of UniPoly, by evaluation and
+    interpolation.
+
+    The determinant has degree at most D = sum over rows of the largest
+    entry degree, so its values at the D+1 genera g = 0..D determine it.
+    Each row is scaled by the lcm of its coefficient denominators, which
+    makes every evaluated entry an integer; each value is then an integer
+    Bareiss determinant, and the scales are divided out at the end."""
     size = len(entries)
     if any(len(row) != size for row in entries):
         raise NotSquare("determinant needs a square matrix")
     if size == 0:
         return UniPoly.const(1)
-    a = [[e for e in row] for row in entries]
-    sign = 1
-    prev = UniPoly.const(1)
-    for k in range(size - 1):
-        if a[k][k].is_zero:
-            for r in range(k + 1, size):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly()
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, r = poly_divmod(num, prev)
-                if not r.is_zero:
-                    raise ArithmeticError("fraction-free elimination left a remainder")
-                a[i][j] = q
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
+    int_rows = []
+    scale = 1
+    bound = 0
+    for row in entries:
+        top = max(e.degree for e in row)
+        if top < 0:
+            return UniPoly()
+        bound += top
+        lcm = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        scale *= lcm
+        int_rows.append([[int(c * lcm) for c in reversed(e.coeffs)] for e in row])
+    xs = list(range(bound + 1))
+    values = []
+    for x in xs:
+        a = []
+        for row in int_rows:
+            evaluated = []
+            for desc in row:
+                v = 0
+                for c in desc:
+                    v = v * x + c
+                evaluated.append(v)
+            a.append(evaluated)
+        values.append(_integer_bareiss(a))
+    det = _interpolate(xs, values)
+    return det if scale == 1 else det.scale(Fraction(1, scale))
 
 
 def gaussian_determinant(entries) -> RatFunc:
-    """Determinant over the rational-function field, for cross-checking."""
+    """Determinant over the rational-function field by Gaussian elimination:
+    the independent reference the determinant tests compare against."""
     size = len(entries)
     a = [[RatFunc(e) for e in row] for row in entries]
     det = RatFunc(1)
@@ -308,17 +356,31 @@ class FullRankCertificate:
         )
 
 
+def _block_product(b: IntersectionMatrix, n: int) -> UniPoly | None:
+    """Product of the diagonal of a block form (see block_change_of_basis),
+    which is its determinant when the block below the psi block is zero and
+    both diagonal blocks are diagonal; None when that structure fails."""
+    product = UniPoly.const(1)
+    for r in range(b.size):
+        for c in range(b.size):
+            upper_right = r < n <= c
+            if c != r and not upper_right and not b.entry(r, c).is_zero:
+                return None
+        product = product * b.entry(r, r)
+    return product
+
+
 def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
-    """Exact determinant (fraction-free, cross-checked by field elimination),
+    """Exact determinant (evaluation and interpolation), cross-checked
+    without elimination against the diagonal product of the block form;
     comparison against +-(2g-2)^n (2g)^(n choose 2), and a real-root count
     certifying nonvanishing for every genus >= 2."""
     if m.size != len(m.col_labels):
         raise NotSquare("intersection matrix must be square")
-    n = sum(1 for lbl in m.col_labels if lbl.lstrip("'").startswith("psi") or lbl.startswith("psi"))
+    n = sum(1 for lbl in m.col_labels if lbl.startswith("psi"))
     gp = UniPoly.g()
-    det = bareiss_determinant([list(row) for row in m.entries])
-    cross = gaussian_determinant([list(row) for row in m.entries])
-    cross_ok = cross.is_polynomial() and cross.num.monic() == (det.monic() if not det.is_zero else det)
+    det = bareiss_determinant(m.entries)
+    cross_ok = det == _block_product(block_change_of_basis(m), n)
     npairs = m.size - n
     expected = (2 * gp - 2) ** n * (2 * gp) ** npairs
     # Entries may already be specialized at an integer genus.

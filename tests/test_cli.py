@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, determinism, golden comparison."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,8 +38,31 @@ def test_exit_two_on_config_errors(capsys):
     assert main(["--genus", "nonsense"]) == 2
     assert main(["--prime", "10"]) == 2
     assert main(["--scenario", "general_position"]) == 2  # needs numeric genus
-    errs = capsys.readouterr().err
-    assert errs.count("configuration error") == 4
+    # w_n and r2 need n >= 2; they are not run at a different n than reported.
+    assert main(["--scenario", "w_n", "--n", "1"]) == 2
+    assert main(["--scenario", "r2", "--n", "1"]) == 2
+    assert main(["--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("configuration error") == 7
+    assert captured.err.count("need n >= 2, got 1") == 3
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("prime", [9, 15, 1_000_001])
+def test_composite_prime_exits_two_within_seconds(prime):
+    """Composite moduli used to print false witnesses (general_position) or
+    hang in the square-root search (curve_conditions)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for scenario in ("general_position", "curve_conditions"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowforge.cli", "--scenario", scenario,
+             "--genus", "2", "--prime", str(prime)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert f"modulus {prime} is not an odd prime" in proc.stderr
 
 
 def test_wn_symbolic_exits_zero(capsys):
@@ -99,6 +125,10 @@ def test_committed_goldens_match(capsys):
 def test_default_prime_env_override(monkeypatch):
     monkeypatch.setenv("CHOWFORGE_PRIME_DEFAULT", "999983")
     assert default_prime() == 999983
+    monkeypatch.setenv("CHOWFORGE_PRIME_DEFAULT", "1000001")
+    with pytest.raises(ValueError):
+        default_prime()
+    assert main(["--scenario", "i_g0"]) == 2
     monkeypatch.delenv("CHOWFORGE_PRIME_DEFAULT")
     assert default_prime() == 1_000_003
 

@@ -9,6 +9,7 @@ from chowforge.points import (
     BadGenus,
     Bidegree,
     BoundViolated,
+    CompositeModulus,
     FieldMismatch,
     HorizontalJet,
     PointAtChartBoundary,
@@ -16,8 +17,10 @@ from chowforge.points import (
     PointConfig,
     Simple,
     VerticalJet,
+    _sqrt_mod,
     check_general_position,
     evaluation_matrix,
+    is_prime,
     monomial_basis,
     rank_exact,
     riemann_roch_counts,
@@ -168,3 +171,33 @@ def test_riemann_roch_counts():
     }
     with pytest.raises(BadGenus):
         riemann_roch_counts(1)
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1)) for n in range(3000)]
+    assert [is_prime(n) for n in range(3000)] == sieve
+    # Strong pseudoprimes to the smallest bases, and the default modulus.
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
+        assert not is_prime(n)
+    assert is_prime(DEFAULT_PRIME) and is_prime(2**61 - 1)
+    assert not is_prime(1_000_001)
+    # Beyond the proven range of the bases the test refuses to answer.
+    with pytest.raises(CompositeModulus):
+        is_prime(10**25)
+
+
+def test_composite_modulus_rejected_by_entry_points():
+    for prime in (9, 15, 1_000_001):
+        with pytest.raises(CompositeModulus):
+            sample_curve_points(2, 9, prime=prime)
+        with pytest.raises(CompositeModulus):
+            check_general_position(2, 5, prime=prime)
+
+
+def test_sqrt_mod_non_residue_search_is_bounded():
+    for p in (13, 17, 97, DEFAULT_PRIME, 998244353):
+        for a in (1, 2, 4, 9):
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert _sqrt_mod(a, p) ** 2 % p == a
+    with pytest.raises(CompositeModulus):
+        _sqrt_mod(1, 9)

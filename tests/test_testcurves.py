@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chowforge.rationals import UniPoly, sturm_roots_geq
+from chowforge.rationals import RatFunc, UniPoly, sturm_roots_geq
 from chowforge.testcurves import (
     BadN,
+    IntersectionMatrix,
     NotSquare,
     bareiss_determinant,
     block_change_of_basis,
@@ -141,6 +144,30 @@ def test_certify_full_rank_symbolic():
     assert cert1.determinant == 2 * G - 2
 
 
+def test_cross_check_rejects_broken_block_structure():
+    """The block-product cross-check fails when the basis change does not
+    reach its block form, also when the diagonal product still equals the
+    determinant."""
+    m = intersection_matrix("symbolic", 3)
+
+    def tampered(*changes):
+        rows = [list(row) for row in m.entries]
+        for r, c in changes:
+            rows[r][c] = rows[r][c] + 1
+        return IntersectionMatrix(m.row_labels, m.col_labels, tuple(map(tuple, rows)))
+
+    # T_12 against delta_13: the block form gets an entry below the psi block.
+    cert = certify_full_rank(tampered((3, 4)))
+    assert not cert.determinant.is_zero
+    assert not cert.cross_check_agrees and not cert.certified
+    # Also raising T_12 against psi_1 and psi_3 leaves one off-diagonal entry
+    # in the delta block, which keeps the determinant at the block product.
+    cert = certify_full_rank(tampered((3, 4), (3, 0), (3, 2)))
+    expected = (2 * G - 2) ** 3 * (2 * G) ** 3
+    assert cert.determinant == expected
+    assert not cert.cross_check_agrees and not cert.certified
+
+
 def test_certify_full_rank_numeric():
     cert = certify_full_rank(intersection_matrix(2, 3))
     val = cert.determinant(Fraction(0))
@@ -163,3 +190,49 @@ def test_numeric_rank_spot_checks():
         m = intersection_matrix(g0, n)
         q = [[Fraction(str(e)) for e in row] for row in m.entries]
         assert rank_numeric(q) == m.size
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+entry_polys = st.lists(small_fracs, max_size=3).map(UniPoly)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square UniPoly matrices of size <= 5 and entry degree <= 2.  Some are
+    made singular (one row a multiple of another); in others one row is a
+    multiple of (g - x0), so the determinant vanishes at the evaluation
+    point g = x0 and the interpolation must still recover it."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    rows = [[draw(entry_polys) for _ in range(size)] for _ in range(size)]
+    shape = draw(st.sampled_from(["generic", "singular", "vanishing"]))
+    if shape == "singular" and size >= 2:
+        factor = draw(small_fracs)
+        rows[1] = [e.scale(factor) for e in rows[0]]
+    elif shape == "vanishing":
+        x0 = draw(st.integers(min_value=0, max_value=3))
+        rows[0] = [(G - x0).scale(draw(small_fracs)) for _ in range(size)]
+    return rows
+
+
+@given(poly_matrices())
+@settings(max_examples=80, deadline=None)
+def test_bareiss_determinant_matches_field_elimination(rows):
+    assert RatFunc(bareiss_determinant(rows)) == gaussian_determinant(rows)
+
+
+def test_determinants_match_sympy_domain_matrix():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    g = sympy.symbols("g")
+    ring = sympy.ZZ[g]
+
+    def to_ring(e):
+        return ring.from_sympy(sum(sympy.Integer(int(c)) * g**i for i, c in enumerate(e.coeffs)))
+
+    for n in range(1, 6):
+        m = intersection_matrix("symbolic", n)
+        oracle = DomainMatrix([[to_ring(e) for e in row] for row in m.entries],
+                              (m.size, m.size), ring).det()
+        coeffs = sympy.Poly(ring.to_sympy(oracle), g).all_coeffs()[::-1]
+        assert [Fraction(int(c)) for c in coeffs] == list(bareiss_determinant(m.entries).coeffs)
