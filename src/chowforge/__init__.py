@@ -8,10 +8,10 @@ anywhere.  Modules:
 - rationals: univariate polynomials and rational functions over Q.
 - ring: graded polynomial rings, weighted grevlex normal forms, presentations.
 - chern: projective-bundle contexts, jet-bundle Chern classes, pushforwards.
-- scenarios: the named presentation computations and their pinned checks.
+- scenarios: the named presentation computations and the one Report type.
 - testcurves: blow-up ledgers, intersection matrices, full-rank certificates.
 - points: point-condition evaluation matrices and probabilistic rank checks.
-- cli: the `chowforge` command-line entry point.
+- cli: the `chowforge` command-line entry point and its scenario table.
 """
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Chern-class operations on rank-2 projective-bundle contexts: relative
 cotangent classes, principal-parts (jet) bundle Chern classes via the
-filtration of a jet bundle by line bundles, line-bundle twists, and
-pushforward along a P^1 factor in the subspace convention.
+filtration of a jet bundle by line bundles, and pushforward along a P^1
+factor in the subspace convention.
 
 Conventions (validated by the test suite against the pinned pushforward
 identities): the fiber class z satisfies z^2 = -c1*z - c2, pi_*(z) = 1,
@@ -11,7 +11,7 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rationals import UniPoly
 from .ring import Generator, PolyRing, RingElement, RingPresentation, ring_define
@@ -22,35 +22,19 @@ class NotReduced(ValueError):
 
 
 @dataclass(frozen=True)
-class LineClass:
-    """A line bundle represented by its first Chern class."""
-
-    c1: RingElement
-
-    def __post_init__(self):
-        if not self.c1.is_zero:
-            if not self.c1.is_homogeneous() or self.c1.degree() != 1:
-                raise ValueError("a line class must be homogeneous of degree 1")
-
-
-@dataclass(frozen=True)
 class JetSpec:
-    """A principal-parts bundle P^e of a twist O(d) along one ruling.
+    """A principal-parts bundle P^e of a twist O(d) along the fiber.
 
     twist_degree is the fiber degree d as a polynomial in g (e.g. 2g+2 or
-    g+1); order is the jet order e >= 0; direction names the ruling the
-    derivatives are taken along.
+    g+1); order is the jet order e >= 0.
     """
 
     twist_degree: UniPoly
     order: int
-    direction: str = "horizontal"
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("jet order must be >= 0")
-        if self.direction not in ("horizontal", "vertical"):
-            raise ValueError("direction must be horizontal or vertical")
 
 
 @dataclass(frozen=True)
@@ -62,7 +46,6 @@ class ProjBundleCtx:
     presentation: RingPresentation
     fiber_class: str
     cotangent: RingElement
-    convention_tag: str = field(default="subspace")
 
     @property
     def ring(self) -> PolyRing:
@@ -75,18 +58,17 @@ class ProjBundleCtx:
         return self.ring.gen(self.fiber_class)
 
 
-def standard_context(fiber: str = "z", base: tuple[str, str] = ("c1", "c2")) -> ProjBundleCtx:
+def standard_context() -> ProjBundleCtx:
     """The rank-2 bundle over the classifying base: generators (c1, c2, z),
     relation z^2 + c1*z + c2, relative cotangent -2z - c1 (Euler sequence)."""
-    b1, b2 = base
     # Fiber class first: in grevlex this makes z^2 the leading monomial of
     # the quadratic relation, so normal forms are z-linear (as pushforward needs).
-    ring = PolyRing([Generator(fiber, 1), Generator(b1, 1), Generator(b2, 2)])
-    z = ring.gen(fiber)
-    rel = z * z + ring.gen(b1) * z + ring.gen(b2)
+    ring = PolyRing([Generator("z", 1), Generator("c1", 1), Generator("c2", 2)])
+    z = ring.gen("z")
+    rel = z * z + ring.gen("c1") * z + ring.gen("c2")
     pres = ring_define(ring, [rel])
-    cot = -2 * z - ring.gen(b1)
-    return ProjBundleCtx(pres, fiber, pres.normal_form(cot))
+    cot = -2 * z - ring.gen("c1")
+    return ProjBundleCtx(pres, "z", pres.normal_form(cot))
 
 
 @dataclass(frozen=True)
@@ -132,38 +114,18 @@ def two_factor_context() -> TwoFactorContext:
     return TwoFactorContext(pres, horizontal, vertical)
 
 
-def relative_cotangent_class(ctx: ProjBundleCtx) -> LineClass:
-    """First Chern class of the relative cotangent bundle of the context."""
-    return LineClass(ctx.cotangent)
-
-
-def twist_class(spec: JetSpec, ctx: ProjBundleCtx) -> RingElement:
-    """c1 of the twisting bundle O(d) on the context's fiber."""
-    return ctx.fiber().scale(spec.twist_degree)
-
-
-def jet_line_factors(spec: JetSpec, ctx: ProjBundleCtx, line: RingElement | None = None):
-    """The filtration line classes c1(O(d) tensor Omega^k), k = 0..e.
-
-    `line` overrides the default twist class (used for bundles, like the
-    bidegree-(g+1, 2) twist, whose c1 involves both fiber classes)."""
-    base = line if line is not None else twist_class(spec, ctx)
+def jet_line_factors(spec: JetSpec, ctx: ProjBundleCtx):
+    """The filtration line classes c1(O(d) tensor Omega^k), k = 0..e, where
+    c1(O(d)) is d times the fiber class."""
+    base = ctx.fiber().scale(spec.twist_degree)
     cot = ctx.cotangent
     return [base + cot.scale(k) for k in range(spec.order + 1)]
 
 
-def jet_total_chern(spec: JetSpec, ctx: ProjBundleCtx, line: RingElement | None = None) -> RingElement:
-    """Total Chern class prod_k (1 + c1(O(d) tensor Omega^k)), reduced."""
-    acc = ctx.ring.one()
-    for f in jet_line_factors(spec, ctx, line):
-        acc = acc * (ctx.ring.one() + f)
-    return ctx.presentation.normal_form(acc)
-
-
-def jet_top_chern(spec: JetSpec, ctx: ProjBundleCtx, line: RingElement | None = None) -> RingElement:
+def jet_top_chern(spec: JetSpec, ctx: ProjBundleCtx) -> RingElement:
     """Top Chern class (degree e+1 part of the total class), reduced."""
     acc = ctx.ring.one()
-    for f in jet_line_factors(spec, ctx, line):
+    for f in jet_line_factors(spec, ctx):
         acc = acc * f
     return ctx.presentation.normal_form(acc)
 
@@ -194,8 +156,3 @@ def section_pullbacks(ctx: TwoFactorContext) -> dict:
         "z": pushforward_p1(z * z, ctx.horizontal),
         "w": pushforward_p1(w * w, ctx.vertical),
     }
-
-
-def apply_pullback(e: RingElement, rules: dict) -> RingElement:
-    """Apply section-pullback substitution rules to an element."""
-    return e.substitute(rules, target=e.ring)

@@ -29,6 +29,7 @@ from .points import (
 )
 from .rationals import PoleAtPoint, poly_str
 from .scenarios import (
+    Report,
     scenario_A1_vanishing,
     scenario_I_g0,
     scenario_I_g1,
@@ -38,17 +39,6 @@ from .scenarios import (
 from .testcurves import block_change_of_basis, certify_full_rank, intersection_matrix
 
 SCHEMA_VERSION = 1
-
-SCENARIOS = (
-    "i_g0",
-    "i_g1",
-    "w_n",
-    "a1_vanishing",
-    "r2",
-    "test_matrix",
-    "general_position",
-    "curve_conditions",
-)
 
 NUMERIC_ONLY = {"general_position", "curve_conditions"}
 
@@ -74,6 +64,8 @@ class RunConfig:
         if self.genus != "symbolic":
             if not isinstance(self.genus, int) or self.genus < 2:
                 raise ValueError("numeric genus must be an integer >= 2")
+        if self.trials < 1:
+            raise ValueError(f"need trials >= 1, got {self.trials}")
         require_odd_prime(self.prime)
         if self.format not in ("text", "json"):
             raise ValueError("format must be text or json")
@@ -96,123 +88,77 @@ def _matrix_text(m) -> str:
     return "\n".join([header] + body) + "\n"
 
 
-def _matrix_scenario(cfg: RunConfig) -> dict:
+def _matrix_scenario(cfg: RunConfig) -> Report:
     m = intersection_matrix(cfg.genus, cfg.n)
     b = block_change_of_basis(m)
     cert = certify_full_rank(m)
-    checks = []
-
-    def add(claim, expected, actual):
-        checks.append(
-            {
-                "claim_id": claim,
-                "expected": str(expected),
-                "actual": str(actual),
-                "pass": str(expected) == str(actual),
-                "source": "derived",
-            }
-        )
-
+    report = Report("test_matrix", cfg.genus, payload={
+        "n": cfg.n,
+        "matrix": m.to_dict(),
+        "block_form": b.to_dict(),
+        "determinant": poly_str(cert.determinant),
+    }, text=_matrix_text(m) + "\n" + _matrix_text(b))
     det_abs = (
         cert.determinant
         if cert.determinant.is_zero or cert.determinant.leading > 0
         else -cert.determinant
     )
-    if cfg.genus == "symbolic":
-        add("determinant_matches_block_product",
-            poly_str(cert.expected_determinant), poly_str(det_abs))
-    else:
-        add("determinant_matches_block_product",
-            cert.expected_determinant(Fraction(cfg.genus)), det_abs(Fraction(0)))
-    add("cross_check_agrees", True, cert.cross_check_agrees)
-    add("no_real_roots_geq_2", 0, cert.roots_geq_2)
-    add("certified_full_rank", True, cert.certified)
-    return {
-        "scenario": "test_matrix",
-        "genus": cfg.genus,
-        "n": cfg.n,
-        "matrix": json.loads(m.to_json()),
-        "block_form": json.loads(b.to_json()),
-        "determinant": poly_str(cert.determinant),
-        "checks": checks,
-        "notes": [],
-        "extras": {},
-        "_text": _matrix_text(m) + "\n" + _matrix_text(b),
-    }
+    expected = cert.expected_determinant
+    if cfg.genus != "symbolic":
+        expected, det_abs = expected(Fraction(cfg.genus)), det_abs(Fraction(0))
+    report.add_check("determinant_matches_block_product", expected, det_abs, source="derived")
+    report.add_check("cross_check_agrees", True, cert.cross_check_agrees, source="derived")
+    report.add_check("no_real_roots_geq_2", 0, cert.roots_geq_2, source="derived")
+    report.add_check("certified_full_rank", True, cert.certified, source="derived")
+    return report
 
 
-def _general_position_scenario(cfg: RunConfig) -> dict:
+def _general_position_scenario(cfg: RunConfig) -> Report:
     verdict = check_general_position(
         cfg.genus, cfg.n, seed=cfg.seed, trials=cfg.trials, prime=cfg.prime
     )
-    return {
-        "scenario": "general_position",
-        "genus": cfg.genus,
-        "n": cfg.n,
-        "verdict": verdict.to_dict(),
-        "checks": [
-            {
-                "claim_id": "general_position_full_rank",
-                "expected": "PASS",
-                "actual": verdict.status,
-                "pass": verdict.status == "PASS",
-                "source": "derived",
-            }
-        ],
-        "notes": [verdict.note],
-        "extras": {},
-    }
+    report = Report("general_position", cfg.genus,
+                    payload={"n": cfg.n, "verdict": verdict.to_dict()}, notes=[verdict.note])
+    report.add_check("general_position_full_rank", "PASS", verdict.status, source="derived")
+    return report
 
 
-def _curve_conditions_scenario(cfg: RunConfig) -> dict:
+def _curve_conditions_scenario(cfg: RunConfig) -> Report:
     g = cfg.genus
     count = 2 * g + 5
     form, pts = sample_curve_points(g, count, prime=cfg.prime, seed=cfg.seed)
     pc = PointConfig(tuple(PointCondition(pt) for pt in pts), prime=cfg.prime)
     rank = rank_exact(evaluation_matrix(pc, g), cfg.prime)
-    rr = riemann_roch_counts(g)
-    return {
-        "scenario": "curve_conditions",
-        "genus": g,
+    report = Report("curve_conditions", g, payload={
         "n": cfg.n,
         "count": count,
         "witness": {"seed": cfg.seed, "prime": cfg.prime, "points": pts, "rank": rank},
-        "dimension_counts": rr,
-        "checks": [
-            {
-                "claim_id": "curve_points_impose_independent_conditions",
-                "expected": str(count),
-                "actual": str(rank),
-                "pass": rank == count,
-                "source": "derived",
-            }
-        ],
-        "notes": ["probabilistic one-sided check"],
-        "extras": {},
-    }
+        "dimension_counts": riemann_roch_counts(g),
+    }, notes=["probabilistic one-sided check"])
+    report.add_check("curve_points_impose_independent_conditions", count, rank,
+                     source="derived")
+    return report
 
 
-def run_scenario(name: str, cfg: RunConfig) -> dict:
-    if name == "i_g0":
-        return scenario_I_g0(cfg.genus).to_dict()
-    if name == "i_g1":
-        return scenario_I_g1(cfg.genus).to_dict()
-    if name == "w_n":
-        return scenario_Wn(cfg.n, cfg.genus).to_dict()
-    if name == "a1_vanishing":
-        return scenario_A1_vanishing(cfg.n, cfg.genus).to_dict()
-    if name == "r2":
-        return scenario_R2(cfg.n, cfg.genus).to_dict()
-    if name == "test_matrix":
-        return _matrix_scenario(cfg)
-    if name == "general_position":
-        return _general_position_scenario(cfg)
-    if name == "curve_conditions":
-        return _curve_conditions_scenario(cfg)
-    raise ValueError(f"unknown scenario {name!r}")
+# Every scenario by name.  The lambdas look the scenario function up when
+# called, so a wrapper later installed on the module attribute is seen.
+SCENARIO_RUNNERS = {
+    "i_g0": lambda cfg: scenario_I_g0(cfg.genus),
+    "i_g1": lambda cfg: scenario_I_g1(cfg.genus),
+    "w_n": lambda cfg: scenario_Wn(cfg.n, cfg.genus),
+    "a1_vanishing": lambda cfg: scenario_A1_vanishing(cfg.n, cfg.genus),
+    "r2": lambda cfg: scenario_R2(cfg.n, cfg.genus),
+    "test_matrix": _matrix_scenario,
+    "general_position": _general_position_scenario,
+    "curve_conditions": _curve_conditions_scenario,
+}
+
+SCENARIOS = tuple(SCENARIO_RUNNERS)
 
 
 def build_report(cfg: RunConfig) -> dict:
+    """Run the configured scenarios.  The "scenarios" entry holds their Report
+    objects, which canonical_json and render_text serialise."""
     names = SCENARIOS if cfg.scenario == "all" else (cfg.scenario,)
     outputs = []
     skipped = []
@@ -224,8 +170,8 @@ def build_report(cfg: RunConfig) -> dict:
                 )
                 continue
             raise ValueError(f"scenario {name} requires --genus <integer>")
-        outputs.append(run_scenario(name, cfg))
-    all_pass = all(c["pass"] for out in outputs for c in out.get("checks", []))
+        outputs.append(SCENARIO_RUNNERS[name](cfg))
+    all_pass = all(out.all_pass() for out in outputs)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -243,10 +189,7 @@ def build_report(cfg: RunConfig) -> dict:
 
 
 def canonical_json(report: dict) -> str:
-    report = {k: v for k, v in report.items()}
-    report["scenarios"] = [
-        {k: v for k, v in out.items() if not k.startswith("_")} for out in report["scenarios"]
-    ]
+    report = dict(report, scenarios=[out.to_dict() for out in report["scenarios"]])
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
@@ -259,15 +202,15 @@ def render_text(report: dict) -> str:
     )
     for out in report["scenarios"]:
         lines.append("")
-        lines.append(f"== {out['scenario']} ==")
-        if "_text" in out:
-            lines.append(out["_text"].rstrip())
-        for c in out.get("checks", []):
-            mark = "ok  " if c["pass"] else "FAIL"
-            lines.append(f"  [{mark}] {c['claim_id']}: expected {c['expected']}")
-            if not c["pass"]:
-                lines.append(f"         actual   {c['actual']}")
-        for note in out.get("notes", []):
+        lines.append(f"== {out.scenario_id} ==")
+        if out.text:
+            lines.append(out.text.rstrip())
+        for c in out.checks:
+            mark = "ok  " if c.passed else "FAIL"
+            lines.append(f"  [{mark}] {c.claim_id}: expected {c.expected}")
+            if not c.passed:
+                lines.append(f"         actual   {c.actual}")
+        for note in out.notes:
             lines.append(f"  note: {note}")
     for sk in report.get("skipped", []):
         lines.append(f"skipped {sk['scenario']}: {sk['reason']}")

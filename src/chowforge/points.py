@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 DEFAULT_PRIME = 1_000_003
+SAMPLING_ATTEMPTS = 2000
 
 
 class BadGenus(ValueError):
@@ -84,30 +85,8 @@ def require_odd_prime(prime: int) -> None:
 
 
 @dataclass(frozen=True)
-class Bidegree:
-    """The bidegree (g+1, 2) of the forms cutting out the curves."""
-
-    a: int
-    b: int = 2
-
-    def __post_init__(self):
-        if self.a < 3:
-            raise BadGenus("first bidegree component must be >= 3 (genus >= 2)")
-        if self.b != 2:
-            raise ValueError("second bidegree component must be 2")
-
-    @staticmethod
-    def for_genus(g: int) -> "Bidegree":
-        if g < 2:
-            raise BadGenus(f"genus {g} < 2")
-        return Bidegree(g + 1, 2)
-
-
-@dataclass(frozen=True)
 class Simple:
     """Evaluate at the point: one row."""
-
-    rows = 1
 
 
 @dataclass(frozen=True)
@@ -121,10 +100,6 @@ class HorizontalJet:
         if self.order < 1:
             raise ValueError("horizontal jet order must be >= 1")
 
-    @property
-    def rows(self) -> int:
-        return self.order
-
 
 @dataclass(frozen=True)
 class VerticalJet:
@@ -135,8 +110,6 @@ class VerticalJet:
     def __post_init__(self):
         if self.order != 1:
             raise ValueError("vertical jets are first-order only")
-
-    rows = 2
 
 
 @dataclass(frozen=True)
@@ -185,10 +158,6 @@ class PointConfig:
                         raise ValueError(
                             f"conditions {i} and {j} share a first-factor projection"
                         )
-
-    @property
-    def total_rows(self) -> int:
-        return sum(c.kind.rows for c in self.conditions)
 
 
 def monomial_basis(g: int) -> list[tuple[int, int]]:
@@ -356,6 +325,8 @@ def check_general_position(
     PASS when some trial's evaluation matrix has full rank n-1."""
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
+    if n < 1 or trials < 1:
+        raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
     require_odd_prime(prime)
     target = n - 1
     if target > 3 * g + 5 and not allow_bound_violation:
@@ -373,20 +344,6 @@ def check_general_position(
         if rank_exact(m, prime) == target:
             return Verdict("PASS", target, t + 1, {"seed": seed, "trial": t, "prime": prime})
     return Verdict("FAIL", target, trials, None)
-
-
-def tangency_config(g: int, n: int, seed: int = 0, prime: int = DEFAULT_PRIME) -> PointConfig:
-    """A jet-plus-points configuration on one horizontal line: a horizontal
-    jet of order g-n+2 at one point and n-1 simple points, all with the same
-    second coordinate and distinct first coordinates (g+1 rows total)."""
-    if not (1 <= n <= g):
-        raise BoundViolated(f"need 1 <= n <= g, got n={n}, g={g}")
-    rng = random.Random(f"{seed}:tangency")
-    xs = _distinct_randranges(rng, n, prime)
-    y = rng.randrange(prime)
-    conds = [PointCondition(((xs[0], 1), (y, 1)), HorizontalJet(g - n + 2))]
-    conds += [PointCondition(((x, 1), (y, 1)), Simple()) for x in xs[1:]]
-    return PointConfig(tuple(conds), prime=prime, require_distinct_first=True)
 
 
 # -- curve sampling ---------------------------------------------------------
@@ -490,16 +447,11 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def sample_curve_points(
-    g: int,
-    count: int,
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-    max_attempts: int = 2000,
-):
+def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: int = 0):
     """Sample a random bidegree-(g+1, 2) form over F_prime (rejecting the
     obviously reducible ones) and `count` smooth points on its vanishing
-    locus with distinct first coordinates.
+    locus with distinct first coordinates, trying at most SAMPLING_ATTEMPTS
+    forms and SAMPLING_ATTEMPTS first coordinates per form.
 
     Returns (coefficient list in monomial_basis order, list of points)."""
     if g < 2:
@@ -508,7 +460,7 @@ def sample_curve_points(
     basis = monomial_basis(g)
     rng = random.Random(f"{seed}:curve")
     p = prime
-    for _attempt in range(max_attempts):
+    for _attempt in range(SAMPLING_ATTEMPTS):
         coeffs = {mono: rng.randrange(p) for mono in basis}
         # y-quadratic coefficients as polynomials in the first coordinate.
         A = [coeffs[(a, 2)] for a in range(g + 2)]
@@ -528,7 +480,7 @@ def sample_curve_points(
             continue
         points = []
         used_x: set[int] = set()
-        budget = max_attempts
+        budget = SAMPLING_ATTEMPTS
         while len(points) < count and budget > 0:
             budget -= 1
             x = rng.randrange(p)
@@ -549,7 +501,7 @@ def sample_curve_points(
             points.append(((x, 1), (y, 1)))
         if len(points) == count:
             return [coeffs[m] for m in basis], points
-    raise SamplingExhausted(f"no valid curve/points after {max_attempts} attempts")
+    raise SamplingExhausted(f"no valid curve/points after {SAMPLING_ATTEMPTS} attempts")
 
 
 def _is_smooth_point(coeffs, g: int, x: int, y: int, p: int) -> bool:

@@ -22,6 +22,10 @@ class ZeroPolynomial(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
 
 
+class BadN(ValueError):
+    """Raised when a marked-point count is outside a computation's range."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -59,11 +63,6 @@ class UniPoly:
     def g() -> "UniPoly":
         """The polynomial g itself."""
         return UniPoly([0, 1])
-
-    @staticmethod
-    def from_desc(*coeffs) -> "UniPoly":
-        """Build from coefficients given in descending degree order."""
-        return UniPoly(list(reversed(coeffs)))
 
     # -- structure ---------------------------------------------------------
 
@@ -368,11 +367,6 @@ def ratfunc_str(f: RatFunc) -> str:
     if f.is_polynomial():
         return poly_str(f.num)
     return f"({poly_str(f.num)})/({poly_str(f.den)})"
-
-
-def ratfunc_normalize(num: UniPoly, den: UniPoly) -> RatFunc:
-    """Reduced fraction with monic denominator, value-equal to num/den."""
-    return RatFunc(num, den)
 
 
 def ratfunc_eval(f: RatFunc, g0) -> Fraction:

@@ -21,11 +21,14 @@ class UnknownGenerator(KeyError):
 
 
 class NonterminatingHint(RuntimeError):
-    """Raised when basis completion exceeds the configured size bound."""
+    """Raised when basis completion exceeds MAX_BASIS elements."""
 
 
 class InhomogeneousRelations(ValueError):
     """Raised by graded dimension queries on inhomogeneous presentations."""
+
+
+MAX_BASIS = 200  # completion stops past this size: the input looks pathological
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,6 @@ class RingElement:
     def is_homogeneous(self) -> bool:
         degs = {self.ring.weighted_degree(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> "RingElement":
-        return RingElement(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.weighted_degree(e) == d},
-        )
 
     def coefficient(self, exps) -> RatFunc:
         return self.terms.get(tuple(exps), RatFunc(0))
@@ -423,7 +420,7 @@ def _s_polynomial(f: RingElement, g: RingElement) -> RingElement:
     return mf * f.monic() - mg * g.monic()
 
 
-def _buchberger(relations: list[RingElement], max_basis: int) -> list[RingElement]:
+def _buchberger(relations: list[RingElement]) -> list[RingElement]:
     basis = [r.monic() for r in relations if not r.is_zero]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
@@ -436,9 +433,9 @@ def _buchberger(relations: list[RingElement], max_basis: int) -> list[RingElemen
         if s.is_zero:
             continue
         basis.append(s.monic())
-        if len(basis) > max_basis:
+        if len(basis) > MAX_BASIS:
             raise NonterminatingHint(
-                f"basis exceeded {max_basis} elements; input looks pathological"
+                f"basis exceeded {MAX_BASIS} elements; input looks pathological"
             )
         k = len(basis) - 1
         pairs.extend((i2, k) for i2 in range(k))
@@ -476,11 +473,11 @@ class RingPresentation:
 
     __slots__ = ("ring", "relations", "groebner_basis")
 
-    def __init__(self, ring: PolyRing, relations, max_basis: int = 200):
+    def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "groebner_basis", tuple(_buchberger(rels, max_basis)))
+        object.__setattr__(self, "groebner_basis", tuple(_buchberger(rels)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
@@ -521,7 +518,7 @@ def _weighted_tuples(weights, d, prefix=()):
         yield from _weighted_tuples(weights[1:], d - e * w, prefix + (e,))
 
 
-def ring_define(gens, rels, max_basis: int = 200) -> RingPresentation:
+def ring_define(gens, rels) -> RingPresentation:
     """Build a presentation from generators and relation elements."""
     ring = gens if isinstance(gens, PolyRing) else PolyRing(gens)
-    return RingPresentation(ring, rels, max_basis=max_basis)
+    return RingPresentation(ring, rels)

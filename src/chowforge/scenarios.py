@@ -1,15 +1,15 @@
 """End-to-end pipelines computing the Chow-ring presentations, emitting
 machine-checkable reports.
 
-Each scenario returns a PresentationReport whose `checks` pair every pinned
-expected value with the value the engine actually derived.  Pinned values are
-shipped reference constants; a report passes only if every check passes.
+Each scenario returns a Report whose `checks` pair every pinned expected
+value with the value the engine actually derived.  Pinned values are shipped
+reference constants; a report passes only if every check passes.  The
+numeric scenarios of the command line build the same Report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chern import (
     JetSpec,
@@ -19,7 +19,7 @@ from .chern import (
     standard_context,
     two_factor_context,
 )
-from .rationals import PoleAtPoint, RatFunc, UniPoly
+from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly
 from .ring import (
     Generator,
     PolyRing,
@@ -28,10 +28,6 @@ from .ring import (
     element_str,
     ring_define,
 )
-
-
-class BadN(ValueError):
-    """Raised when a scenario's marked-point count is out of range."""
 
 
 @dataclass(frozen=True)
@@ -46,38 +42,50 @@ class Check:
 
 
 @dataclass
-class PresentationReport:
+class Report:
+    """One scenario's result.  Its JSON form holds the scenario and genus,
+    then the payload, then checks, notes and extras.  The payload is the
+    presentation's relations unless `payload` is given; `text` (tables
+    shown in text output) is not serialised."""
+
     scenario_id: str
     input_genus: object  # "symbolic" or an integer >= 2
+    payload: dict | None = None
     raw_relations: list = field(default_factory=list)
     derived_relations: list = field(default_factory=list)
     final_presentation: RingPresentation | None = None
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    text: str = ""
 
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def add_check(self, claim_id, expected, actual, source="pinned"):
-        exp_s = expected if isinstance(expected, str) else element_str(expected)
-        act_s = actual if isinstance(actual, str) else element_str(actual)
+        """Compare the printed forms of an expected and a derived value."""
+        exp_s, act_s = str(expected), str(actual)
         self.checks.append(Check(claim_id, exp_s, act_s, exp_s == act_s, source))
 
     def add_flag(self, claim_id, passed: bool, detail: str, source="derived"):
         self.checks.append(Check(claim_id, "pass", "pass" if passed else detail, passed, source))
 
     def to_dict(self) -> dict:
+        payload = self.payload
+        if payload is None:
+            payload = {
+                "raw_relations": [element_str(r) for r in self.raw_relations],
+                "derived_relations": [element_str(r) for r in self.derived_relations],
+                "final_relations": (
+                    [element_str(r) for r in self.final_presentation.relations]
+                    if self.final_presentation
+                    else []
+                ),
+            }
         return {
             "scenario": self.scenario_id,
             "genus": self.input_genus,
-            "raw_relations": [element_str(r) for r in self.raw_relations],
-            "derived_relations": [element_str(r) for r in self.derived_relations],
-            "final_relations": (
-                [element_str(r) for r in self.final_presentation.relations]
-                if self.final_presentation
-                else []
-            ),
+            **payload,
             "checks": [
                 {
                     "claim_id": c.claim_id,
@@ -141,11 +149,11 @@ def _rf(num, den=1) -> RatFunc:
     return RatFunc(num if isinstance(num, UniPoly) else UniPoly.const(num), den)
 
 
-def scenario_I_g0(genus="symbolic") -> PresentationReport:
+def scenario_I_g0(genus="symbolic") -> Report:
     """Unpointed presentation: derives the three pushforward identities,
     eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3)."""
     gp = genus_poly(genus)
-    report = PresentationReport("i_g0", genus)
+    report = Report("i_g0", genus)
     ctx, firstp, secondp, rel1_line, dclass, ratio, lam = _core_classes(gp)
     ring = ctx.ring
     c1 = ring.gen("c1")
@@ -216,7 +224,7 @@ def one_point_constants(genus="symbolic") -> tuple[RatFunc, RatFunc]:
     )
 
 
-def scenario_I_g1(genus="symbolic") -> PresentationReport:
+def scenario_I_g1(genus="symbolic") -> Report:
     """One-pointed presentation: rewrites the projective-bundle relation and
     the order-1 jet class in terms of delta, inverts the Weierstrass-divisor
     identity to express z in psi1 and delta, and derives the final relations.
@@ -227,7 +235,7 @@ def scenario_I_g1(genus="symbolic") -> PresentationReport:
     the analysis).
     """
     gp = genus_poly(genus)
-    report = PresentationReport("i_g1", genus)
+    report = Report("i_g1", genus)
     ctx, firstp, secondp, rel1_line, dclass, ratio, lam = _core_classes(gp)
 
     # Coefficient bookkeeping: c1 = kc*delta, c2 = ratio*kc^2*delta^2.
@@ -308,13 +316,13 @@ def scenario_I_g1(genus="symbolic") -> PresentationReport:
     return report
 
 
-def scenario_Wn(n: int, genus="symbolic") -> PresentationReport:
+def scenario_Wn(n: int, genus="symbolic") -> Report:
     """Stratum of configurations supported on a single fiber: certifies that
     every positive-degree component of the quotient vanishes."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
-    report = PresentationReport("w_n", genus)
+    report = Report("w_n", genus)
     report.extras["n"] = n
     if genus != "symbolic" and n > 2 * genus + 2:
         report.notes.append(f"bound n <= 2g+2 violated: n={n}, g={genus} (exploratory)")
@@ -345,7 +353,7 @@ def scenario_Wn(n: int, genus="symbolic") -> PresentationReport:
     return report
 
 
-def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -> PresentationReport:
+def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -> Report:
     """Degree-1 vanishing on the open one-pointed locus: reproduces the two
     complement-divisor classes and certifies the degree-1 quotient is zero.
 
@@ -355,7 +363,7 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     if not isinstance(n, int) or n < 1:
         raise BadN(f"need n >= 1, got {n}")
     gp = genus_poly(genus)
-    report = PresentationReport("a1_vanishing", genus)
+    report = Report("a1_vanishing", genus)
     report.extras["n"] = n
     if genus != "symbolic" and n > 2 * genus + 6:
         report.notes.append(f"bound n <= 2g+6 violated: n={n}, g={genus} (exploratory)")
@@ -427,14 +435,14 @@ def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly) -> EdidinHuCl
     return EdidinHuClasses(d_ii=d_ii, d_ij=d_ij)
 
 
-def scenario_R2(n: int, genus="symbolic") -> PresentationReport:
+def scenario_R2(n: int, genus="symbolic") -> Report:
     """Degree-2 tautological component: expands the product of the two
     boundary classes, pins its psi_i*psi_j coefficient, and certifies the
     degree-2 component has dimension <= 1 (spanned by delta^2)."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
-    report = PresentationReport("r2", genus)
+    report = Report("r2", genus)
     report.extras["n"] = n
 
     gens = [Generator(f"psi{i}", 1) for i in range(1, n + 1)] + [Generator("delta", 1)]

@@ -10,20 +10,15 @@ standard expansion of a pulled-back section class with E^2 = -1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import RatFunc, UniPoly, poly_str, sturm_roots_geq
+from .rationals import BadN, RatFunc, UniPoly, poly_str, sturm_roots_geq
 
 
 class BadIndex(ValueError):
     """Raised for section indices outside 1..n."""
-
-
-class BadN(ValueError):
-    """Raised for marked-point counts outside the supported range."""
 
 
 class UnknownSection(KeyError):
@@ -133,16 +128,12 @@ class IntersectionMatrix:
     def entry(self, r: int, c: int) -> UniPoly:
         return self.entries[r][c]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows": list(self.row_labels),
-                "cols": list(self.col_labels),
-                "entries": [[poly_str(e) for e in row] for row in self.entries],
-            },
-            indent=2,
-            sort_keys=False,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "rows": list(self.row_labels),
+            "cols": list(self.col_labels),
+            "entries": [[poly_str(e) for e in row] for row in self.entries],
+        }
 
 
 def _pairs(n: int):

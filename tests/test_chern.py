@@ -10,12 +10,9 @@ from chowforge.chern import (
     JetSpec,
     NotReduced,
     ProjBundleCtx,
-    apply_pullback,
     jet_line_factors,
     jet_top_chern,
-    jet_total_chern,
     pushforward_p1,
-    relative_cotangent_class,
     section_pullbacks,
     standard_context,
     two_factor_context,
@@ -26,29 +23,25 @@ from chowforge.ring import ring_define
 G = UniPoly.g()
 
 
-def test_relative_cotangent_standard_and_renamed():
+def test_relative_cotangent_standard():
     ctx = standard_context()
     z, c1 = ctx.gen("z"), ctx.gen("c1")
-    assert relative_cotangent_class(ctx).c1 == -2 * z - c1
-    other = standard_context(fiber="w", base=("d1", "d2"))
-    assert relative_cotangent_class(other).c1 == -2 * other.gen("w") - other.gen("d1")
+    assert ctx.cotangent == -2 * z - c1
     # The class is g-free: specialization leaves it unchanged.
     assert ctx.cotangent.specialize(3) == ctx.cotangent
 
 
-def test_jet_total_chern_order_zero():
+def test_jet_top_chern_order_zero():
+    """At order 0 the jet bundle is the twist O(d) itself."""
     ctx = standard_context()
     z = ctx.gen("z")
-    total = jet_total_chern(JetSpec(2 * G + 2, 0), ctx)
-    assert total == ctx.ring.one() + z.scale(2 * G + 2)
+    assert jet_top_chern(JetSpec(2 * G + 2, 0), ctx) == z.scale(2 * G + 2)
 
 
-def test_jet_total_chern_order_one_degree_two_part():
+def test_jet_top_chern_order_one():
     ctx = standard_context()
     z, c1, c2 = ctx.gen("z"), ctx.gen("c1"), ctx.gen("c2")
-    total = jet_total_chern(JetSpec(2 * G + 2, 1), ctx)
     expected = (c1 * z).scale(-4 * G**2 - 6 * G - 2) + c2.scale(-4 * G**2 - 4 * G)
-    assert total.homogeneous_part(2) == expected
     assert jet_top_chern(JetSpec(2 * G + 2, 1), ctx) == expected
 
 
@@ -100,13 +93,17 @@ def test_section_pullback_rules():
     rules = section_pullbacks(tf)
     assert rules["z"] == -tf.gen("c1")
     assert rules["w"] == -tf.gen("d1")
+
+    def pull_back(e):
+        return e.substitute(rules, target=tf.ring)
+
     e = tf.gen("z").scale(G + 1) + tf.gen("w").scale(UniPoly.const(2))
-    assert apply_pullback(e, rules) == -tf.gen("c1").scale(G + 1) - tf.gen("d1").scale(
+    assert pull_back(e) == -tf.gen("c1").scale(G + 1) - tf.gen("d1").scale(
         UniPoly.const(2)
     )
     base_only = tf.gen("c1") * tf.gen("d1")
-    assert apply_pullback(base_only, rules) == base_only
-    assert apply_pullback(tf.gen("z") * tf.gen("w"), rules) == base_only
+    assert pull_back(base_only) == base_only
+    assert pull_back(tf.gen("z") * tf.gen("w")) == base_only
 
 
 def test_two_factor_cotangents():
@@ -116,15 +113,11 @@ def test_two_factor_cotangents():
 
 
 def test_whitney_order_one():
-    """For a rank-2 filtered bundle, total = 1 + (L0 + L1) + L0*L1."""
+    """For a rank-2 filtered bundle, the top Chern class is L0*L1."""
     ctx = standard_context()
     spec = JetSpec(2 * G + 2, 1)
     f0, f1 = jet_line_factors(spec, ctx)
-    total = jet_total_chern(spec, ctx)
-    pres = ctx.presentation
-    assert total.homogeneous_part(0) == ctx.ring.one()
-    assert total.homogeneous_part(1) == pres.normal_form(f0 + f1)
-    assert total.homogeneous_part(2) == pres.normal_form(f0 * f1)
+    assert jet_top_chern(spec, ctx) == ctx.presentation.normal_form(f0 * f1)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

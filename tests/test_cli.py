@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from chowforge.cli import (
+    NUMERIC_ONLY,
+    SCENARIOS,
     MissingGolden,
     RunConfig,
     build_report,
@@ -42,9 +44,13 @@ def test_exit_two_on_config_errors(capsys):
     assert main(["--scenario", "w_n", "--n", "1"]) == 2
     assert main(["--scenario", "r2", "--n", "1"]) == 2
     assert main(["--n", "1"]) == 2
+    # general_position needs n >= 1 and trials >= 1; less is not a FAIL verdict.
+    for flags in (["--n", "0"], ["--n", "-3"], ["--trials", "0"], ["--trials", "-1"]):
+        assert main(["--scenario", "general_position", "--genus", "2"] + flags) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("configuration error") == 7
+    assert captured.err.count("configuration error") == 11
     assert captured.err.count("need n >= 2, got 1") == 3
+    assert captured.err.count("need trials >= 1") == 2
     assert captured.out == ""
 
 
@@ -115,8 +121,10 @@ def test_missing_golden_raises_and_exits_two(tmp_path, capsys):
 
 @pytest.mark.skipif(not GOLDEN_DIR.exists(), reason="goldens not generated")
 def test_committed_goldens_match(capsys):
-    for scenario in ("i_g0", "w_n", "a1_vanishing", "r2", "test_matrix"):
-        cfg = RunConfig(scenario=scenario, format="json")
+    # The configurations of scripts/regenerate_goldens.py.
+    for scenario in SCENARIOS + ("all",):
+        genus = 2 if scenario in NUMERIC_ONLY else "symbolic"
+        cfg = RunConfig(scenario=scenario, genus=genus, format="json")
         code, summary = compare_golden(build_report(cfg), str(GOLDEN_DIR))
         assert code == 0, f"{scenario}: {summary}"
     capsys.readouterr()
@@ -135,12 +143,12 @@ def test_default_prime_env_override(monkeypatch):
 
 def test_all_symbolic_skips_numeric_only_scenarios():
     report = build_report(RunConfig(scenario="all", genus="symbolic"))
-    names = [s["scenario"] for s in report["scenarios"]]
+    names = [s.scenario_id for s in report["scenarios"]]
     assert "general_position" not in names and "curve_conditions" not in names
     skipped = {s["scenario"] for s in report["skipped"]}
     assert skipped == {"general_position", "curve_conditions"}
     numeric = build_report(RunConfig(scenario="all", genus=2))
-    assert {s["scenario"] for s in numeric["scenarios"]} >= {
+    assert {s.scenario_id for s in numeric["scenarios"]} >= {
         "general_position",
         "curve_conditions",
     }

@@ -7,7 +7,6 @@ import pytest
 from chowforge.points import (
     DEFAULT_PRIME,
     BadGenus,
-    Bidegree,
     BoundViolated,
     CompositeModulus,
     FieldMismatch,
@@ -25,7 +24,6 @@ from chowforge.points import (
     rank_exact,
     riemann_roch_counts,
     sample_curve_points,
-    tangency_config,
 )
 
 P = DEFAULT_PRIME
@@ -40,18 +38,10 @@ def test_monomial_basis_counts_and_order():
         monomial_basis(1)
 
 
-def test_bidegree_validation():
-    assert Bidegree.for_genus(4) == Bidegree(5, 2)
-    with pytest.raises(BadGenus):
-        Bidegree.for_genus(1)
-    with pytest.raises(ValueError):
-        Bidegree(5, 3)
-
-
 def test_condition_row_counts():
-    assert Simple().rows == 1
-    assert HorizontalJet(3).rows == 3
-    assert VerticalJet().rows == 2
+    for kind, rows in ((Simple(), 1), (HorizontalJet(3), 3), (VerticalJet(), 2)):
+        single = PointConfig((PointCondition(((1, 1), (2, 1)), kind),), prime=P)
+        assert len(evaluation_matrix(single, 2)) == rows
     cfg = PointConfig(
         (
             PointCondition(((1, 1), (2, 1)), HorizontalJet(2)),
@@ -60,7 +50,6 @@ def test_condition_row_counts():
         ),
         prime=P,
     )
-    assert cfg.total_rows == 5
     assert len(evaluation_matrix(cfg, 2)) == 5
 
 
@@ -76,15 +65,21 @@ def test_duplicated_point_drops_rank():
 
 
 def test_x2_tangency_config_full_rank():
+    def tangency(g, n, xs, y):
+        """On one horizontal line: a horizontal jet of order g-n+2 at xs[0]
+        and simple points at the other n-1 first coordinates."""
+        conds = [PointCondition(((xs[0], 1), (y, 1)), HorizontalJet(g - n + 2))]
+        conds += [PointCondition(((x, 1), (y, 1)), Simple()) for x in xs[1:]]
+        return PointConfig(tuple(conds), prime=P, require_distinct_first=True)
+
     # g=2, n=2: a HorizontalJet(g-n+2 = 2) plus one simple point -> 3 rows.
-    cfg = tangency_config(2, 2, seed=0)
-    m = evaluation_matrix(cfg, 2)
+    m = evaluation_matrix(tangency(2, 2, (7, 11), 5), 2)
     assert len(m) == 3
     assert rank_exact(m, P) == 3
     # Total rows g+1 in general (the degree of the ruling-line restriction).
-    cfg3 = tangency_config(3, 2, seed=1)
-    assert cfg3.total_rows == 4
-    assert rank_exact(evaluation_matrix(cfg3, 3), P) == 4
+    m3 = evaluation_matrix(tangency(3, 2, (123_457, 98_765), 4_321), 3)
+    assert len(m3) == 4
+    assert rank_exact(m3, P) == 4
 
 
 def test_chart_independence_of_rank():
@@ -137,6 +132,13 @@ def test_general_position_extremal_cases():
     exploratory = check_general_position(2, 13, allow_bound_violation=True, trials=2)
     assert exploratory.status in ("PASS", "FAIL")
     assert exploratory.target_rank == 12
+
+
+def test_general_position_rejects_nonpositive_counts():
+    """n < 1 or trials < 1 is a configuration error, not a FAIL verdict."""
+    for n, trials in ((0, 20), (-3, 20), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            check_general_position(2, n, trials=trials)
 
 
 def test_sample_curve_points_full_rank():
