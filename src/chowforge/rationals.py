@@ -228,6 +228,8 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
+    if a.degree == 0 or b.degree == 0:  # a nonzero constant divides both
+        return UniPoly.const(1)
     while not b.is_zero:
         a, b = b, poly_divmod(a, b)[1]
     return a.monic()
@@ -306,7 +308,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        out = object.__new__(RatFunc)  # -num/den is already normalized
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = _coerce_ratfunc(other)

@@ -9,9 +9,9 @@ and are immutable afterwards; all queries are pure.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .rationals import RatFunc, UniPoly, ratfunc_str
 
@@ -119,19 +119,11 @@ class PolyRing:
                 clean[exps] = c
         return RingElement(self, clean)
 
-    def monomial_cmp(self, a, b) -> int:
-        """Graded reverse lexicographic comparison of exponent tuples."""
-        da, db = self.weighted_degree(a), self.weighted_degree(b)
-        if da != db:
-            return -1 if da < db else 1
-        for x, y in zip(reversed(a), reversed(b)):
-            if x != y:
-                # Smaller exponent in the rightmost differing slot wins.
-                return 1 if x < y else -1
-        return 0
-
-    def sort_key(self):
-        return cmp_to_key(self.monomial_cmp)
+    def sort_key(self, exps) -> tuple:
+        """Graded reverse lexicographic key of an exponent tuple: the higher
+        weighted degree wins, then the smaller exponent in the rightmost
+        differing slot."""
+        return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
 
     def import_element(self, e: "RingElement") -> "RingElement":
         """Re-express an element of a name-compatible ring in this ring."""
@@ -316,7 +308,7 @@ class RingElement:
     def leading_exponent(self):
         if self.is_zero:
             raise ValueError("zero element has no leading term")
-        return max(self.terms, key=self.ring.sort_key())
+        return max(self.terms, key=self.ring.sort_key)
 
     def leading_coefficient(self) -> RatFunc:
         return self.terms[self.leading_exponent()]
@@ -351,9 +343,8 @@ def element_str(e: RingElement) -> str:
     if e.is_zero:
         return "0"
     ring = e.ring
-    key = ring.sort_key()
     parts = []
-    for exps in sorted(e.terms, key=key, reverse=True):
+    for exps in sorted(e.terms, key=ring.sort_key, reverse=True):
         c = e.terms[exps]
         mono = "*".join(
             g.name if ex == 1 else f"{g.name}^{ex}"
@@ -382,85 +373,96 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce(e: RingElement, basis: list[RingElement]) -> RingElement:
-    """Full normal form of e modulo a list of monic polynomials."""
-    ring = e.ring
-    key = ring.sort_key()
+def _monic(ring: PolyRing, terms: dict) -> tuple:
+    """A nonzero term dict as a (leading exponent, monic terms) pair."""
+    lead = max(terms, key=ring.sort_key)
+    inv = terms[lead].invert()
+    return lead, (terms if inv.is_one() else {e: inv * c for e, c in terms.items()})
+
+
+def _subtract_into(work: dict, terms: dict, shift, skip, coeff: RatFunc) -> None:
+    """work -= coeff * x^shift * (terms without the exponent skip)."""
+    neg = -coeff
+    for e, c in terms.items():
+        if e != skip:
+            te = tuple(x + y for x, y in zip(shift, e))
+            t = work[te] + neg * c if te in work else neg * c
+            if t.is_zero:
+                del work[te]
+            else:
+                work[te] = t
+
+
+def _reduce(ring: PolyRing, terms: dict, reducers) -> dict:
+    """Full normal form of a term dict modulo monic polynomials given as
+    (leading exponent, terms) pairs."""
     done: dict = {}
-    work = dict(e.terms)
+    work = dict(terms)
     while work:
-        exps = max(work, key=key)
+        exps = max(work, key=ring.sort_key)
         coeff = work.pop(exps)
-        for b in basis:
-            lead = b.leading_exponent()
+        for lead, bterms in reducers:
             if _divides(lead, exps):
-                shift = tuple(x - y for x, y in zip(exps, lead))
-                # Subtract coeff * x^shift * b (b is monic).
-                for be, bc in b.terms.items():
-                    te = tuple(x + y for x, y in zip(shift, be))
-                    if te == exps:
-                        continue
-                    s = work.get(te, RatFunc(0)) - coeff * bc
-                    if s.is_zero:
-                        work.pop(te, None)
-                    else:
-                        work[te] = s
+                _subtract_into(work, bterms, tuple(x - y for x, y in zip(exps, lead)), lead, coeff)
                 break
         else:
             done[exps] = coeff
-    return RingElement(ring, done)
+    return done
 
 
-def _s_polynomial(f: RingElement, g: RingElement) -> RingElement:
-    lf, lg = f.leading_exponent(), g.leading_exponent()
+def _s_polynomial(f: tuple, g: tuple) -> dict:
+    """x^(l-lf)*f - x^(l-lg)*g for monic (lead, terms) pairs f, g and
+    l = lcm(lf, lg), built from the shifted tails: the leading terms cancel."""
+    (lf, ft), (lg, gt) = f, g
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    ring = f.ring
-    mf = ring.element({tuple(a - b for a, b in zip(lcm, lf)): RatFunc(1)})
-    mg = ring.element({tuple(a - b for a, b in zip(lcm, lg)): RatFunc(1)})
-    return mf * f.monic() - mg * g.monic()
+    sf = tuple(a - b for a, b in zip(lcm, lf))
+    s = {tuple(x + y for x, y in zip(sf, e)): c for e, c in ft.items() if e != lf}
+    _subtract_into(s, gt, tuple(a - b for a, b in zip(lcm, lg)), lg, RatFunc(1))
+    return s
 
 
-def _buchberger(relations: list[RingElement]) -> list[RingElement]:
-    basis = [r.monic() for r in relations if not r.is_zero]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        li = basis[i].leading_exponent()
-        lj = basis[j].leading_exponent()
+def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
+    """The reduced Groebner basis of term dicts, as (leading exponent, monic
+    terms) pairs in descending order of leading exponent.
+
+    Pairs are reduced first in, first out.  A pair is skipped when its
+    leading monomials are coprime (product criterion), or when a third
+    element's leading monomial divides their lcm and neither of its pairs
+    with the two is still pending (Buchberger's chain criterion)."""
+    basis = [_monic(ring, r) for r in relations if r]
+    n = len(basis)
+    pending = OrderedDict.fromkeys((i, j) for i in range(n) for j in range(i + 1, n))
+    while pending:
+        (i, j), _ = pending.popitem(last=False)
+        li, lj = basis[i][0], basis[j][0]
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        s = _reduce(_s_polynomial(basis[i], basis[j]), basis)
-        if s.is_zero:
+        lcm = tuple(max(a, b) for a, b in zip(li, lj))
+        if any(k != i and k != j and _divides(lk, lcm) and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k, (lk, _) in enumerate(basis)):
             continue
-        basis.append(s.monic())
+        s = _reduce(ring, _s_polynomial(basis[i], basis[j]), basis)
+        if not s:
+            continue
+        basis.append(_monic(ring, s))
         if len(basis) > MAX_BASIS:
             raise NonterminatingHint(
                 f"basis exceeded {MAX_BASIS} elements; input looks pathological"
             )
         k = len(basis) - 1
-        pairs.extend((i2, k) for i2 in range(k))
-    # Autoreduce: minimal, fully reduced, monic basis.  When several elements
-    # share a leading monomial, exactly one representative is kept.
-    removed = [False] * len(basis)
-    leads = [b.leading_exponent() for b in basis]
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i == j or removed[j]:
-                continue
-            if _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i):
-                removed[i] = True
-                break
-    reduced = [b for b, gone in zip(basis, removed) if not gone]
-    final = []
-    for i, b in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1 :]
-        r = _reduce(b, others)
-        if not r.is_zero:
-            final.append(r.monic())
-    if final:
-        key = final[0].ring.sort_key()
-        final.sort(key=lambda b: key(b.leading_exponent()), reverse=True)
-    return final
+        pending.update(((i2, k), None) for i2 in range(k))
+    # Autoreduce: keep the elements whose leading monomial no other one
+    # divides (one representative of equal leading monomials), then reduce
+    # each by the others; its leading term stays, so it stays monic.
+    leads = [lead for lead, _ in basis]
+    minimal = [
+        b for i, b in enumerate(basis)
+        if not any(j != i and _divides(lj, leads[i]) and (lj != leads[i] or j < i)
+                   for j, lj in enumerate(leads))
+    ]
+    final = [(lead, _reduce(ring, t, minimal[:i] + minimal[i + 1 :]))
+             for i, (lead, t) in enumerate(minimal)]
+    return sorted(final, key=lambda b: ring.sort_key(b[0]), reverse=True)
 
 
 class RingPresentation:
@@ -471,20 +473,22 @@ class RingPresentation:
     the test suite).
     """
 
-    __slots__ = ("ring", "relations", "groebner_basis")
+    __slots__ = ("ring", "relations", "groebner_basis", "_reducers")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
+        reducers = _buchberger(ring, [r.terms for r in rels])
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "groebner_basis", tuple(_buchberger(rels)))
+        object.__setattr__(self, "groebner_basis", tuple(RingElement(ring, t) for _, t in reducers))
+        object.__setattr__(self, "_reducers", reducers)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
 
     def normal_form(self, e: RingElement) -> RingElement:
         e = self.ring.import_element(e)
-        return _reduce(e, list(self.groebner_basis))
+        return RingElement(self.ring, _reduce(self.ring, e.terms, self._reducers))
 
     def is_zero(self, e: RingElement) -> bool:
         return self.normal_form(e).is_zero
@@ -495,7 +499,7 @@ class RingPresentation:
         for r in self.relations:
             if not r.is_homogeneous():
                 raise InhomogeneousRelations(str(r))
-        leads = [b.leading_exponent() for b in self.groebner_basis]
+        leads = [lead for lead, _ in self._reducers]
         weights = [g.degree for g in self.ring.generators]
         count = 0
         for exps in _weighted_tuples(weights, d):

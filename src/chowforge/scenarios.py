@@ -212,16 +212,37 @@ def _expected_secondp(ring, gp):
     )
 
 
+def _one_point_relations(gp: UniPoly):
+    """The one-pointed derivation: the projective-bundle relation pbtrel and
+    the order-1 jet class rel1 in (z, psi1, delta), z expressed in psi1 and
+    delta, and the monic derived relations rel_a = delta*psi1 + s*delta^2
+    and rel_b = psi1^2 + t*delta^2 in (psi1, delta)."""
+    _, _, _, rel1_line, _, ratio, lam = _core_classes(gp)
+    kc = lam.invert()  # c1 = kc*delta, c2 = ratio*kc^2*delta^2
+
+    zring = PolyRing([Generator("z", 1), Generator("psi1", 1), Generator("delta", 1)])
+    z, psi1, delta = zring.gen("z"), zring.gen("psi1"), zring.gen("delta")
+    c1_sub, c2_sub = delta.scale(kc), (delta * delta).scale(ratio * kc * kc)
+    pbtrel = (z * z) + (c1_sub * z) + c2_sub
+    rel1 = rel1_line.substitute({"c1": c1_sub, "c2": c2_sub, "z": z}, target=zring)
+
+    # Invert the Weierstrass-divisor identity d_11 = (2g+2) z.
+    dii = psi1.scale(_rf(gp + 1, gp - 1)) - delta.scale(_rf(1, 2 * (2 * gp + 1) * (gp - 1)))
+    z_sub = dii.scale(_rf(1, 2 * gp + 2))
+
+    pring = PolyRing([Generator("psi1", 1), Generator("delta", 1)])
+    rel_a = rel1.substitute({"z": z_sub}, target=pring).monic()
+    elim = ring_define(pring, [rel_a])
+    rel_b = elim.normal_form(pbtrel.substitute({"z": z_sub}, target=pring)).monic()
+    return pbtrel, rel1, z_sub, rel_a, rel_b
+
+
 def one_point_constants(genus="symbolic") -> tuple[RatFunc, RatFunc]:
     """The coefficients (s, t) of the derived one-pointed relations
     delta*psi1 + s*delta^2 and psi1^2 + t*delta^2 (engine-derived)."""
-    report = scenario_I_g1(genus)
-    rel_a, rel_b = report.derived_relations[0], report.derived_relations[1]
-    pring = rel_a.ring
-    return (
-        rel_a.coefficient(_exps(pring, delta=2)),
-        rel_b.coefficient(_exps(pring, delta=2)),
-    )
+    rel_a, rel_b = _one_point_relations(genus_poly(genus))[3:]
+    exps = _exps(rel_a.ring, delta=2)
+    return rel_a.coefficient(exps), rel_b.coefficient(exps)
 
 
 def scenario_I_g1(genus="symbolic") -> Report:
@@ -236,18 +257,8 @@ def scenario_I_g1(genus="symbolic") -> Report:
     """
     gp = genus_poly(genus)
     report = Report("i_g1", genus)
-    ctx, firstp, secondp, rel1_line, dclass, ratio, lam = _core_classes(gp)
-
-    # Coefficient bookkeeping: c1 = kc*delta, c2 = ratio*kc^2*delta^2.
-    kc = lam.invert()
-
-    zring = PolyRing([Generator("z", 1), Generator("psi1", 1), Generator("delta", 1)])
-    z, delta = zring.gen("z"), zring.gen("delta")
-    c1_sub = delta.scale(kc)
-    c2_sub = (delta * delta).scale(ratio * kc * kc)
-
-    pbtrel = (z * z) + (c1_sub * z) + c2_sub
-    rel1 = rel1_line.substitute({"c1": c1_sub, "c2": c2_sub, "z": z}, target=zring)
+    pbtrel, rel1, z_sub, rel_a, rel_b = _one_point_relations(gp)
+    z, delta = pbtrel.ring.gen("z"), pbtrel.ring.gen("delta")
     report.raw_relations = [pbtrel, rel1]
 
     # Pinned displays for the rewritten relations.
@@ -259,15 +270,11 @@ def scenario_I_g1(genus="symbolic") -> Report:
     exp_rel1 = (delta * z) + (delta * delta).scale(krd)
     report.add_check("rel1", exp_rel1, rel1)
 
-    # Weierstrass divisor class and the inversion of z.
+    # Weierstrass divisor class.
     d11 = z.scale(2 * gp + 2)
     report.add_check("d11_class", z.scale(2 * gp + 2), d11)
-    psi1 = zring.gen("psi1")
-    dii = psi1.scale(_rf(gp + 1, gp - 1)) - delta.scale(_rf(1, 2 * (2 * gp + 1) * (gp - 1)))
-    z_sub = dii.scale(_rf(1, 2 * gp + 2))
 
-    pring = PolyRing([Generator("psi1", 1), Generator("delta", 1)])
-    rel_a = rel1.substitute({"z": z_sub}, target=pring).monic()
+    pring = rel_a.ring
     report.derived_relations.append(rel_a)
     psi1f, deltaf = pring.gen("psi1"), pring.gen("delta")
     report.add_check(
@@ -276,8 +283,6 @@ def scenario_I_g1(genus="symbolic") -> Report:
         rel_a,
     )
 
-    elim = ring_define(pring, [rel_a])
-    rel_b = elim.normal_form(pbtrel.substitute({"z": z_sub}, target=pring)).monic()
     report.derived_relations.append(rel_b)
     a_g = _rf(
         16 * gp**4 - 24 * gp**3 + 16 * gp**2 + 8 * gp - 3,
@@ -306,8 +311,7 @@ def scenario_I_g1(genus="symbolic") -> Report:
     )
     report.add_flag("delta_cubed_zero", final.is_zero(deltaf**3), "delta^3 != 0")
 
-    s = rel_a.coefficient(_exps(pring, delta=2))
-    t = rel_b.coefficient(_exps(pring, delta=2))
+    s, t = (r.coefficient(_exps(pring, delta=2)) for r in (rel_a, rel_b))
     report.extras = {
         "z_in_psi1_delta": element_str(z_sub),
         "delta_psi1_coefficient": str(s),

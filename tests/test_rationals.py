@@ -107,6 +107,7 @@ small_fracs = st.fractions(
 polys = st.lists(small_fracs, min_size=0, max_size=5).map(UniPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 ratfuncs = st.tuples(polys, nonzero_polys).map(lambda t: RatFunc(*t))
+constant_polys = small_fracs.map(lambda c: UniPoly([c]))
 
 
 @given(polys, polys)
@@ -127,6 +128,28 @@ def test_ratfunc_field_identities(x, y, z):
     assert x - x == RatFunc(0)
     if not x.is_zero:
         assert x * x.invert() == RatFunc(1)
+
+
+def _is_normalized(r: RatFunc) -> bool:
+    return r.den.leading == 1 and poly_gcd(r.num, r.den).is_one()
+
+
+@given(
+    st.one_of(constant_polys, polys),
+    st.one_of(constant_polys.filter(lambda p: not p.is_zero), nonzero_polys),
+    ratfuncs,
+)
+def test_ratfunc_normalized_with_constant_parts(num, den, other):
+    """Constant numerators and denominators take poly_gcd's constant
+    shortcut; every result still has a monic denominator coprime to its
+    numerator."""
+    x = RatFunc(num, den)
+    assert x.num * den == num * x.den
+    for r in (x, -x, x + other, x - other, x * other, other - x):
+        assert _is_normalized(r)
+    if not x.is_zero:
+        assert _is_normalized(x.invert())
+        assert _is_normalized(other / x)
 
 
 @given(ratfuncs, ratfuncs, st.integers(min_value=2, max_value=20))

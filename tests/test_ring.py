@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowforge import ring as ring_module
 from chowforge.rationals import PoleAtPoint, RatFunc, UniPoly
 from chowforge.ring import (
     Generator,
     InhomogeneousRelations,
+    NonterminatingHint,
     PolyRing,
     UnknownGenerator,
     element_str,
@@ -103,6 +105,53 @@ def test_grevlex_order_fiber_first():
     # z^2 must dominate c1*z so the quadratic relation rewrites z^2.
     rel = z * z + c1 * z
     assert rel.leading_exponent() == (z * z).leading_exponent()
+
+
+def _grevlex_cmp(weights, a, b) -> int:
+    """Weighted graded reverse lexicographic comparison, written as a
+    comparator: the oracle for PolyRing.sort_key."""
+    da = sum(e * w for e, w in zip(a, weights))
+    db = sum(e * w for e, w in zip(b, weights))
+    if da != db:
+        return -1 if da < db else 1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            # Smaller exponent in the rightmost differing slot wins.
+            return 1 if x < y else -1
+    return 0
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).flatmap(
+        lambda weights: st.tuples(
+            st.just(weights),
+            st.lists(
+                st.tuples(*[st.integers(min_value=0, max_value=4)] * len(weights)),
+                min_size=2,
+                max_size=12,
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sort_key_matches_grevlex_comparator(case):
+    weights, monomials = case
+    ring = PolyRing([Generator(f"x{i}", w) for i, w in enumerate(weights)])
+    for a in monomials:
+        for b in monomials:
+            ka, kb = ring.sort_key(a), ring.sort_key(b)
+            assert (ka > kb) - (ka < kb) == _grevlex_cmp(weights, a, b)
+
+
+def test_basis_size_bound_raises(monkeypatch):
+    ring = PolyRing([Generator("x"), Generator("y"), Generator("z")])
+    x, y, z = ring.gen("x"), ring.gen("y"), ring.gen("z")
+    rels = [x * x - y * z, x * y - z * z]  # completion adds y^2*z - x*z^2
+    monkeypatch.setattr(ring_module, "MAX_BASIS", 3)
+    assert len(ring_define(ring, rels).groebner_basis) == 3
+    monkeypatch.setattr(ring_module, "MAX_BASIS", 2)
+    with pytest.raises(NonterminatingHint):
+        ring_define(ring, rels)
 
 
 def _random_element(rng, ring, max_terms=4, max_exp=3):

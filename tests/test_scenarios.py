@@ -154,3 +154,51 @@ def test_specialize_matches_numeric_run_spot_check():
     num = scenario_I_g0(genus=g0)
     sym_raw = [r.specialize(g0) for r in sym.raw_relations]
     assert [str(r) for r in sym_raw] == [str(r) for r in num.raw_relations]
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_r2_at_the_paper_bound(genus):
+    """The Chow ring of H_{g,n} is claimed for n <= 2g+6: r2 at that bound."""
+    report = scenario_R2(2 * genus + 6, genus)
+    assert report.all_pass(), failing_ids(report)
+
+
+def _sympy_expr(e, gens, g, sympy):
+    out = 0
+    for exps, c in e.terms.items():
+        num, den = (
+            sum(sympy.Rational(x.numerator, x.denominator) * g**i for i, x in enumerate(p.coeffs))
+            for p in (c.num, c.den)
+        )
+        out += num / den * sympy.Mul(*[v**k for v, k in zip(gens, exps)])
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scenario_R2(3),
+        lambda: scenario_R2(4),
+        lambda: scenario_R2(5, 2),
+        lambda: scenario_I_g1(),
+    ],
+    ids=["r2_n3_symbolic", "r2_n4_symbolic", "r2_n5_g2", "i_g1_symbolic"],
+)
+def test_groebner_basis_matches_sympy(build):
+    """Outside oracle: sympy's reduced grevlex basis, over Q(g) for symbolic
+    genus and over Q for numeric genus.  Every generator here has degree 1,
+    so the weighted order is sympy's plain grevlex."""
+    sympy = pytest.importorskip("sympy")
+    report = build()
+    pres = report.final_presentation
+    assert all(gen.degree == 1 for gen in pres.ring.generators)
+    g = sympy.Symbol("g")
+    domain = sympy.QQ.frac_field(g) if report.input_genus == "symbolic" else sympy.QQ
+    gens = sympy.symbols([gen.name for gen in pres.ring.generators])
+    theirs = sympy.groebner(
+        [_sympy_expr(r, gens, g, sympy) for r in pres.relations],
+        *gens, order="grevlex", domain=domain,
+    )
+    ours = [sympy.Poly(_sympy_expr(b, gens, g, sympy), *gens, domain=domain)
+            for b in pres.groebner_basis]
+    assert {p.monic() for p in ours} == {p.monic() for p in theirs.polys}
