@@ -254,18 +254,21 @@ def _parse_args(argv) -> RunConfig:
     parser.add_argument("--scenario", choices=SCENARIOS + ("all",), default="all")
     parser.add_argument("--genus", default="symbolic",
                         help='"symbolic" (default) or an integer >= 2')
-    parser.add_argument("--n", type=int, default=3, help="number of marked points")
+    parser.add_argument("--n", type=int, default=None,
+                        help="number of marked points (default 3; not for curve_conditions)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--prime", type=int, default=default_prime())
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--golden-dir", default=None)
     args = parser.parse_args(argv)
+    if args.scenario == "curve_conditions" and args.n is not None:
+        raise ValueError("--n does not apply to curve_conditions, which samples 2g+5 points")
     genus = args.genus if args.genus == "symbolic" else int(args.genus)
     return RunConfig(
         scenario=args.scenario,
         genus=genus,
-        n=args.n,
+        n=3 if args.n is None else args.n,
         seed=args.seed,
         trials=args.trials,
         prime=args.prime,

@@ -127,11 +127,6 @@ class PointCondition:
             raise PointAtChartBoundary("second-factor coordinates both zero")
 
 
-def _proj_equal(p, q, prime) -> bool:
-    a = p[0] * q[1] - p[1] * q[0]
-    return (a % prime == 0) if prime else (a == 0)
-
-
 @dataclass(frozen=True)
 class PointConfig:
     """A list of conditions over Q (prime=None) or F_prime.  When flagged,
@@ -143,21 +138,22 @@ class PointConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "conditions", tuple(self.conditions))
+        p = self.prime
         for c in self.conditions:
             for pair in c.point:
                 for v in pair:
-                    if self.prime is not None and not isinstance(v, int):
+                    if p is not None and not isinstance(v, int):
                         raise FieldMismatch("prime-field configs need integer coordinates")
-                    if self.prime is None and not isinstance(v, (int, Fraction)):
+                    if p is None and not isinstance(v, (int, Fraction)):
                         raise FieldMismatch("rational configs need int or Fraction coordinates")
+                if p is not None and pair[0] % p == 0 and pair[1] % p == 0:
+                    raise PointAtChartBoundary(f"coordinates {pair} are both zero mod {p}")
         if self.require_distinct_first:
-            firsts = [c.point[0] for c in self.conditions]
-            for i in range(len(firsts)):
-                for j in range(i + 1, len(firsts)):
-                    if _proj_equal(firsts[i], firsts[j], self.prime):
-                        raise ValueError(
-                            f"conditions {i} and {j} share a first-factor projection"
-                        )
+            seen: dict = {}
+            for j, c in enumerate(self.conditions):
+                i = seen.setdefault(_slope(c.point[0], p), j)
+                if i != j:
+                    raise ValueError(f"conditions {i} and {j} share a first-factor projection")
 
 
 def monomial_basis(g: int) -> list[tuple[int, int]]:
@@ -168,25 +164,6 @@ def monomial_basis(g: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(g + 1, -1, -1) for b in (2, 1, 0)]
 
 
-def _chart_values(coords, top: int, prime):
-    """Per-exponent values and their chart data for one P^1 factor.
-
-    Returns (exponent_of_affine_coordinate, affine_value) per basis exponent
-    e in 0..top: in the chart where the second coordinate is normalized to 1
-    the monomial u0^e u1^(top-e) evaluates to t^e with t = u0/u1; in the
-    opposite chart it evaluates to s^(top-e) with s = u1/u0."""
-    u0, u1 = coords
-    if prime is not None:
-        u0, u1 = u0 % prime, u1 % prime
-    if u1 != 0:
-        inv = _inv(u1, prime)
-        t = u0 * inv if prime is None else (u0 * inv) % prime
-        return [(e, t) for e in range(top + 1)]
-    inv = _inv(u0, prime)
-    s = u1 * inv if prime is None else (u1 * inv) % prime  # zero here
-    return [(top - e, s) for e in range(top + 1)]
-
-
 def _inv(v, prime):
     if prime is None:
         if v == 0:
@@ -195,87 +172,124 @@ def _inv(v, prime):
     return pow(v % prime, prime - 2, prime)
 
 
-def _falling(e: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= e - t
+def _slope(coords, prime):
+    """u0/u1 for the point [u0:u1] of P^1, or None at [1:0]."""
+    u0, u1 = coords
+    if prime is None:
+        return None if u1 == 0 else u0 * _inv(u1, None)
+    return None if u1 % prime == 0 else u0 * _inv(u1, prime) % prime
+
+
+def _powers(t, top: int, prime) -> list:
+    """t^0, ..., t^top, as Fractions over Q and reduced mod prime."""
+    out = [Fraction(1) if prime is None else 1]
+    for _ in range(top):
+        out.append(out[-1] * t if prime is None else out[-1] * t % prime)
     return out
 
 
-def _deriv_value(exp: int, value, k: int, prime):
-    """k-th derivative of t^exp evaluated at t = value."""
-    if exp < k:
-        return 0 if prime is not None else Fraction(0)
-    coeff = _falling(exp, k)
-    v = value ** (exp - k) * coeff
-    return v % prime if prime is not None else Fraction(v)
+def _chart_derivs(coords, top: int, prime):
+    """The function taking k to the k-th derivatives of the monomials
+    u0^e u1^(top-e), e = 0..top, at the point.  In the chart where u1 is
+    normalized to 1 the monomial is t^e with t = u0/u1; in the opposite
+    chart it is s^(top-e) with s = u1/u0, which is zero there."""
+    t = _slope(coords, prime)
+    exps = range(top + 1) if t is not None else range(top, -1, -1)
+    powers = _powers(0 if t is None else t, top, prime)
+    # perm(e, k) is the falling factorial e(e-1)...(e-k+1), zero for k > e.
+    return lambda k: [math.perm(e, k) * powers[max(e - k, 0)] for e in exps]
 
 
 def evaluation_matrix(cfg: PointConfig, g: int):
     """One row per scalar condition, one column per basis monomial.
 
     Jets are symbolic derivatives of the monomials in the affine chart that
-    normalizes the nonzero coordinate of the relevant factor."""
+    normalizes the nonzero coordinate of the relevant factor, so each row is
+    the outer product of an x-factor and a y-factor derivative vector."""
     basis = monomial_basis(g)
     prime = cfg.prime
     rows = []
     for cond in cfg.conditions:
-        (xc, yc) = cond.point
-        xvals = _chart_values(xc, g + 1, prime)
-        yvals = _chart_values(yc, 2, prime)
+        xderivs = _chart_derivs(cond.point[0], g + 1, prime)
+        yderivs = _chart_derivs(cond.point[1], 2, prime)
         if isinstance(cond.kind, Simple):
-            orders = [("x", 0)]
+            orders = [(0, 0)]
         elif isinstance(cond.kind, HorizontalJet):
-            orders = [("x", k) for k in range(cond.kind.order)]
+            orders = [(k, 0) for k in range(cond.kind.order)]
         elif isinstance(cond.kind, VerticalJet):
-            orders = [("y", 0), ("y", 1)]
+            orders = [(0, 0), (0, 1)]
         else:
             raise TypeError(f"unknown condition kind {cond.kind!r}")
-        for axis, k in orders:
-            row = []
-            for alpha, beta in basis:
-                xe, xv = xvals[alpha]
-                ye, yv = yvals[beta]
-                if axis == "x":
-                    xpart = _deriv_value(xe, xv, k, prime)
-                    ypart = _deriv_value(ye, yv, 0, prime)
-                else:
-                    xpart = _deriv_value(xe, xv, 0, prime)
-                    ypart = _deriv_value(ye, yv, k, prime)
-                v = xpart * ypart
-                row.append(v % prime if prime is not None else v)
-            rows.append(row)
+        for kx, ky in orders:
+            xs, ys = xderivs(kx), yderivs(ky)
+            row = [xs[a] * ys[b] for a, b in basis]
+            rows.append(row if prime is None else [v % prime for v in row])
     return rows
 
 
 def rank_exact(matrix, prime: int | None = None) -> int:
-    """Exact rank by Gaussian elimination over Q or F_prime."""
-    a = [list(row) for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
+    """Exact rank by Gaussian elimination over Q (Fractions) or F_prime
+    (packed rows); rows of unequal length raise ValueError."""
+    rows = [list(row) for row in matrix]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    return _rank_q(rows) if prime is None else _rank_mod(rows, prime)
+
+
+def _rank_q(a: list) -> int:
+    """Fraction elimination on equal-length rows, in place."""
+    nrows, ncols = len(a), len(a[0]) if a else 0
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            v = a[i][c] % prime if prime is not None else a[i][c]
-            if v != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = _inv(a[r][c], prime)
+        inv = _inv(a[r][c], None)
         for i in range(r + 1, nrows):
             if a[i][c] != 0:
                 f = a[i][c] * inv
                 for j in range(c, ncols):
                     a[i][j] = a[i][j] - f * a[r][j]
-                    if prime is not None:
-                        a[i][j] %= prime
         r += 1
-        rank += 1
         if r == nrows:
+            break
+    return r
+
+
+def _rank_mod(rows: list, p: int) -> int:
+    """Elimination over F_p on rows packed into ints of w-bit slots, column
+    j in slot j, with delayed reduction (Dumas, Gautier and Pernet 2002).
+
+    Each pivot adds at most (p-1)^2 to every slot of the other rows, whose
+    eliminated column is then shifted out.  With at most k = min(rows, cols)
+    pivots every slot stays nonnegative and below p + k(p-1)^2 < 2^w, so
+    slots never carry into each other and only pivot rows are reduced."""
+    ncols = len(rows[0]) if rows else 0
+    w = (p + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    active = []
+    for row in rows:
+        packed = 0
+        for v in reversed(row):
+            packed = packed << w | v % p
+        active.append(packed)
+    rank = 0
+    for _ in range(ncols):
+        pivot = next((i for i, r in enumerate(active) if (r & mask) % p), None)
+        if pivot is None:
+            active = [r >> w for r in active]
+            continue
+        head = active.pop(pivot)
+        inv = _inv(head & mask, p)
+        tail, shift, head = 0, 0, head >> w
+        while head:
+            tail |= ((head & mask) * inv % p) << shift
+            head >>= w
+            shift += w
+        active = [(r >> w) + (-(r & mask)) % p * tail for r in active]
+        rank += 1
+        if not active:
             break
     return rank
 
@@ -506,14 +520,10 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
 
 def _is_smooth_point(coeffs, g: int, x: int, y: int, p: int) -> bool:
     """Both affine partial derivatives must not vanish simultaneously."""
-    fx = 0
-    fy = 0
-    for (alpha, beta), c in coeffs.items():
-        if alpha >= 1:
-            fx = (fx + c * alpha * pow(x, alpha - 1, p) * pow(y, beta, p)) % p
-        if beta >= 1:
-            fy = (fy + c * beta * pow(x, alpha, p) * pow(y, beta - 1, p)) % p
-    return not (fx == 0 and fy == 0)
+    xp, yp = _powers(x, g + 1, p), _powers(y, 2, p)
+    fx = sum(c * a * xp[a - 1] * yp[b] for (a, b), c in coeffs.items() if a)
+    fy = sum(c * b * xp[a] * yp[b - 1] for (a, b), c in coeffs.items() if b)
+    return fx % p != 0 or fy % p != 0
 
 
 def riemann_roch_counts(g: int) -> dict:

@@ -47,8 +47,11 @@ def test_exit_two_on_config_errors(capsys):
     # general_position needs n >= 1 and trials >= 1; less is not a FAIL verdict.
     for flags in (["--n", "0"], ["--n", "-3"], ["--trials", "0"], ["--trials", "-1"]):
         assert main(["--scenario", "general_position", "--genus", "2"] + flags) == 2
+    # curve_conditions always samples 2g+5 points, so an explicit --n is refused.
+    assert main(["--scenario", "curve_conditions", "--genus", "2", "--n", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("configuration error") == 11
+    assert captured.err.count("configuration error") == 12
+    assert captured.err.count("--n does not apply to curve_conditions") == 1
     assert captured.err.count("need n >= 2, got 1") == 3
     assert captured.err.count("need trials >= 1") == 2
     assert captured.out == ""

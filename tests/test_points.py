@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chowforge.points import (
     DEFAULT_PRIME,
@@ -25,6 +27,12 @@ from chowforge.points import (
     riemann_roch_counts,
     sample_curve_points,
 )
+
+try:
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:  # sympy is an optional second oracle
+    DomainMatrix = None
 
 P = DEFAULT_PRIME
 
@@ -118,6 +126,30 @@ def test_point_validation_errors():
             prime=P,
             require_distinct_first=True,
         )
+    # Both coordinates zero mod p is no point of P^1 over F_p (it used to get
+    # the row of [1:0]); the same pair is a point over Q.
+    for pair in ((P, 2 * P), (0, -P)):
+        with pytest.raises(PointAtChartBoundary):
+            PointConfig((PointCondition((pair, (3, 1))),), prime=P)
+        with pytest.raises(PointAtChartBoundary):
+            PointConfig((PointCondition(((3, 1), pair)),), prime=P)
+    assert rank_exact(evaluation_matrix(
+        PointConfig((PointCondition(((P, 2 * P), (3, 1))),)), 2)) == 1
+    # [1:0] clashes with [7:0] but not with [0:1] (slope zero).
+    for firsts, clash in (([(0, 1), (1, 0), (7, 0)], (1, 2)), ([(0, 5), (3, 1), (0, 2)], (0, 2))):
+        conds = tuple(PointCondition((x, (1, 1))) for x in firsts)
+        for prime in (P, None):
+            with pytest.raises(ValueError, match=f"conditions {clash[0]} and {clash[1]} share"):
+                PointConfig(conds, prime=prime, require_distinct_first=True)
+
+
+def test_ragged_matrix_rejected():
+    for prime in (P, 3, None):
+        for m in ([[1, 2, 3], [4, 5]], [[1], [2, 3]], [[], [1]]):
+            with pytest.raises(ValueError, match="unequal lengths"):
+                rank_exact(m, prime)
+        assert rank_exact([], prime) == 0
+        assert rank_exact([[], []], prime) == 0
 
 
 def test_general_position_extremal_cases():
@@ -203,3 +235,155 @@ def test_sqrt_mod_non_residue_search_is_bounded():
                 assert _sqrt_mod(a, p) ** 2 % p == a
     with pytest.raises(CompositeModulus):
         _sqrt_mod(1, 9)
+
+
+def test_general_position_at_the_paper_bound():
+    """H_{g,n} is rational for n <= 3g+5: 3g+5 points in the configuration
+    of check_general_position impose independent conditions, and so do the
+    2g+5 sampled curve points."""
+    for g in (8, 16, 32):
+        verdict = check_general_position(g, 3 * g + 6)
+        assert (verdict.status, verdict.target_rank) == ("PASS", 3 * g + 5)
+    for g in (8, 16):
+        _, pts = sample_curve_points(g, 2 * g + 5)
+        cfg = PointConfig(tuple(PointCondition(p) for p in pts), prime=P)
+        assert rank_exact(evaluation_matrix(cfg, g), P) == 2 * g + 5
+
+
+# -- oracles: the entry-by-entry formulas these kernels replaced -------------
+
+
+def _rank_mod_oracle(matrix, prime):
+    """Gaussian elimination with one multiply-mod per entry."""
+    a = [list(row) for row in matrix]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c] % prime), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c] % prime, prime - 2, prime)
+        for i in range(r + 1, nrows):
+            f = a[i][c] * inv
+            for j in range(c, ncols):
+                a[i][j] = (a[i][j] - f * a[r][j]) % prime
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+ORACLE_PRIMES = (3, 5, 7, DEFAULT_PRIME, 2**61 - 1)
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """A prime and a matrix of up to 12 x 12 entries, negative or >= p; in
+    product form (rows x k) (k x cols) its rank is at most k."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    entries = st.integers(-3 * p, 3 * p)
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return p, block(nrows, ncols)
+    k = draw(st.integers(0, min(nrows, ncols)))
+    left, right = block(nrows, k), block(k, ncols)
+    return p, [[sum(row[t] * right[t][j] for t in range(k)) for j in range(ncols)] for row in left]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_mod_p())
+def test_rank_mod_p_matches_oracles(case):
+    p, m = case
+    rank = rank_exact(m, p)
+    assert rank == _rank_mod_oracle(m, p)
+    if DomainMatrix is not None and m:
+        field = GF(p)
+        dm = DomainMatrix([[field(v) for v in row] for row in m], (len(m), len(m[0])), field)
+        assert rank == dm.rank()
+    # Row order and transposition keep the rank.
+    assert rank_exact(m[::-1], p) == rank
+    assert rank_exact([list(col) for col in zip(*m)], p) == (rank if m else 0)
+
+
+def _deriv_value_oracle(exp, value, k, prime):
+    """k-th derivative of t^exp at t = value, as evaluation_matrix computed
+    it entry by entry."""
+    if exp < k:
+        return 0 if prime is not None else Fraction(0)
+    coeff = 1
+    for t in range(k):
+        coeff *= exp - t
+    v = value ** (exp - k) * coeff
+    return v % prime if prime is not None else Fraction(v)
+
+
+def _evaluation_oracle(cfg, g):
+    prime = cfg.prime
+
+    def chart(coords, top):
+        u0, u1 = (c % prime for c in coords) if prime is not None else coords
+        if u1 != 0:
+            t = u0 * pow(u1, prime - 2, prime) % prime if prime else u0 * (Fraction(1) / u1)
+            return [(e, t) for e in range(top + 1)]
+        s = 0 if prime else Fraction(0)
+        return [(top - e, s) for e in range(top + 1)]
+
+    rows = []
+    for cond in cfg.conditions:
+        xvals, yvals = chart(cond.point[0], g + 1), chart(cond.point[1], 2)
+        if isinstance(cond.kind, Simple):
+            orders = [(0, 0)]
+        elif isinstance(cond.kind, HorizontalJet):
+            orders = [(k, 0) for k in range(cond.kind.order)]
+        else:
+            orders = [(0, 0), (0, 1)]
+        for kx, ky in orders:
+            row = []
+            for alpha, beta in monomial_basis(g):
+                v = _deriv_value_oracle(*xvals[alpha], kx, prime) * _deriv_value_oracle(
+                    *yvals[beta], ky, prime
+                )
+                row.append(v % prime if prime is not None else v)
+            rows.append(row)
+    return rows
+
+
+@st.composite
+def _point_configs(draw):
+    prime = draw(st.sampled_from((None, 7, DEFAULT_PRIME)))
+    if prime is None:
+        value = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    else:
+        value = st.integers(-3 * prime, 3 * prime)
+
+    def coords():
+        if draw(st.integers(0, 4)) == 0:  # the chart point [1:0]
+            nonzero = value.filter(lambda v: v % prime if prime else v)
+            return (draw(nonzero), 0 if prime else Fraction(0))
+        pair = (draw(value), draw(value))
+        assume(any(v % prime for v in pair) if prime else any(pair))
+        return pair
+
+    kinds = st.one_of(
+        st.just(Simple()), st.builds(HorizontalJet, st.integers(1, 4)), st.just(VerticalJet())
+    )
+    conds = tuple(
+        PointCondition((coords(), coords()), draw(kinds)) for _ in range(draw(st.integers(1, 5)))
+    )
+    return draw(st.integers(2, 7)), PointConfig(conds, prime=prime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_configs())
+def test_evaluation_matrix_matches_entrywise_formula(case):
+    g, cfg = case
+    rows = evaluation_matrix(cfg, g)
+    assert rows == _evaluation_oracle(cfg, g)
+    expected_type = Fraction if cfg.prime is None else int
+    assert all(type(v) is expected_type for row in rows for v in row)
