@@ -20,6 +20,7 @@ from .points import (
     DEFAULT_PRIME,
     PointCondition,
     PointConfig,
+    SamplingExhausted,
     check_general_position,
     evaluation_matrix,
     rank_exact,
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = build_report(cfg)
-    except (ValueError, BoundViolated, PoleAtPoint) as exc:
+    except (ValueError, BoundViolated, PoleAtPoint, SamplingExhausted) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if cfg.format == "json":

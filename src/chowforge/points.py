@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .rationals import _rational_rank
+
 DEFAULT_PRIME = 1_000_003
 SAMPLING_ATTEMPTS = 2000
 
@@ -164,19 +166,15 @@ def monomial_basis(g: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(g + 1, -1, -1) for b in (2, 1, 0)]
 
 
-def _inv(v, prime):
-    if prime is None:
-        if v == 0:
-            raise ZeroDivisionError("inverting zero")
-        return Fraction(1, 1) / v
-    return pow(v % prime, prime - 2, prime)
+def _inv(v, p):
+    return pow(v % p, p - 2, p)
 
 
 def _slope(coords, prime):
     """u0/u1 for the point [u0:u1] of P^1, or None at [1:0]."""
     u0, u1 = coords
     if prime is None:
-        return None if u1 == 0 else u0 * _inv(u1, None)
+        return None if u1 == 0 else Fraction(u0, u1)
     return None if u1 % prime == 0 else u0 * _inv(u1, prime) % prime
 
 
@@ -228,33 +226,15 @@ def evaluation_matrix(cfg: PointConfig, g: int):
 
 
 def rank_exact(matrix, prime: int | None = None) -> int:
-    """Exact rank by Gaussian elimination over Q (Fractions) or F_prime
-    (packed rows); rows of unequal length raise ValueError."""
+    """Exact rank over Q (fraction-free integer elimination after clearing
+    each row's denominators) or F_prime (packed rows); rows of unequal length
+    raise ValueError."""
+    if prime is None:
+        return _rational_rank(matrix)
     rows = [list(row) for row in matrix]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
-    return _rank_q(rows) if prime is None else _rank_mod(rows, prime)
-
-
-def _rank_q(a: list) -> int:
-    """Fraction elimination on equal-length rows, in place."""
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = _inv(a[r][c], None)
-        for i in range(r + 1, nrows):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, ncols):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return _rank_mod(rows, prime)
 
 
 def _rank_mod(rows: list, p: int) -> int:
@@ -345,6 +325,8 @@ def check_general_position(
     target = n - 1
     if target > 3 * g + 5 and not allow_bound_violation:
         raise BoundViolated(f"n-1 = {target} exceeds 3g+5 = {3 * g + 5}")
+    if target > prime:
+        raise ValueError(f"n-1 = {target} distinct first coordinates do not exist mod {prime}")
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
         xs = _distinct_randranges(rng, target, prime)
@@ -471,6 +453,8 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
     require_odd_prime(prime)
+    if count > prime:
+        raise ValueError(f"{count} distinct first coordinates do not exist mod {prime}")
     basis = monomial_basis(g)
     rng = random.Random(f"{seed}:curve")
     p = prime

@@ -1,12 +1,14 @@
 """Exact arithmetic backbone: univariate polynomials in the genus parameter g
 over arbitrary-precision rationals, normalized rational functions, evaluation,
-and Sturm-sequence real-root counting for rank certificates.
+Sturm-sequence real-root counting for rank certificates, and the one
+fraction-free elimination behind every integer determinant and rational rank.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -418,3 +420,49 @@ def sturm_roots_geq(p: UniPoly, bound) -> int:
     if q(bound) == 0:
         count_open += 1
     return count_open
+
+
+def _bareiss(a) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free elimination
+    (Bareiss 1968); `a` is a list of equal-length row lists, overwritten.
+
+    Pivots are found by row swaps, and a column with no pivot is skipped.
+    After each pivot every remaining entry is a minor of the input, so by
+    Sylvester's identity the division by the previous pivot is exact and
+    `//` keeps the entries integral.  The determinant is 0 unless the
+    matrix is square and of full rank."""
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    sign, prev, rank = 1, 1, 0
+    for c in range(ncols):
+        if a[rank][c] == 0:
+            pivot = next((i for i in range(rank + 1, nrows) if a[i][c]), None)
+            if pivot is None:
+                continue
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        pivot_row = a[rank]
+        top = pivot_row[c]
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            lead = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * top - lead * pivot_row[j]) // prev
+        prev = top
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, sign * prev if rank == nrows == ncols else 0
+
+
+def _rational_rank(rows) -> int:
+    """Exact rank of a matrix of rationals: each row is scaled by the lcm of
+    its denominators, and the integer rows are eliminated fraction-free.
+    Rows of unequal length raise ValueError."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    ints = []
+    for row in rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        ints.append([v.numerator * (lcm // v.denominator) for v in row])
+    return _bareiss(ints)[0]

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import BadN, RatFunc, UniPoly, poly_str, sturm_roots_geq
+from .rationals import (
+    BadN, RatFunc, UniPoly, _bareiss, _rational_rank, poly_str, sturm_roots_geq,
+)
 
 
 class BadIndex(ValueError):
@@ -193,33 +195,6 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
     return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))
 
 
-def _integer_bareiss(a) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact, so `//` keeps the entries
-    integral.  Rows are swapped to find a nonzero pivot; `a` is overwritten."""
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, size):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, size):
-            row = a[i]
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    return sign * a[size - 1][size - 1]
-
-
 def _interpolate(xs, ys) -> UniPoly:
     """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
     by Newton divided differences expanded in the monomial basis."""
@@ -245,8 +220,9 @@ def bareiss_determinant(entries) -> UniPoly:
     The determinant has degree at most D = sum over rows of the largest
     entry degree, so its values at the D+1 genera g = 0..D determine it.
     Each row is scaled by the lcm of its coefficient denominators, which
-    makes every evaluated entry an integer; each value is then an integer
-    Bareiss determinant, and the scales are divided out at the end."""
+    makes every evaluated entry an integer; each value is then a
+    fraction-free integer determinant, and the scales are divided out at the
+    end."""
     size = len(entries)
     if any(len(row) != size for row in entries):
         raise NotSquare("determinant needs a square matrix")
@@ -275,7 +251,7 @@ def bareiss_determinant(entries) -> UniPoly:
                     v = v * x + c
                 evaluated.append(v)
             a.append(evaluated)
-        values.append(_integer_bareiss(a))
+        values.append(_bareiss(a)[1])
     det = _interpolate(xs, values)
     return det if scale == 1 else det.scale(Fraction(1, scale))
 
@@ -305,28 +281,10 @@ def gaussian_determinant(entries) -> RatFunc:
 
 
 def rank_numeric(entries_q) -> int:
-    """Exact rank of a matrix of Fractions by Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in entries_q]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, cols):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+    """Exact rank of a matrix of rationals, by the fraction-free elimination
+    in `rationals` (the test-curve layer's name for it).  Rows of unequal
+    length raise ValueError."""
+    return _rational_rank(entries_q)
 
 
 @dataclass(frozen=True)

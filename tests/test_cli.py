@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chowforge import points
 from chowforge.cli import (
     NUMERIC_ONLY,
     SCENARIOS,
@@ -35,7 +36,7 @@ def test_exit_one_on_failed_check(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_exit_two_on_config_errors(capsys):
+def test_exit_two_on_config_errors(capsys, monkeypatch):
     assert main(["--genus", "1"]) == 2
     assert main(["--genus", "nonsense"]) == 2
     assert main(["--prime", "10"]) == 2
@@ -49,8 +50,17 @@ def test_exit_two_on_config_errors(capsys):
         assert main(["--scenario", "general_position", "--genus", "2"] + flags) == 2
     # curve_conditions always samples 2g+5 points, so an explicit --n is refused.
     assert main(["--scenario", "curve_conditions", "--genus", "2", "--n", "3"]) == 2
+    # Fewer residues than the distinct first coordinates asked for: these
+    # used to sample forever (general_position) or for seconds (curve_conditions).
+    for flags in (["general_position", "--n", "12"], ["curve_conditions"]):
+        assert main(["--scenario"] + flags + ["--genus", "2", "--prime", "7"]) == 2
+    # Running out of sampling attempts is not a failed check either.
+    monkeypatch.setattr(points, "SAMPLING_ATTEMPTS", 3)
+    assert main(["--scenario", "curve_conditions", "--genus", "3", "--prime", "11"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("configuration error") == 12
+    assert captured.err.count("configuration error") == 15
+    assert captured.err.count("distinct first coordinates do not exist mod 7") == 2
+    assert captured.err.count("no valid curve/points after 3 attempts") == 1
     assert captured.err.count("--n does not apply to curve_conditions") == 1
     assert captured.err.count("need n >= 2, got 1") == 3
     assert captured.err.count("need trials >= 1") == 2

@@ -27,9 +27,10 @@ from chowforge.points import (
     riemann_roch_counts,
     sample_curve_points,
 )
+from chowforge.testcurves import rank_numeric
 
 try:
-    from sympy import GF
+    from sympy import GF, QQ
     from sympy.polys.matrices import DomainMatrix
 except ImportError:  # sympy is an optional second oracle
     DomainMatrix = None
@@ -144,12 +145,16 @@ def test_point_validation_errors():
 
 
 def test_ragged_matrix_rejected():
+    ragged = ([[1, 2, 3], [4, 5]], [[1], [2, 3]], [[], [1]], [[0], [0, 1]])
     for prime in (P, 3, None):
-        for m in ([[1, 2, 3], [4, 5]], [[1], [2, 3]], [[], [1]]):
+        for m in ragged:
             with pytest.raises(ValueError, match="unequal lengths"):
                 rank_exact(m, prime)
         assert rank_exact([], prime) == 0
         assert rank_exact([[], []], prime) == 0
+    for m in ragged:
+        with pytest.raises(ValueError, match="unequal lengths"):
+            rank_numeric(m)
 
 
 def test_general_position_extremal_cases():
@@ -275,16 +280,44 @@ def _rank_mod_oracle(matrix, prime):
     return r
 
 
-ORACLE_PRIMES = (3, 5, 7, DEFAULT_PRIME, 2**61 - 1)
+def _rank_q_oracle(matrix):
+    """Gaussian elimination over Q with Fraction entries."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        for i in range(r + 1, nrows):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                for j in range(c, ncols):
+                    a[i][j] = a[i][j] - f * a[r][j]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+# None stands for the rationals.
+ORACLE_PRIMES = (3, 5, 7, DEFAULT_PRIME, 2**61 - 1, None)
 
 
 @st.composite
 def _matrices_mod_p(draw):
-    """A prime and a matrix of up to 12 x 12 entries, negative or >= p; in
-    product form (rows x k) (k x cols) its rank is at most k."""
+    """A field and a matrix of up to 12 x 12 entries: mod p they are
+    negative or >= p, over Q Fractions with denominators; in product form
+    (rows x k) (k x cols) its rank is at most k."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
-    entries = st.integers(-3 * p, 3 * p)
+    if p is None:
+        entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    else:
+        entries = st.integers(-3 * p, 3 * p)
 
     def block(r, c):
         return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
@@ -301,9 +334,13 @@ def _matrices_mod_p(draw):
 def test_rank_mod_p_matches_oracles(case):
     p, m = case
     rank = rank_exact(m, p)
-    assert rank == _rank_mod_oracle(m, p)
+    if p is None:
+        assert rank == _rank_q_oracle(m)
+        assert rank_numeric(m) == rank
+    else:
+        assert rank == _rank_mod_oracle(m, p)
     if DomainMatrix is not None and m:
-        field = GF(p)
+        field = QQ if p is None else GF(p)
         dm = DomainMatrix([[field(v) for v in row] for row in m], (len(m), len(m[0])), field)
         assert rank == dm.rank()
     # Row order and transposition keep the rank.
