@@ -3,6 +3,15 @@ over arbitrary-precision rationals, normalized rational functions, evaluation,
 Sturm-sequence real-root counting for rank certificates, and the one
 fraction-free elimination behind every integer determinant and rational rank.
 
+A polynomial is stored as a tuple of integer numerators over one positive
+integer denominator in lowest terms, so its arithmetic runs on Python ints
+with one gcd or lcm per operation; `Fraction` coefficients are built only
+when asked for.  Greatest common divisors come from the primitive remainder
+sequence over the integers (Brown 1971): every pseudo-remainder is divided by
+its content, which keeps the coefficients from growing exponentially.
+Rational functions add and multiply with gcds of the smaller factors
+(Henrici 1956) and cancel common factors by exact integer quotients.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -28,29 +37,35 @@ class BadN(ValueError):
     """Raised when a marked-point count is outside a computation's range."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself if it is an int or a Fraction; both carry `numerator` and
+    `denominator`."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class UniPoly:
-    """Dense univariate polynomial in the formal parameter g over Fraction.
+    """Dense univariate polynomial in the formal parameter g over Q.
 
-    coeffs[i] is the coefficient of g**i; trailing zeros are stripped, so the
-    leading coefficient is nonzero unless the polynomial is zero.  The zero
-    polynomial has degree -1 (sentinel for "minus infinity").
+    The value is sum(numerators[i] * g**i) / denominator.  Trailing zero
+    numerators are stripped, and the denominator is positive and shares no
+    factor with all the numerators, so equal polynomials have equal fields.
+    The leading numerator is nonzero unless the polynomial is zero, which is
+    ((), 1) and has degree -1 (sentinel for "minus infinity").
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [_rational(c) for c in coeffs]
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -59,7 +74,8 @@ class UniPoly:
 
     @staticmethod
     def const(c) -> "UniPoly":
-        return UniPoly([_as_fraction(c)])
+        c = _rational(c)
+        return _raw((c.numerator,), c.denominator) if c else _raw((), 1)
 
     @staticmethod
     def g() -> "UniPoly":
@@ -69,31 +85,38 @@ class UniPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """coeffs[i] is the coefficient of g**i, as a Fraction."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.numerators == (1,) and self.denominator == 1
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.numerators == o.numerators and self.denominator == o.denominator
 
     def __hash__(self):
-        return hash(("UniPoly", self.coeffs))
+        # A constant hashes as its value, as it compares equal to it.
+        if self.degree <= 0:
+            return hash(self.leading) if self.numerators else 0
+        return hash((self.numerators, self.denominator))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -108,15 +131,24 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
+        a, b = self.numerators, o.numerators
+        da, db = self.denominator, o.denominator
+        den = da
+        if da != db:
+            den = math.lcm(da, db)
+            a = [x * (den // da) for x in a]
+            b = [x * (den // db) for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += y
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return _raw(tuple(-x for x in self.numerators), self.denominator)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -131,15 +163,15 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
+        a, b = self.numerators, o.numerators
+        if not a or not b:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return _poly(out, self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -156,23 +188,26 @@ class UniPoly:
         return result
 
     def scale(self, c) -> "UniPoly":
-        c = _as_fraction(c)
-        return UniPoly([c * x for x in self.coeffs])
+        c = _rational(c)
+        return _poly([x * c.numerator for x in self.numerators], self.denominator * c.denominator)
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return _poly(list(self.numerators), self.numerators[-1])
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * x for i, x in enumerate(self.numerators)][1:], self.denominator)
 
     def __call__(self, g0) -> Fraction:
-        g0 = _as_fraction(g0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * g0 + c
-        return acc
+        # Homogeneous Horner at g0 = p/q: acc = value * denominator * q**degree.
+        g0 = _rational(g0)
+        p, q = g0.numerator, g0.denominator
+        acc, qpow = 0, 1
+        for x in reversed(self.numerators):
+            acc = acc * p + x * qpow
+            qpow *= q
+        return Fraction(acc, self.denominator * q ** max(self.degree, 0))
 
     # -- printing ----------------------------------------------------------
 
@@ -183,6 +218,39 @@ class UniPoly:
         return f"UniPoly({poly_str(self)})"
 
 
+# The slots' own setters, which bypass the __setattr__ that keeps instances
+# immutable; they are the fast way to fill a fresh instance.
+_set_numerators, _set_denominator = UniPoly.numerators.__set__, UniPoly.denominator.__set__
+
+
+def _raw(nums: tuple, den: int) -> UniPoly:
+    """A UniPoly from fields already in canonical form."""
+    p = object.__new__(UniPoly)
+    _set_numerators(p, nums)
+    _set_denominator(p, den)
+    return p
+
+
+def _poly(nums: list, den: int) -> UniPoly:
+    """The polynomial sum(nums[i] * g**i) / den, for a fresh list of ints
+    (consumed) and a nonzero int, in lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _raw((), 1)
+    if den != 1:
+        c = math.gcd(den, *nums)
+        if den < 0:
+            c = -c
+        if c != 1:
+            nums = [x // c for x in nums]
+            den //= c
+    return _raw(tuple(nums), den)
+
+
+_ONE = UniPoly.const(1)
+
+
 def poly_str(p: UniPoly) -> str:
     """Canonical form: descending degree, explicit signs, '*' and '^'.
 
@@ -190,9 +258,10 @@ def poly_str(p: UniPoly) -> str:
     """
     if p.is_zero:
         return "0"
+    coeffs = p.coeffs
     parts = []
     for d in range(p.degree, -1, -1):
-        c = p.coeffs[d]
+        c = coeffs[d]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
@@ -206,35 +275,84 @@ def poly_str(p: UniPoly) -> str:
     return "".join(parts)
 
 
+def _pseudo_divmod(a, b) -> tuple[int, list, list]:
+    """(s, q, r) with s*a == q*b + r, deg r < deg b and s > 0, for integer
+    coefficient sequences (lowest degree first; b nonzero, no trailing
+    zero).  Each step scales by the least factor that makes the next
+    quotient coefficient integral, so s divides lc(b)**(deg a - deg b + 1)."""
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    s = 1
+    while len(r) > db:
+        top = r.pop()
+        if not top:
+            continue
+        k = len(r) - db
+        m = abs(lc) // math.gcd(top, lc)
+        if m != 1:
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+            s *= m
+            top *= m
+        t = top // lc
+        q[k] = t
+        for j in range(db):
+            r[k + j] -= t * b[j]
+    return s, q, r
+
+
+def _primitive(nums) -> list:
+    """An integer sequence divided by its content, signed so that the last
+    entry is positive."""
+    c = math.gcd(*nums)
+    if nums[-1] < 0:
+        c = -c
+    return [x // c for x in nums] if c != 1 else list(nums)
+
+
+def _exact_quotient(p: UniPoly, d: UniPoly) -> UniPoly:
+    """p / d for a d that divides p; a nonzero remainder raises
+    ArithmeticError.  The callers divide by monic gcds, whose numerators are
+    primitive (the leading one equals the denominator), so by Gauss's lemma
+    the pseudo-division runs with s = 1: an exact quotient over the
+    integers."""
+    s, q, r = _pseudo_divmod(p.numerators, d.numerators)
+    if any(r):
+        raise ArithmeticError("inexact polynomial quotient")
+    return _poly([x * d.denominator for x in q], s * p.denominator)
+
+
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Euclidean division a = q*b + r with deg r < deg b."""
     if b.is_zero:
         raise ZeroPolynomial("division by the zero polynomial")
-    q = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    r = list(a.coeffs)
-    lead = b.leading
-    db = b.degree
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        s = r[-1] / lead
-        k = len(r) - 1 - db
-        q[k] = s
-        for j, c in enumerate(b.coeffs):
-            r[k + j] -= s * c
-        r.pop()
-    return UniPoly(q), UniPoly(r)
+    s, q, r = _pseudo_divmod(a.numerators, b.numerators)
+    den = s * a.denominator
+    return _poly([x * b.denominator for x in q], den), _poly(r, den)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    """Monic greatest common divisor; gcd(0, 0) = 0.
+
+    Primitive remainder sequence over the integers: the last nonzero term is
+    primitive with a positive leading coefficient, so over that coefficient
+    it is already the monic gcd in lowest terms."""
     if a.degree == 0 or b.degree == 0:  # a nonzero constant divides both
-        return UniPoly.const(1)
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+        return _ONE
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    x, y = _primitive(a.numerators), _primitive(b.numerators)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        r = _pseudo_divmod(x, y)[2]
+        while r and not r[-1]:
+            r.pop()
+        if len(r) == 1:  # a nonzero constant remainder: coprime
+            return _ONE
+        x, y = y, (_primitive(r) if r else r)
+    return _raw(tuple(x), x[-1])
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
@@ -244,7 +362,15 @@ def square_free_part(p: UniPoly) -> UniPoly:
     d = poly_gcd(p, p.derivative())
     if d.is_one():
         return p.monic()
-    return poly_divmod(p, d)[0].monic()
+    return _exact_quotient(p, d).monic()
+
+
+def _monic_den(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """num/den with both rescaled so that den is monic."""
+    lead, dd = den.numerators[-1], den.denominator
+    if lead == dd:
+        return num, den
+    return _poly([x * dd for x in num.numerators], num.denominator * lead), den.monic()
 
 
 class RatFunc:
@@ -260,22 +386,18 @@ class RatFunc:
         if isinstance(num, (int, Fraction)):
             num = UniPoly.const(num)
         if den is None:
-            den = UniPoly.const(1)
+            den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = UniPoly.const(den)
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero:
-            num, den = UniPoly(), UniPoly.const(1)
+            num, den = UniPoly(), _ONE
         else:
             common = poly_gcd(num, den)
             if not common.is_one():
-                num = poly_divmod(num, common)[0]
-                den = poly_divmod(den, common)[0]
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num, den = _exact_quotient(num, common), _exact_quotient(den, common)
+            num, den = _monic_den(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -299,21 +421,34 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        # A polynomial hashes as its numerator, as it compares equal to it.
+        return hash(self.num) if self.den.is_one() else hash((self.num, self.den))
 
     def __add__(self, other):
+        # Henrici: with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)),
+        # and only a factor of g can cancel from that.
         o = _coerce_ratfunc(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if a.is_zero or c.is_zero:
+            return o if a.is_zero else self
+        g = poly_gcd(b, d)
+        if g.is_one():
+            return _ratfunc(a * d + c * b, b * d)
+        b, d = _exact_quotient(b, g), _exact_quotient(d, g)
+        num = a * d + c * b
+        if num.is_zero:
+            return _ratfunc(num, _ONE)
+        h = poly_gcd(num, g)
+        if not h.is_one():
+            num, g = _exact_quotient(num, h), _exact_quotient(g, h)
+        return _ratfunc(num, b * d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RatFunc)  # -num/den is already normalized
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _ratfunc(-self.num, self.den)  # -num/den is already normalized
 
     def __sub__(self, other):
         o = _coerce_ratfunc(other)
@@ -325,10 +460,20 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        # Henrici: cancel gcd(a, d) and gcd(c, b) before multiplying a/b by c/d.
         o = _coerce_ratfunc(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if a.is_zero or c.is_zero:
+            return _ratfunc(UniPoly(), _ONE)
+        g = poly_gcd(a, d)
+        if not g.is_one():
+            a, d = _exact_quotient(a, g), _exact_quotient(d, g)
+        g = poly_gcd(c, b)
+        if not g.is_one():
+            c, b = _exact_quotient(c, g), _exact_quotient(b, g)
+        return _ratfunc(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -347,7 +492,7 @@ class RatFunc:
     def invert(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverting the zero rational function")
-        return RatFunc(self.den, self.num)
+        return _ratfunc(*_monic_den(self.den, self.num))
 
     def __call__(self, g0) -> Fraction:
         return ratfunc_eval(self, g0)
@@ -359,13 +504,24 @@ class RatFunc:
         return f"RatFunc({ratfunc_str(self)})"
 
 
+_set_num, _set_den = RatFunc.num.__set__, RatFunc.den.__set__
+
+
+def _ratfunc(num: UniPoly, den: UniPoly) -> RatFunc:
+    """A RatFunc from a pair that is already normalized."""
+    out = object.__new__(RatFunc)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
 def _coerce_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFunc(UniPoly.const(x))
+        return _ratfunc(UniPoly.const(x), _ONE)
     if isinstance(x, UniPoly):
-        return RatFunc(x)
+        return _ratfunc(x, _ONE)
     return None
 
 
@@ -378,7 +534,6 @@ def ratfunc_str(f: RatFunc) -> str:
 
 def ratfunc_eval(f: RatFunc, g0) -> Fraction:
     """Exact value f(g0); raises PoleAtPoint if the denominator vanishes."""
-    g0 = _as_fraction(g0)
     d = f.den(g0)
     if d == 0:
         raise PoleAtPoint(f"pole at g = {g0}")
@@ -408,7 +563,7 @@ def sturm_roots_geq(p: UniPoly, bound) -> int:
     """Exact count of distinct real roots of p in [bound, +infinity)."""
     if p.is_zero:
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
-    bound = _as_fraction(bound)
+    bound = _rational(bound)
     q = square_free_part(p)
     if q.degree == 0:
         return 0

@@ -257,12 +257,17 @@ class RingElement:
         return RingElement(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (RingElement, int, Fraction)) else None
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
 
     def __hash__(self):
+        # A constant hashes as its coefficient, as it compares equal to it.
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and not any(next(iter(self.terms))):
+            return hash(next(iter(self.terms.values())))
         return hash((self.ring, frozenset(self.terms.items())))
 
     # -- structural operations ------------------------------------------------

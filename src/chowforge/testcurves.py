@@ -236,9 +236,10 @@ def bareiss_determinant(entries) -> UniPoly:
         if top < 0:
             return UniPoly()
         bound += top
-        lcm = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        lcm = math.lcm(*(e.denominator for e in row))
         scale *= lcm
-        int_rows.append([[int(c * lcm) for c in reversed(e.coeffs)] for e in row])
+        int_rows.append([[c * (lcm // e.denominator) for c in reversed(e.numerators)]
+                         for e in row])
     xs = list(range(bound + 1))
     values = []
     for x in xs:

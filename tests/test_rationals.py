@@ -1,10 +1,16 @@
 """Exact univariate arithmetic: gcd, normalization, evaluation, root counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional second oracle
+    sympy = None
 
 from chowforge.rationals import (
     PoleAtPoint,
@@ -12,6 +18,7 @@ from chowforge.rationals import (
     UniPoly,
     ZeroDenominator,
     ZeroPolynomial,
+    _exact_quotient,
     poly_divmod,
     poly_gcd,
     poly_str,
@@ -165,11 +172,203 @@ def test_eval_commutes_with_arithmetic(x, y, g0):
 @given(
     st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4),
     st.integers(min_value=-9, max_value=9),
+    st.sampled_from([1, -3, Fraction(2, 7), 2**75 + 1, Fraction(-1, 2**70)]),
 )
 @settings(max_examples=100)
-def test_sturm_matches_known_integer_roots(roots, bound):
-    p = UniPoly.const(1)
+def test_sturm_matches_known_integer_roots(roots, bound, scale):
+    p = UniPoly.const(scale)
     for r in roots:
         p = p * (G - r)
     expected = len({r for r in roots if r >= bound})
     assert sturm_roots_geq(p, bound) == expected
+
+
+def test_constants_hash_as_their_values():
+    assert UniPoly.const(3) in {3}
+    assert UniPoly() in {0} and RatFunc(0) in {0}
+    assert RatFunc(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {Fraction(3, 4): "x"}[UniPoly.const(Fraction(6, 8))] == "x"
+    # A polynomial rational function hashes as its numerator.
+    assert RatFunc(2 * G + 2, UniPoly.const(2)) in {G + 1}
+    assert hash(RatFunc(G, G + 1)) != hash(RatFunc(G + 1, G))
+
+
+def test_exact_quotient_rejects_a_remainder():
+    assert _exact_quotient(G**2 - 1, 2 * G - 2) == G.scale(Fraction(1, 2)) + Fraction(1, 2)
+    for a, b in ((G**2 + 1, G + 1), (G + 1, G.scale(2)), (UniPoly.const(5), G + 1)):
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(a, b)
+
+
+# -- the integer kernel against the Fraction Euclid it replaced, and sympy --
+
+
+def _oracle_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _oracle_add(a, b):
+    n = max(len(a), len(b))
+    return _oracle_strip(
+        [x + y for x, y in zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b)))]
+    )
+
+
+def _oracle_mul(a, b):
+    """The Fraction convolution UniPoly.__mul__ used to run."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _oracle_strip(out)
+
+
+def _oracle_divmod(a, b):
+    """The Fraction long division poly_divmod used to run."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) - 1 >= db and any(c != 0 for c in r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        s = r[-1] / lead
+        k = len(r) - 1 - db
+        q[k] = s
+        for j, c in enumerate(b):
+            r[k + j] -= s * c
+        r.pop()
+    return _oracle_strip(q), _oracle_strip(r)
+
+
+def _oracle_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def _oracle_gcd(a, b):
+    """The Fraction Euclid poly_gcd used to run."""
+    if len(a) == 1 or len(b) == 1:
+        return [Fraction(1)]
+    while b:
+        a, b = b, _oracle_divmod(a, b)[1]
+    return _oracle_monic(a)
+
+
+def _oracle_normalize(num, den):
+    """num/den over a monic denominator coprime to the numerator, as the
+    RatFunc constructor used to compute it."""
+    if not num:
+        return (), (Fraction(1),)
+    common = _oracle_gcd(num, den)
+    num, den = _oracle_divmod(num, common)[0], _oracle_divmod(den, common)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def _assert_canonical(p: UniPoly):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.denominator > 0 and math.gcd(p.denominator, *p.numerators) == 1
+    assert not p.numerators or p.numerators[-1] != 0
+    rebuilt = UniPoly(p.coeffs)
+    assert (p.numerators, p.denominator) == (rebuilt.numerators, rebuilt.denominator)
+
+
+_huge = st.integers(min_value=2**70, max_value=2**80)
+kernel_ints = st.one_of(st.integers(min_value=-9, max_value=9), _huge, _huge.map(lambda x: -x))
+kernel_coeffs = st.one_of(
+    kernel_ints,
+    st.builds(
+        Fraction,
+        kernel_ints,
+        st.one_of(
+            st.integers(min_value=1, max_value=9), st.integers(min_value=2**64, max_value=2**72)
+        ),
+    ),
+)
+kernel_polys = st.one_of(
+    st.just(UniPoly()),
+    kernel_coeffs.map(UniPoly.const),
+    st.lists(kernel_coeffs, min_size=2, max_size=5).map(UniPoly),
+)
+
+
+@given(kernel_polys, kernel_polys, kernel_polys, kernel_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_oracle(a, b, c, k):
+    A, B = list(a.coeffs), list(b.coeffs)
+    results = (a + b, a - b, -a, a * b, a.scale(k), a.monic(), a.derivative(), a * c, b * c)
+    for p in (a, b, c) + results:
+        _assert_canonical(p)
+    assert list((a + b).coeffs) == _oracle_add(A, B)
+    assert list((a * b).coeffs) == _oracle_mul(A, B)
+    assert list(a.scale(k).coeffs) == _oracle_mul(A, [Fraction(k)])
+    assert list(a.monic().coeffs) == _oracle_monic(A)
+    assert a(Fraction(-3, 7)) == sum(x * Fraction(-3, 7) ** i for i, x in enumerate(A))
+    if not b.is_zero:
+        q, r = poly_divmod(a, b)
+        _assert_canonical(q), _assert_canonical(r)
+        assert (list(q.coeffs), list(r.coeffs)) == _oracle_divmod(A, B)
+        x = RatFunc(a, b)
+        _assert_canonical(x.num), _assert_canonical(x.den)
+        assert (x.num.coeffs, x.den.coeffs) == _oracle_normalize(A, B)
+    for u, v in ((a, b), (a * c, b * c)):
+        d = poly_gcd(u, v)
+        _assert_canonical(d)
+        assert list(d.coeffs) == _oracle_gcd(list(u.coeffs), list(v.coeffs))
+
+
+small_kernel_polys = st.lists(kernel_coeffs, min_size=1, max_size=3).map(UniPoly)
+
+
+@given(small_kernel_polys, small_kernel_polys, small_kernel_polys, small_kernel_polys,
+       small_kernel_polys.filter(lambda p: not p.is_zero))
+@settings(max_examples=150, deadline=None)
+@example(UniPoly.const(1), UniPoly.const(1), G - 1, UniPoly.const(1), G)  # 1/g + (g-1)/g = 1
+def test_ratfunc_arithmetic_matches_fraction_oracle(a, b, c, d, e):
+    """x and y share the factor e of their denominators and b, so the
+    cross-cancelling sum and product meet common factors."""
+    if b.is_zero or d.is_zero:
+        return
+    x, y = RatFunc(a, b * e), RatFunc(c * b, d * e)
+    X, Y = (list(x.num.coeffs), list(x.den.coeffs)), (list(y.num.coeffs), list(y.den.coeffs))
+    sums = _oracle_add(_oracle_mul(X[0], Y[1]), _oracle_mul(Y[0], X[1]))
+    dens = _oracle_mul(X[1], Y[1])
+    cases = [(x + y, sums, dens), (x * y, _oracle_mul(X[0], Y[0]), dens)]
+    if not x.is_zero:
+        cases.append((x.invert(), X[1], X[0]))
+    for got, num, den in cases:
+        _assert_canonical(got.num), _assert_canonical(got.den)
+        assert (got.num.coeffs, got.den.coeffs) == _oracle_normalize(num, den)
+
+
+def _to_sympy(p: UniPoly):
+    g = sympy.symbols("g")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], g,
+                      domain=sympy.QQ)
+
+
+def _from_sympy(p) -> list:
+    return _oracle_strip(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(kernel_polys, kernel_polys, kernel_polys)
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_sympy(a, b, c):
+    u, v = a * c, b * c
+    assert list(poly_gcd(u, v).coeffs) == _from_sympy(_to_sympy(u).gcd(_to_sympy(v)))
+    if v.is_zero:
+        return
+    q, r = poly_divmod(u, v)
+    sq, sr = _to_sympy(u).div(_to_sympy(v))
+    assert (list(q.coeffs), list(r.coeffs)) == (_from_sympy(sq), _from_sympy(sr))
+    x = RatFunc(u, v)
+    sn, sd = (_from_sympy(p) for p in _to_sympy(u).cancel(_to_sympy(v), include=True))
+    # sympy's cancelled pair may differ from x by a constant factor.
+    assert (x.num.degree, x.den.degree) == (len(sn) - 1, len(sd) - 1)
+    assert x.num * UniPoly(sd) == x.den * UniPoly(sn)

@@ -90,6 +90,17 @@ def test_unknown_generator():
         ring.gen("y")
 
 
+def test_constants_compare_and_hash_as_their_coefficients():
+    ring = PolyRing([Generator("x")])
+    two = ring.const(2)
+    for c in (2, Fraction(2), UniPoly.const(2), RatFunc(2)):
+        assert two == c and c == two and hash(two) == hash(c)
+    assert two + RatFunc(2) == 4
+    assert ring.const(RatFunc(G, G + 1)) == RatFunc(G, G + 1)
+    assert ring.zero() in {0} and ring.const(G) in {G}
+    assert ring.gen("x") != 2 and ring.gen("x") + 1 != UniPoly.const(1)
+
+
 def test_element_str_canonical():
     ring = PolyRing([Generator("c1"), Generator("c2", 2)])
     c1, c2 = ring.gen("c1"), ring.gen("c2")
