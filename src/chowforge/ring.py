@@ -5,12 +5,24 @@ component dimension queries.
 Monomial order: graded-reverse-lexicographic, weighted by generator degrees,
 over the declared generator order.  Presentations compute their basis eagerly
 and are immutable afterwards; all queries are pure.
+
+Completion and reduction run on packed monomials (Monagan and Pearce 2007):
+x^e in n generators is one int of 2n SLOT_BITS-bit slots.  The high slots
+hold (wdeg, wdeg - e_n, wdeg - e_n - e_(n-1), ..., wdeg - e_n - ... - e_2),
+so int order is weighted grevlex and a product is a sum; the low ones hold
+e_1 ... e_n under zero guard bits G, so a | b iff ((b | G) - a) & G == G.
+Tuples appear only in relations, groebner_basis and normal_form's input and
+output.  No slot overflows: every slot is at most the weighted degree;
+every packed value comes from PolyRing.pack (inputs, and each S-pair's lcm),
+which raises MonomialOverflow once a weighted degree reaches
+2^(SLOT_BITS - 2), a spare bit below G; reduction never raises the degree.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from fractions import Fraction
 
 from .rationals import RatFunc, UniPoly, ratfunc_str
@@ -21,14 +33,19 @@ class UnknownGenerator(KeyError):
 
 
 class NonterminatingHint(RuntimeError):
-    """Raised when basis completion exceeds MAX_BASIS elements."""
+    """Raised when basis completion exceeds MAX_BASIS live elements."""
 
 
 class InhomogeneousRelations(ValueError):
     """Raised by graded dimension queries on inhomogeneous presentations."""
 
 
-MAX_BASIS = 200  # completion stops past this size: the input looks pathological
+class MonomialOverflow(OverflowError):
+    """Raised when a monomial's weighted degree does not fit a packed slot."""
+
+
+MAX_BASIS = 200  # completion stops past this many live elements: the input looks pathological
+SLOT_BITS = 16  # width of one slot of a packed monomial
 
 
 @dataclass(frozen=True)
@@ -54,7 +71,7 @@ def _coerce_coeff(c) -> RatFunc:
 class PolyRing:
     """Free polynomial ring over RatFunc on an ordered list of generators."""
 
-    __slots__ = ("generators", "_index", "_weights")
+    __slots__ = ("generators", "_index", "_weights", "_units", "_top", "_guard")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -64,6 +81,15 @@ class PolyRing:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_weights", tuple(g.degree for g in gens))
+        n = len(gens)
+        one = [1 << SLOT_BITS * t for t in range(2 * n)]  # the low bit of each slot, low to high
+        # Generator i: its weight in each order slot, less 1 in the i slots
+        # that subtract e_n ... e_(n-i+1), and 1 in the slot of e_(i+1).
+        units = tuple(w * sum(one[n:]) - sum(one[n : n + i]) + one[n - 1 - i]
+                      for i, w in enumerate(self._weights))
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_top", SLOT_BITS * max(2 * n - 1, 0))
+        object.__setattr__(self, "_guard", sum(one[:n]) << SLOT_BITS - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyRing is immutable")
@@ -114,6 +140,8 @@ class PolyRing:
             exps = tuple(exps)
             if len(exps) != self.ngens:
                 raise ValueError("exponent tuple length mismatch")
+            if not all(isinstance(x, int) and x >= 0 for x in exps):
+                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
             c = _coerce_coeff(c)
             if not c.is_zero:
                 clean[exps] = c
@@ -124,6 +152,19 @@ class PolyRing:
         weighted degree wins, then the smaller exponent in the rightmost
         differing slot."""
         return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
+
+    def pack(self, exps) -> int:
+        """The monomial with exponents exps as one int (module docstring): the
+        sum of packed generators, as every slot is linear in the exponents."""
+        m = sum(map(mul, exps, self._units))
+        if m >> self._top >= 1 << SLOT_BITS - 2:  # below the bound, no slot carried
+            raise MonomialOverflow(f"a weighted degree reached 2^{SLOT_BITS - 2}")
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        mask = (1 << SLOT_BITS) - 1
+        return tuple(m >> SLOT_BITS * k & mask for k in range(self.ngens - 1, -1, -1))
 
     def import_element(self, e: "RingElement") -> "RingElement":
         """Re-express an element of a name-compatible ring in this ring."""
@@ -263,12 +304,15 @@ class RingElement:
         return self.terms == o.terms
 
     def __hash__(self):
-        # A constant hashes as its coefficient, as it compares equal to it.
+        # A constant hashes as its coefficient, as it compares equal to it;
+        # other elements by generator names, as they equal their imports.
         if not self.terms:
             return 0
         if len(self.terms) == 1 and not any(next(iter(self.terms))):
             return hash(next(iter(self.terms.values())))
-        return hash((self.ring, frozenset(self.terms.items())))
+        gens = self.ring.generators
+        return hash(frozenset((frozenset((g.name, x) for g, x in zip(gens, exps) if x), c)
+                              for exps, c in self.terms.items()))
 
     # -- structural operations ------------------------------------------------
 
@@ -374,100 +418,92 @@ def element_str(e: RingElement) -> str:
     return out
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _monic(ring: PolyRing, terms: dict) -> tuple:
-    """A nonzero term dict as a (leading exponent, monic terms) pair."""
-    lead = max(terms, key=ring.sort_key)
+def _monic(terms: dict) -> tuple:
+    """A nonzero packed term dict as a (leading monomial, monic tail) pair;
+    the tail is a tuple of (packed monomial, coefficient) pairs."""
+    lead = max(terms)
     inv = terms[lead].invert()
-    return lead, (terms if inv.is_one() else {e: inv * c for e, c in terms.items()})
+    return lead, tuple((e, inv * c) for e, c in terms.items() if e != lead)
 
 
-def _subtract_into(work: dict, terms: dict, shift, skip, coeff: RatFunc) -> None:
-    """work -= coeff * x^shift * (terms without the exponent skip)."""
+def _subtract(work: dict, shift: int, tail, coeff: RatFunc) -> None:
+    """work -= coeff * x^shift * tail, on packed monomials."""
     neg = -coeff
-    for e, c in terms.items():
-        if e != skip:
-            te = tuple(x + y for x, y in zip(shift, e))
-            t = work[te] + neg * c if te in work else neg * c
-            if t.is_zero:
-                del work[te]
-            else:
-                work[te] = t
+    for e, c in tail:
+        e += shift
+        t = work[e] + neg * c if e in work else neg * c
+        if t.is_zero:
+            del work[e]
+        else:
+            work[e] = t
 
 
-def _reduce(ring: PolyRing, terms: dict, reducers) -> dict:
-    """Full normal form of a term dict modulo monic polynomials given as
-    (leading exponent, terms) pairs."""
+def _reduce(terms: dict, reducers, guard: int) -> dict:
+    """Full normal form of a packed term dict modulo monic (leading monomial,
+    tail) pairs; guard holds the guard bits of the ring's exponent slots."""
     done: dict = {}
     work = dict(terms)
     while work:
-        exps = max(work, key=ring.sort_key)
-        coeff = work.pop(exps)
-        for lead, bterms in reducers:
-            if _divides(lead, exps):
-                _subtract_into(work, bterms, tuple(x - y for x, y in zip(exps, lead)), lead, coeff)
+        m = max(work)
+        coeff = work.pop(m)
+        for lead, tail in reducers:
+            if ((m | guard) - lead) & guard == guard:
+                _subtract(work, m - lead, tail, coeff)
                 break
         else:
-            done[exps] = coeff
+            done[m] = coeff
     return done
 
 
-def _s_polynomial(f: tuple, g: tuple) -> dict:
-    """x^(l-lf)*f - x^(l-lg)*g for monic (lead, terms) pairs f, g and
-    l = lcm(lf, lg), built from the shifted tails: the leading terms cancel."""
-    (lf, ft), (lg, gt) = f, g
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    s = {tuple(x + y for x, y in zip(sf, e)): c for e, c in ft.items() if e != lf}
-    _subtract_into(s, gt, tuple(a - b for a, b in zip(lcm, lg)), lg, RatFunc(1))
-    return s
-
-
 def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
-    """The reduced Groebner basis of term dicts, as (leading exponent, monic
-    terms) pairs in descending order of leading exponent.
+    """The reduced Groebner basis of packed term dicts, as (leading monomial,
+    monic tail) pairs in descending order of leading monomial.
 
     Pairs are reduced first in, first out.  A pair is skipped when its
     leading monomials are coprime (product criterion), or when a third
     element's leading monomial divides their lcm and neither of its pairs
-    with the two is still pending (Buchberger's chain criterion)."""
-    basis = [_monic(ring, r) for r in relations if r]
+    with the two is still pending (Buchberger's chain criterion).
+
+    An element is live while no other element's leading monomial divides its
+    own (of equal ones, the first is live); MAX_BASIS bounds the live count.
+    A new element is reduced by all others, so it starts live."""
+    guard, one = ring._guard, RatFunc(1)
+    low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
+    basis = [_monic(r) for r in relations if r]
+    leads = [lead for lead, _ in basis]
+    live = {i for i, li in enumerate(leads) if not any(
+        ((li | guard) - lj) & guard == guard and (lj != li or j < i)
+        for j, lj in enumerate(leads) if j != i)}
     n = len(basis)
     pending = OrderedDict.fromkeys((i, j) for i in range(n) for j in range(i + 1, n))
     while pending:
         (i, j), _ = pending.popitem(last=False)
-        li, lj = basis[i][0], basis[j][0]
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
-        if any(k != i and k != j and _divides(lk, lcm) and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending for k, (lk, _) in enumerate(basis)):
+        (li, ti), (lj, tj) = basis[i], basis[j]
+        if ((li | guard) - low) & ((lj | guard) - low) & guard == 0:
+            continue  # no exponent slot nonzero in both: S-polynomial reduces to zero
+        lcm = ring.pack(map(max, ring.unpack(li), ring.unpack(lj)))
+        m = lcm | guard
+        if any((m - lk) & guard == guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+               for k, lk in enumerate(leads)):
             continue
-        s = _reduce(ring, _s_polynomial(basis[i], basis[j]), basis)
+        s = {lcm - li + e: c for e, c in ti}
+        _subtract(s, lcm - lj, tj, one)
+        s = _reduce(s, basis, guard)
         if not s:
             continue
-        basis.append(_monic(ring, s))
-        if len(basis) > MAX_BASIS:
-            raise NonterminatingHint(
-                f"basis exceeded {MAX_BASIS} elements; input looks pathological"
-            )
-        k = len(basis) - 1
+        k, lk = len(basis), max(s)
+        basis.append(_monic(s))
+        leads.append(lk)
+        live = {i2 for i2 in live if ((leads[i2] | guard) - lk) & guard != guard} | {k}
+        if len(live) > MAX_BASIS:
+            raise NonterminatingHint(f"over {MAX_BASIS} live elements; input looks pathological")
         pending.update(((i2, k), None) for i2 in range(k))
-    # Autoreduce: keep the elements whose leading monomial no other one
-    # divides (one representative of equal leading monomials), then reduce
-    # each by the others; its leading term stays, so it stays monic.
-    leads = [lead for lead, _ in basis]
-    minimal = [
-        b for i, b in enumerate(basis)
-        if not any(j != i and _divides(lj, leads[i]) and (lj != leads[i] or j < i)
-                   for j, lj in enumerate(leads))
-    ]
-    final = [(lead, _reduce(ring, t, minimal[:i] + minimal[i + 1 :]))
+    # Autoreduce: each live element's tail is reduced by the other live ones.
+    minimal = [basis[i] for i in sorted(live)]
+    final = [(lead, tuple(_reduce(dict(t), minimal[:i] + minimal[i + 1 :], guard).items()))
              for i, (lead, t) in enumerate(minimal)]
-    return sorted(final, key=lambda b: ring.sort_key(b[0]), reverse=True)
+    return sorted(final, key=itemgetter(0), reverse=True)
 
 
 class RingPresentation:
@@ -482,18 +518,24 @@ class RingPresentation:
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
-        reducers = _buchberger(ring, [r.terms for r in rels])
+        reducers = _buchberger(ring, [{ring.pack(e): c for e, c in r.terms.items()} for r in rels])
+        basis = tuple(
+            RingElement(ring, {ring.unpack(m): c for m, c in ((lead, RatFunc(1)),) + tail})
+            for lead, tail in reducers
+        )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "groebner_basis", tuple(RingElement(ring, t) for _, t in reducers))
+        object.__setattr__(self, "groebner_basis", basis)
         object.__setattr__(self, "_reducers", reducers)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
 
     def normal_form(self, e: RingElement) -> RingElement:
-        e = self.ring.import_element(e)
-        return RingElement(self.ring, _reduce(self.ring, e.terms, self._reducers))
+        ring = self.ring
+        terms = {ring.pack(x): c for x, c in ring.import_element(e).terms.items()}
+        done = _reduce(terms, self._reducers, ring._guard)
+        return RingElement(ring, {ring.unpack(m): c for m, c in done.items()})
 
     def is_zero(self, e: RingElement) -> bool:
         return self.normal_form(e).is_zero
@@ -504,13 +546,10 @@ class RingPresentation:
         for r in self.relations:
             if not r.is_homogeneous():
                 raise InhomogeneousRelations(str(r))
+        ring, guard = self.ring, self.ring._guard
         leads = [lead for lead, _ in self._reducers]
-        weights = [g.degree for g in self.ring.generators]
-        count = 0
-        for exps in _weighted_tuples(weights, d):
-            if not any(_divides(l, exps) for l in leads):
-                count += 1
-        return count
+        packed = (ring.pack(exps) | guard for exps in _weighted_tuples(ring._weights, d))
+        return sum(not any((m - lead) & guard == guard for lead in leads) for m in packed)
 
     def specialize(self, g0) -> "RingPresentation":
         """The same presentation with coefficients evaluated at a genus."""

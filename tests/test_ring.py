@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from chowforge import ring as ring_module
 from chowforge.rationals import PoleAtPoint, RatFunc, UniPoly
 from chowforge.ring import (
+    SLOT_BITS,
     Generator,
     InhomogeneousRelations,
+    MonomialOverflow,
     NonterminatingHint,
     PolyRing,
     UnknownGenerator,
@@ -90,6 +92,25 @@ def test_unknown_generator():
         ring.gen("y")
 
 
+def test_element_rejects_bad_exponents():
+    ring = PolyRing([Generator("x"), Generator("y")])
+    for exps in ((-1, 2), (0, -3), (1.0, 2), (Fraction(1), 0), ("1", 0)):
+        with pytest.raises(ValueError):
+            ring.element({exps: 1})
+    assert ring.element({(1, 2): 1}) == ring.gen("x") * ring.gen("y") ** 2
+
+
+def test_equal_elements_of_different_rings_hash_equal():
+    r = PolyRing([Generator("x")])
+    s = PolyRing([Generator("x"), Generator("y")])
+    t = PolyRing([Generator("y"), Generator("x")])
+    for build in (lambda q: q.gen("x"), lambda q: q.gen("x") ** 2 - q.gen("x").scale(G)):
+        a, b, c = build(r), build(s), build(t)
+        assert a == b == c
+        assert a in {b} and b in {c} and c in {a}
+    assert s.gen("x") + s.gen("y") != s.gen("x")
+
+
 def test_constants_compare_and_hash_as_their_coefficients():
     ring = PolyRing([Generator("x")])
     two = ring.const(2)
@@ -132,18 +153,20 @@ def _grevlex_cmp(weights, a, b) -> int:
     return 0
 
 
-@given(
-    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).flatmap(
+def _weights_and_monomials(max_exp):
+    return st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5).flatmap(
         lambda weights: st.tuples(
             st.just(weights),
             st.lists(
-                st.tuples(*[st.integers(min_value=0, max_value=4)] * len(weights)),
+                st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * len(weights)),
                 min_size=2,
                 max_size=12,
             ),
         )
     )
-)
+
+
+@given(_weights_and_monomials(4))
 @settings(max_examples=200, deadline=None)
 def test_sort_key_matches_grevlex_comparator(case):
     weights, monomials = case
@@ -152,6 +175,47 @@ def test_sort_key_matches_grevlex_comparator(case):
         for b in monomials:
             ka, kb = ring.sort_key(a), ring.sort_key(b)
             assert (ka > kb) - (ka < kb) == _grevlex_cmp(weights, a, b)
+
+
+@given(_weights_and_monomials(4) | _weights_and_monomials(500))
+@settings(max_examples=200, deadline=None)
+def test_packed_monomials_match_exponent_tuples(case):
+    """Packing round-trips, and int order, int addition and the guard-bit
+    test are sort_key order, the exponent-wise sum and componentwise <=.
+    Five generators of weight 3 and exponents up to 500 stay under the slot
+    bound even after one addition."""
+    weights, monomials = case
+    ring = PolyRing([Generator(f"x{i}", w) for i, w in enumerate(weights)])
+    guard = ring._guard
+    for a in monomials:
+        pa = ring.pack(a)
+        assert ring.unpack(pa) == a
+        for b in monomials:
+            pb = ring.pack(b)
+            ka, kb = ring.sort_key(a), ring.sort_key(b)
+            assert (pa > pb) - (pa < pb) == (ka > kb) - (ka < kb)
+            assert pa + pb == ring.pack(tuple(x + y for x, y in zip(a, b)))
+            divides = ((pb | guard) - pa) & guard == guard
+            assert divides == all(x <= y for x, y in zip(a, b))
+
+
+def test_degree_past_the_slot_bound_raises():
+    bound = 1 << SLOT_BITS - 2
+    ring = PolyRing([Generator("x"), Generator("y", 3)])
+    x, y = ring.gen("x"), ring.gen("y")
+    pres = ring_define(ring, [x**3])
+    assert pres.normal_form(x ** (bound - 1)).is_zero
+    assert pres.normal_form(y ** ((bound - 1) // 3)) == y ** ((bound - 1) // 3)
+    for e in (x**bound, y ** -(-bound // 3), x * y ** (bound // 3), x ** (bound - 3) * y + x):
+        with pytest.raises(MonomialOverflow):
+            pres.normal_form(e)
+    # An S-pair lcm past the bound: leads x^(b/2)*z and x*z^(b/2).
+    ring = PolyRing([Generator("x"), Generator("z")])
+    x, z = ring.gen("x"), ring.gen("z")
+    half = bound // 2
+    with pytest.raises(MonomialOverflow):
+        ring_define(ring, [x**half * z, x * z**half])
+    assert len(ring_define(ring, [x ** (half - 1) * z, x * z ** (half - 1)]).groebner_basis) == 2
 
 
 def test_basis_size_bound_raises(monkeypatch):
