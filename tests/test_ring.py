@@ -209,7 +209,7 @@ def test_degree_past_the_slot_bound_raises():
     for e in (x**bound, y ** -(-bound // 3), x * y ** (bound // 3), x ** (bound - 3) * y + x):
         with pytest.raises(MonomialOverflow):
             pres.normal_form(e)
-    # An S-pair lcm past the bound: leads x^(b/2)*z and x*z^(b/2).
+    # An S-pair lcm past the bound: leads x^half*z and x*z^half.
     ring = PolyRing([Generator("x"), Generator("z")])
     x, z = ring.gen("x"), ring.gen("z")
     half = bound // 2
