@@ -71,28 +71,13 @@ def standard_context() -> ProjBundleCtx:
     return ProjBundleCtx(pres, "z", pres.normal_form(cot))
 
 
-@dataclass(frozen=True)
-class TwoFactorContext:
-    """A product of two P^1-bundles with fiber classes z and w over a base
-    with degree-1 classes c1 and d1.  Here each relative cotangent is the
+def two_factor_context() -> tuple[ProjBundleCtx, ProjBundleCtx]:
+    """A product of two P^1-bundles over a base with degree-1 classes c1 and
+    d1, as its (horizontal, vertical) pair of contexts on one presentation:
+    generators (z, w, c1, c2, d1, d2) with independent quadratic relations
+    z^2 + c1*z + c2 and w^2 + d1*w + d2.  Each relative cotangent is the
     degree -2 line bundle on its factor (the bundles are presented so that
     the cotangent carries no base twist): -2z horizontally, -2w vertically."""
-
-    presentation: RingPresentation
-    horizontal: ProjBundleCtx
-    vertical: ProjBundleCtx
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.presentation.ring
-
-    def gen(self, name: str) -> RingElement:
-        return self.ring.gen(name)
-
-
-def two_factor_context() -> TwoFactorContext:
-    """Generators (c1, c2, d1, d2, z, w) with independent quadratic relations
-    z^2 + c1*z + c2 and w^2 + d1*w + d2."""
     ring = PolyRing(
         [
             Generator("z", 1),
@@ -111,7 +96,7 @@ def two_factor_context() -> TwoFactorContext:
     pres = ring_define(ring, rels)
     horizontal = ProjBundleCtx(pres, "z", pres.normal_form(-2 * z))
     vertical = ProjBundleCtx(pres, "w", pres.normal_form(-2 * w))
-    return TwoFactorContext(pres, horizontal, vertical)
+    return horizontal, vertical
 
 
 def jet_line_factors(spec: JetSpec, ctx: ProjBundleCtx):
@@ -147,12 +132,12 @@ def pushforward_p1(e: RingElement, ctx: ProjBundleCtx) -> RingElement:
     return RingElement(ctx.ring, out)
 
 
-def section_pullbacks(ctx: TwoFactorContext) -> dict:
+def section_pullbacks(horizontal: ProjBundleCtx, vertical: ProjBundleCtx) -> dict:
     """Substitution rules for restricting along the universal section of a
     two-factor context, derived from the pushforward identity
     sigma^* O(1) = pi_*(c1(O(1))^2): z -> -c1, w -> -d1."""
-    z, w = ctx.gen("z"), ctx.gen("w")
+    z, w = horizontal.fiber(), vertical.fiber()
     return {
-        "z": pushforward_p1(z * z, ctx.horizontal),
-        "w": pushforward_p1(w * w, ctx.vertical),
+        "z": pushforward_p1(z * z, horizontal),
+        "w": pushforward_p1(w * w, vertical),
     }

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,15 +71,6 @@ class RunConfig:
             raise ValueError("format must be text or json")
 
 
-def default_prime() -> int:
-    env = os.environ.get("CHOWFORGE_PRIME_DEFAULT")
-    if not env:
-        return DEFAULT_PRIME
-    prime = int(env)
-    require_odd_prime(prime)
-    return prime
-
-
 def _matrix_text(m) -> str:
     """Space-separated table: one header line naming rows and columns, then
     one line of entries per test curve."""
@@ -119,7 +109,7 @@ def _general_position_scenario(cfg: RunConfig) -> Report:
         cfg.genus, cfg.n, seed=cfg.seed, trials=cfg.trials, prime=cfg.prime
     )
     report = Report("general_position", cfg.genus,
-                    payload={"n": cfg.n, "verdict": verdict.to_dict()}, notes=[verdict.note])
+                    payload={"n": cfg.n, "verdict": asdict(verdict)}, notes=[verdict.note])
     report.add_check("general_position_full_rank", "PASS", verdict.status, source="derived")
     return report
 
@@ -191,7 +181,7 @@ def build_report(cfg: RunConfig) -> dict:
 
 def canonical_json(report: dict) -> str:
     report = dict(report, scenarios=[out.to_dict() for out in report["scenarios"]])
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    return json.dumps(report, indent=2) + "\n"
 
 
 def render_text(report: dict) -> str:
@@ -259,7 +249,7 @@ def _parse_args(argv) -> RunConfig:
                         help="number of marked points (default 3; not for curve_conditions)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--prime", type=int, default=default_prime())
+    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--golden-dir", default=None)
     args = parser.parse_args(argv)

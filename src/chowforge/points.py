@@ -107,12 +107,6 @@ class HorizontalJet:
 class VerticalJet:
     """Value plus first derivative along the vertical ruling: two rows."""
 
-    order: int = 1
-
-    def __post_init__(self):
-        if self.order != 1:
-            raise ValueError("vertical jets are first-order only")
-
 
 @dataclass(frozen=True)
 class PointCondition:
@@ -284,15 +278,6 @@ class Verdict:
     trials: int
     witness: dict | None
     note: str = "probabilistic one-sided check"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "target_rank": self.target_rank,
-            "trials": self.trials,
-            "witness": self.witness,
-            "note": self.note,
-        }
 
 
 def _distinct_randranges(rng: random.Random, count: int, prime: int) -> list[int]:

@@ -176,16 +176,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UniPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, _ONE)
 
     def scale(self, c) -> "UniPoly":
         c = _rational(c)
@@ -249,6 +240,30 @@ def _poly(nums: list, den: int) -> UniPoly:
 
 
 _ONE = UniPoly.const(1)
+
+
+def power(base, k: int, one):
+    """base**k by square-and-multiply; one is the unit of base's ring."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def genus_poly(genus) -> UniPoly:
+    """The genus as a polynomial: the formal variable, or a constant >= 2."""
+    if genus == "symbolic":
+        return UniPoly.g()
+    if isinstance(genus, int):
+        if genus <= 1:
+            raise PoleAtPoint(f"genus {genus} hits coefficient poles (need g >= 2)")
+        return UniPoly.const(genus)
+    raise ValueError(f"genus must be 'symbolic' or an integer, got {genus!r}")
 
 
 def poly_str(p: UniPoly) -> str:
@@ -482,12 +497,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return self * o.invert()
-
-    def __rtruediv__(self, other):
-        o = _coerce_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
 
     def invert(self) -> "RatFunc":
         if self.is_zero:

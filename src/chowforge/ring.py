@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 from fractions import Fraction
 
-from .rationals import RatFunc, UniPoly, ratfunc_str
+from .rationals import RatFunc, UniPoly, power, ratfunc_str
 
 
 class UnknownGenerator(KeyError):
@@ -146,12 +146,6 @@ class PolyRing:
             if not c.is_zero:
                 clean[exps] = c
         return RingElement(self, clean)
-
-    def sort_key(self, exps) -> tuple:
-        """Graded reverse lexicographic key of an exponent tuple: the higher
-        weighted degree wins, then the smaller exponent in the rightmost
-        differing slot."""
-        return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
 
     def pack(self, exps) -> int:
         """The monomial with exponents exps as one int (module docstring): the
@@ -280,16 +274,7 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.ring.one())
 
     def scale(self, c) -> "RingElement":
         c = _coerce_coeff(c)
@@ -316,16 +301,9 @@ class RingElement:
 
     # -- structural operations ------------------------------------------------
 
-    def substitute(self, mapping: dict, target: PolyRing | None = None) -> "RingElement":
-        """Replace generators by elements; unmapped generators must exist in
-        the target ring under the same name."""
-        if target is None:
-            for v in mapping.values():
-                if isinstance(v, RingElement):
-                    target = v.ring
-                    break
-            else:
-                target = self.ring
+    def substitute(self, mapping: dict, target: PolyRing) -> "RingElement":
+        """Replace generators by elements of the target ring; unmapped
+        generators must exist in the target ring under the same name."""
         acc = target.zero()
         for exps, c in self.terms.items():
             term = target.const(c)
@@ -357,7 +335,7 @@ class RingElement:
     def leading_exponent(self):
         if self.is_zero:
             raise ValueError("zero element has no leading term")
-        return max(self.terms, key=self.ring.sort_key)
+        return max(self.terms, key=self.ring.pack)
 
     def leading_coefficient(self) -> RatFunc:
         return self.terms[self.leading_exponent()]
@@ -393,7 +371,7 @@ def element_str(e: RingElement) -> str:
         return "0"
     ring = e.ring
     parts = []
-    for exps in sorted(e.terms, key=ring.sort_key, reverse=True):
+    for exps in sorted(e.terms, key=ring.pack, reverse=True):
         c = e.terms[exps]
         mono = "*".join(
             g.name if ex == 1 else f"{g.name}^{ex}"

@@ -19,11 +19,10 @@ from .chern import (
     standard_context,
     two_factor_context,
 )
-from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly
+from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly, genus_poly
 from .ring import (
     Generator,
     PolyRing,
-    RingElement,
     RingPresentation,
     element_str,
     ring_define,
@@ -101,17 +100,6 @@ class Report:
         }
 
 
-def genus_poly(genus) -> UniPoly:
-    """The genus as a polynomial: the formal variable, or a constant >= 2."""
-    if genus == "symbolic":
-        return UniPoly.g()
-    if isinstance(genus, int):
-        if genus <= 1:
-            raise PoleAtPoint(f"genus {genus} hits coefficient poles (need g >= 2)")
-        return UniPoly.const(genus)
-    raise ValueError(f"genus must be 'symbolic' or an integer, got {genus!r}")
-
-
 def _core_classes(gp: UniPoly):
     """The four pushforward/jet classes every scenario builds on, plus the
     constants extracted from them: the c2 = ratio * c1^2 solution of the
@@ -121,7 +109,7 @@ def _core_classes(gp: UniPoly):
     z = ctx.fiber()
     c3 = jet_top_chern(JetSpec(2 * gp + 2, 2), ctx)
     firstp = pushforward_p1(c3, ctx)
-    secondp = pushforward_p1(ctx.presentation.normal_form(c3 * z), ctx)
+    secondp = pushforward_p1(c3 * z, ctx)
     rel1_line = jet_top_chern(JetSpec(2 * gp + 2, 1), ctx)
     dclass = pushforward_p1(rel1_line, ctx)
 
@@ -385,9 +373,9 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
         branches = [branch]
     report.extras["branches"] = branches
 
-    tf = two_factor_context()
-    rules = section_pullbacks(tf)
-    cN = tf.gen("z").scale(gp + 1) + tf.gen("w").scale(UniPoly.const(2))
+    horizontal, vertical = two_factor_context()
+    rules = section_pullbacks(horizontal, vertical)
+    cN = horizontal.fiber().scale(gp + 1) + vertical.fiber().scale(UniPoly.const(2))
 
     out_ring = PolyRing([Generator("zeta", 1), Generator("c1", 1), Generator("d1", 1)])
     zeta, c1, d1 = out_ring.gen("zeta"), out_ring.gen("c1"), out_ring.gen("d1")
@@ -395,11 +383,11 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     for br in branches:
         e = gp - (n - 1) if br == "small_n" else UniPoly.const(0)
         # Horizontal: top graded piece of the order-(e+1) jet filtration.
-        line_h = cN + tf.horizontal.cotangent.scale(e + 1)
-        pf1 = zeta + line_h.substitute(rules, target=tf.ring).substitute({}, target=out_ring)
+        line_h = cN + horizontal.cotangent.scale(e + 1)
+        pf1 = zeta + line_h.substitute(rules, target=horizontal.ring)
         # Vertical: the order-1 jet's derivative piece.
-        line_v = cN + tf.vertical.cotangent
-        pf2 = zeta + line_v.substitute(rules, target=tf.ring).substitute({}, target=out_ring)
+        line_v = cN + vertical.cotangent
+        pf2 = zeta + line_v.substitute(rules, target=horizontal.ring)
 
         exp_pf1 = zeta + c1.scale(2 * e - gp + 1) - d1.scale(UniPoly.const(2))
         report.add_check(f"pf_prime[{br}]", exp_pf1, pf1)
@@ -420,23 +408,16 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     return report
 
 
-@dataclass(frozen=True)
-class EdidinHuClasses:
-    """The two boundary-divisor classes in psi/delta coordinates."""
-
-    d_ii: RingElement
-    d_ij: RingElement
-
-
-def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly) -> EdidinHuClasses:
-    """d_ii = (g+1)/(g-1) psi_i - delta/(2(2g+1)(g-1));
+def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
+    """The boundary-divisor classes (d_ii, d_ij) in psi/delta coordinates:
+    d_ii = (g+1)/(g-1) psi_i - delta/(2(2g+1)(g-1));
     d_ij = (psi_i + psi_j)/(g-1) - delta/(2(2g+1)(g-1)) for i != j."""
     psi_i, psi_j = ring.gen(f"psi{i}"), ring.gen(f"psi{j}")
     delta = ring.gen("delta")
     cd = _rf(1, 2 * (2 * gp + 1) * (gp - 1))
     d_ii = psi_i.scale(_rf(gp + 1, gp - 1)) - delta.scale(cd)
     d_ij = (psi_i + psi_j).scale(_rf(1, gp - 1)) - delta.scale(cd)
-    return EdidinHuClasses(d_ii=d_ii, d_ij=d_ij)
+    return d_ii, d_ij
 
 
 def scenario_R2(n: int, genus="symbolic") -> Report:
@@ -453,8 +434,8 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
     ring = PolyRing(gens)
     delta = ring.gen("delta")
 
-    eh = edidin_hu_classes(ring, 1, 2, gp)
-    product = eh.d_ii * eh.d_ij
+    d_ii, d_ij = edidin_hu_classes(ring, 1, 2, gp)
+    product = d_ii * d_ij
     coeff = product.coefficient(_exps(ring, psi1=1, psi2=1))
     report.add_check(
         "psi_i_psi_j_coefficient",
@@ -472,8 +453,8 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
         rels.append(psi * psi + (delta * delta).scale(t))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pair = edidin_hu_classes(ring, i, j, gp)
-            rels.append(pair.d_ii * pair.d_ij)
+            d_ii, d_ij = edidin_hu_classes(ring, i, j, gp)
+            rels.append(d_ii * d_ij)
     rels.append(delta**3)
     pres = ring_define(ring, rels)
     report.final_presentation = pres

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import (
-    BadN, RatFunc, UniPoly, _bareiss, _rational_rank, poly_str, sturm_roots_geq,
+    BadN, RatFunc, UniPoly, _bareiss, _rational_rank, genus_poly, poly_str, sturm_roots_geq,
 )
 
 
@@ -148,7 +148,7 @@ def intersection_matrix(genus, n: int) -> IntersectionMatrix:
     meets delta_kl with multiplicity 2g+2, 1, 0 by index overlap 2, 1, 0."""
     if not isinstance(n, int) or n < 1:
         raise BadN(f"need n >= 1, got {n}")
-    gp = UniPoly.g() if genus == "symbolic" else UniPoly.const(genus)
+    gp = genus_poly(genus)
     pairs = _pairs(n)
     rows = [f"T_{i}" for i in range(1, n + 1)] + [f"T_{i}{j}" for i, j in pairs]
     cols = [f"psi_{k}" for k in range(1, n + 1)] + [f"delta_{k}{l}" for k, l in pairs]

@@ -89,27 +89,29 @@ def test_pushforward_rejects_unreduced_fiber_power():
 
 
 def test_section_pullback_rules():
-    tf = two_factor_context()
-    rules = section_pullbacks(tf)
-    assert rules["z"] == -tf.gen("c1")
-    assert rules["w"] == -tf.gen("d1")
+    horizontal, vertical = two_factor_context()
+    ring = horizontal.ring
+    rules = section_pullbacks(horizontal, vertical)
+    assert rules["z"] == -ring.gen("c1")
+    assert rules["w"] == -ring.gen("d1")
 
     def pull_back(e):
-        return e.substitute(rules, target=tf.ring)
+        return e.substitute(rules, target=ring)
 
-    e = tf.gen("z").scale(G + 1) + tf.gen("w").scale(UniPoly.const(2))
-    assert pull_back(e) == -tf.gen("c1").scale(G + 1) - tf.gen("d1").scale(
+    e = ring.gen("z").scale(G + 1) + ring.gen("w").scale(UniPoly.const(2))
+    assert pull_back(e) == -ring.gen("c1").scale(G + 1) - ring.gen("d1").scale(
         UniPoly.const(2)
     )
-    base_only = tf.gen("c1") * tf.gen("d1")
+    base_only = ring.gen("c1") * ring.gen("d1")
     assert pull_back(base_only) == base_only
-    assert pull_back(tf.gen("z") * tf.gen("w")) == base_only
+    assert pull_back(ring.gen("z") * ring.gen("w")) == base_only
 
 
 def test_two_factor_cotangents():
-    tf = two_factor_context()
-    assert tf.horizontal.cotangent == -2 * tf.gen("z")
-    assert tf.vertical.cotangent == -2 * tf.gen("w")
+    horizontal, vertical = two_factor_context()
+    assert horizontal.presentation is vertical.presentation
+    assert horizontal.cotangent == -2 * horizontal.gen("z")
+    assert vertical.cotangent == -2 * vertical.gen("w")
 
 
 def test_whitney_order_one():

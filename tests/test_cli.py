@@ -17,7 +17,6 @@ from chowforge.cli import (
     build_report,
     canonical_json,
     compare_golden,
-    default_prime,
     main,
 )
 
@@ -140,18 +139,11 @@ def test_committed_goldens_match(capsys):
         cfg = RunConfig(scenario=scenario, genus=genus, format="json")
         code, summary = compare_golden(build_report(cfg), str(GOLDEN_DIR))
         assert code == 0, f"{scenario}: {summary}"
+    for genus in (2, 3):
+        cfg = RunConfig(scenario="all", genus=genus, format="json")
+        golden = (GOLDEN_DIR / f"all_g{genus}.json").read_text()
+        assert canonical_json(build_report(cfg)) == golden, f"all at genus {genus}"
     capsys.readouterr()
-
-
-def test_default_prime_env_override(monkeypatch):
-    monkeypatch.setenv("CHOWFORGE_PRIME_DEFAULT", "999983")
-    assert default_prime() == 999983
-    monkeypatch.setenv("CHOWFORGE_PRIME_DEFAULT", "1000001")
-    with pytest.raises(ValueError):
-        default_prime()
-    assert main(["--scenario", "i_g0"]) == 2
-    monkeypatch.delenv("CHOWFORGE_PRIME_DEFAULT")
-    assert default_prime() == 1_000_003
 
 
 def test_all_symbolic_skips_numeric_only_scenarios():

@@ -129,10 +129,10 @@ def test_r2_coefficient_and_dims():
 
 def test_edidin_hu_classes_shape():
     ring = PolyRing([Generator("psi1"), Generator("psi2"), Generator("delta")])
-    eh = edidin_hu_classes(ring, 1, 2, G)
-    assert eh.d_ii.is_homogeneous() and eh.d_ii.degree() == 1
-    assert eh.d_ij.is_homogeneous() and eh.d_ij.degree() == 1
-    product = eh.d_ii * eh.d_ij
+    d_ii, d_ij = edidin_hu_classes(ring, 1, 2, G)
+    assert d_ii.is_homogeneous() and d_ii.degree() == 1
+    assert d_ij.is_homogeneous() and d_ij.degree() == 1
+    product = d_ii * d_ij
     exps = [0] * ring.ngens
     exps[ring.index("psi1")] = 1
     exps[ring.index("psi2")] = 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowforge.rationals import RatFunc, UniPoly, sturm_roots_geq
+from chowforge.rationals import PoleAtPoint, RatFunc, UniPoly, sturm_roots_geq
 from chowforge.testcurves import (
     BadN,
     IntersectionMatrix,
@@ -93,6 +93,13 @@ def test_intersection_matrix_small_n():
     ]
     with pytest.raises(BadN):
         intersection_matrix("symbolic", 0)
+
+
+def test_intersection_matrix_rejects_genus_below_two():
+    # At g = -2 the matrix would be certified full rank, with det -144.
+    for g0 in (1, 0, -2):
+        with pytest.raises(PoleAtPoint):
+            intersection_matrix(g0, 2)
 
 
 def test_relabeling_symmetry():
