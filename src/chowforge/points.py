@@ -182,14 +182,18 @@ def _powers(t, top: int, prime) -> list:
 
 def _chart_derivs(coords, top: int, prime):
     """The function taking k to the k-th derivatives of the monomials
-    u0^e u1^(top-e), e = 0..top, at the point.  In the chart where u1 is
-    normalized to 1 the monomial is t^e with t = u0/u1; in the opposite
-    chart it is s^(top-e) with s = u1/u0, which is zero there."""
+    u0^e u1^(top-e), listed for e = top down to 0, at the point.  In the
+    chart where u1 is normalized to 1 the monomial is t^e with t = u0/u1; in
+    the opposite chart it is s^(top-e) with s = u1/u0, which is zero there."""
     t = _slope(coords, prime)
-    exps = range(top + 1) if t is not None else range(top, -1, -1)
     powers = _powers(0 if t is None else t, top, prime)
-    # perm(e, k) is the falling factorial e(e-1)...(e-k+1), zero for k > e.
-    return lambda k: [math.perm(e, k) * powers[max(e - k, 0)] for e in exps]
+
+    def derivs(k):
+        # perm(e, k) is the falling factorial e(e-1)...(e-k+1), zero for k > e.
+        d = powers if k == 0 else [math.perm(e, k) * powers[max(e - k, 0)] for e in range(top + 1)]
+        return d if t is None else d[::-1]
+
+    return derivs
 
 
 def evaluation_matrix(cfg: PointConfig, g: int):
@@ -197,8 +201,10 @@ def evaluation_matrix(cfg: PointConfig, g: int):
 
     Jets are symbolic derivatives of the monomials in the affine chart that
     normalizes the nonzero coordinate of the relevant factor, so each row is
-    the outer product of an x-factor and a y-factor derivative vector."""
-    basis = monomial_basis(g)
+    the outer product of an x-factor and a y-factor derivative vector, both
+    listed in the descending exponent order of monomial_basis."""
+    if g < 2:
+        raise BadGenus(f"genus {g} < 2")
     prime = cfg.prime
     rows = []
     for cond in cfg.conditions:
@@ -214,8 +220,10 @@ def evaluation_matrix(cfg: PointConfig, g: int):
             raise TypeError(f"unknown condition kind {cond.kind!r}")
         for kx, ky in orders:
             xs, ys = xderivs(kx), yderivs(ky)
-            row = [xs[a] * ys[b] for a, b in basis]
-            rows.append(row if prime is None else [v % prime for v in row])
+            if prime is None:
+                rows.append([u * v for u in xs for v in ys])
+            else:
+                rows.append([u * v % prime for u in xs for v in ys])
     return rows
 
 
@@ -235,19 +243,23 @@ def _rank_mod(rows: list, p: int) -> int:
     """Elimination over F_p on rows packed into ints of w-bit slots, column
     j in slot j, with delayed reduction (Dumas, Gautier and Pernet 2002).
 
-    Each pivot adds at most (p-1)^2 to every slot of the other rows, whose
-    eliminated column is then shifted out.  With at most k = min(rows, cols)
-    pivots every slot stays nonnegative and below p + k(p-1)^2 < 2^w, so
-    slots never carry into each other and only pivot rows are reduced."""
+    Rows are packed through bytes, so w is a multiple of 8.  Only pivot rows
+    are reduced, below 2p in every slot, by a Barrett step on whole ints:
+    even and odd slots are split into 2w-bit fields, where a slot x times
+    floor(2^w / p) cannot carry into the next field and has a top half q
+    with x - 2p < qp <= x.  Each pivot then adds less than (p-1)(2p-1) to
+    every slot of the other rows, whose eliminated column is shifted out.
+    With at most k = min(rows, cols) pivots every slot stays nonnegative and
+    below p + k(p-1)(2p-1) < 2^w, so slots never carry into each other."""
     ncols = len(rows[0]) if rows else 0
-    w = (p + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
-    mask = (1 << w) - 1
-    active = []
-    for row in rows:
-        packed = 0
-        for v in reversed(row):
-            packed = packed << w | v % p
-        active.append(packed)
+    size = ((p + min(len(rows), ncols) * (p - 1) * (2 * p - 1)).bit_length() + 7) // 8
+    w = 8 * size
+    mask, barrett = (1 << w) - 1, (1 << w) // p
+    even = int.from_bytes((b"\xff" * size + bytes(size)) * (ncols // 2 + 1), "little")
+    active = [
+        int.from_bytes(b"".join([(v % p).to_bytes(size, "little") for v in row]), "little")
+        for row in rows
+    ]
     rank = 0
     for _ in range(ncols):
         pivot = next((i for i, r in enumerate(active) if (r & mask) % p), None)
@@ -255,13 +267,10 @@ def _rank_mod(rows: list, p: int) -> int:
             active = [r >> w for r in active]
             continue
         head = active.pop(pivot)
-        inv = _inv(head & mask, p)
-        tail, shift, head = 0, 0, head >> w
-        while head:
-            tail |= ((head & mask) * inv % p) << shift
-            head >>= w
-            shift += w
-        active = [(r >> w) + (-(r & mask)) % p * tail for r in active]
+        scale = p - _inv(head & mask, p)
+        lo, hi = head >> w & even, head >> 2 * w & even  # even, odd columns left
+        tail = lo - (lo * barrett >> w & even) * p | (hi - (hi * barrett >> w & even) * p) << w
+        active = [(r >> w) + (r & mask) * scale % p * tail for r in active]
         rank += 1
         if not active:
             break
@@ -350,17 +359,12 @@ def _poly_gcd_mod(a, b, p):
         inv = pow(b[-1], p - 2, p)
         r = a[:]
         while len(r) >= len(b):
-            r = [c % p for c in r]
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
             f = (r[-1] * inv) % p
             shift = len(r) - len(b)
             for i, c in enumerate(b):
                 r[shift + i] = (r[shift + i] - f * c) % p
             r = norm(r)
-        a, b = b, norm(r)
+        a, b = b, r
     return a
 
 
@@ -434,6 +438,10 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
     locus with distinct first coordinates, trying at most SAMPLING_ATTEMPTS
     forms and SAMPLING_ATTEMPTS first coordinates per form.
 
+    In the affine chart the form is f = A(x) y^2 + B(x) y + C(x), and a point
+    takes y = (-B + sqrt(d)) / 2A with d = B^2 - 4AC nonzero.  There
+    df/dy = 2Ay + B = sqrt(d) is nonzero, so every sampled point is smooth.
+
     Returns (coefficient list in monomial_basis order, list of points)."""
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
@@ -478,21 +486,11 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
             if d == 0 or pow(d, (p - 1) // 2, p) != 1:
                 continue
             y = ((-b + _sqrt_mod(d, p)) * pow(2 * a, p - 2, p)) % p
-            if not _is_smooth_point(coeffs, g, x, y, p):
-                continue
             used_x.add(x)
             points.append(((x, 1), (y, 1)))
         if len(points) == count:
             return [coeffs[m] for m in basis], points
     raise SamplingExhausted(f"no valid curve/points after {SAMPLING_ATTEMPTS} attempts")
-
-
-def _is_smooth_point(coeffs, g: int, x: int, y: int, p: int) -> bool:
-    """Both affine partial derivatives must not vanish simultaneously."""
-    xp, yp = _powers(x, g + 1, p), _powers(y, 2, p)
-    fx = sum(c * a * xp[a - 1] * yp[b] for (a, b), c in coeffs.items() if a)
-    fy = sum(c * b * xp[a] * yp[b - 1] for (a, b), c in coeffs.items() if b)
-    return fx % p != 0 or fy % p != 0
 
 
 def riemann_roch_counts(g: int) -> dict:

@@ -1,5 +1,6 @@
 """Point/jet conditions on bidegree-(g+1, 2) forms: matrices, ranks, sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,25 @@ def test_rank_mod_p_matches_oracles(case):
     assert rank_exact([list(col) for col in zip(*m)], p) == (rank if m else 0)
 
 
+@pytest.mark.parametrize("prime", (DEFAULT_PRIME, 2**61 - 1))
+def test_rank_mod_p_at_the_witness_size(prime):
+    """The 101 x 102 matrices that check_general_position ranks at g = 32,
+    where the packed slots are widest: a random one and a product of rank
+    at most k, with entries negative or >= p."""
+    rng = random.Random(f"rank:{prime}")
+
+    def block(r, c):
+        return [[rng.randrange(-3 * prime, 3 * prime) for _ in range(c)] for _ in range(r)]
+
+    k = 37
+    left, right = block(101, k), block(k, 102)
+    product = [[sum(row[t] * right[t][j] for t in range(k)) for j in range(102)] for row in left]
+    for m, expected in ((block(101, 102), 101), (product, k)):
+        rank = rank_exact(m, prime)
+        assert rank == _rank_mod_oracle(m, prime) == expected
+        assert rank_exact([list(col) for col in zip(*m)], prime) == rank
+
+
 def _deriv_value_oracle(exp, value, k, prime):
     """k-th derivative of t^exp at t = value, as evaluation_matrix computed
     it entry by entry."""
@@ -424,3 +444,36 @@ def test_evaluation_matrix_matches_entrywise_formula(case):
     assert rows == _evaluation_oracle(cfg, g)
     expected_type = Fraction if cfg.prime is None else int
     assert all(type(v) is expected_type for row in rows for v in row)
+
+
+def _form_oracle(coeffs, g, x, y, prime):
+    """f, df/dx and df/dy mod prime at (x, y) in the chart x1 = y1 = 1, where
+    the monomial (a, b) of monomial_basis is x^a y^b."""
+    terms = list(zip(monomial_basis(g), coeffs))
+    f = sum(c * x**a * y**b for (a, b), c in terms)
+    fx = sum(c * a * x ** (a - 1) * y**b for (a, b), c in terms if a)
+    fy = sum(c * b * x**a * y ** (b - 1) for (a, b), c in terms if b)
+    return f % prime, fx % prime, fy % prime
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 10**6),
+    st.sampled_from((11, 13, 101, DEFAULT_PRIME)),
+    st.data(),
+)
+def test_sampled_points_lie_on_the_form_and_are_smooth(g, seed, prime, data):
+    """Every sampled point is a zero of the returned form, is smooth there
+    (df/dy = sqrt(d) is nonzero, so no separate test is needed) and has its
+    own first coordinate."""
+    count = data.draw(st.integers(1, min(2 * g + 5, prime // 2)))
+    coeffs, pts = sample_curve_points(g, count, prime=prime, seed=seed)
+    assert len(coeffs) == 3 * g + 6 and len(pts) == count
+    assert len({x for (x, _), _ in pts}) == count
+    for (x, x1), (y, y1) in pts:
+        assert x1 == y1 == 1
+        f, fx, fy = _form_oracle(coeffs, g, x, y, prime)
+        assert f == 0
+        assert (fx, fy) != (0, 0)
+        assert fy != 0
