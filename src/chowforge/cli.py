@@ -49,6 +49,9 @@ class MissingGolden(FileNotFoundError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; the report echoes them in this order, without
+    format and golden_dir."""
+
     scenario: str
     genus: object = "symbolic"  # "symbolic" or int >= 2
     n: int = 3
@@ -165,14 +168,7 @@ def build_report(cfg: RunConfig) -> dict:
     all_pass = all(out.all_pass() for out in outputs)
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "scenario": cfg.scenario,
-            "genus": cfg.genus,
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "prime": cfg.prime,
-        },
+        "config": {k: v for k, v in asdict(cfg).items() if k not in ("format", "golden_dir")},
         "scenarios": outputs,
         "skipped": skipped,
         "all_checks_pass": all_pass,
@@ -255,17 +251,10 @@ def _parse_args(argv) -> RunConfig:
     args = parser.parse_args(argv)
     if args.scenario == "curve_conditions" and args.n is not None:
         raise ValueError("--n does not apply to curve_conditions, which samples 2g+5 points")
-    genus = args.genus if args.genus == "symbolic" else int(args.genus)
-    return RunConfig(
-        scenario=args.scenario,
-        genus=genus,
-        n=3 if args.n is None else args.n,
-        seed=args.seed,
-        trials=args.trials,
-        prime=args.prime,
-        format=args.format,
-        golden_dir=args.golden_dir,
-    )
+    if args.genus != "symbolic":
+        args.genus = int(args.genus)
+    # An absent --n or --golden-dir takes RunConfig's default.
+    return RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 def main(argv=None) -> int:

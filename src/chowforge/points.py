@@ -229,10 +229,12 @@ def evaluation_matrix(cfg: PointConfig, g: int):
 
 def rank_exact(matrix, prime: int | None = None) -> int:
     """Exact rank over Q (fraction-free integer elimination after clearing
-    each row's denominators) or F_prime (packed rows); rows of unequal length
-    raise ValueError."""
+    each row's denominators) or F_prime (packed rows); a modulus that is not
+    an odd prime raises CompositeModulus, and rows of unequal length raise
+    ValueError."""
     if prime is None:
         return _rational_rank(matrix)
+    require_odd_prime(prime)
     rows = [list(row) for row in matrix]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")

@@ -423,9 +423,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 

@@ -544,7 +544,6 @@ def _weighted_tuples(weights, d, prefix=()):
         yield from _weighted_tuples(weights[1:], d - e * w, prefix + (e,))
 
 
-def ring_define(gens, rels) -> RingPresentation:
-    """Build a presentation from generators and relation elements."""
-    ring = gens if isinstance(gens, PolyRing) else PolyRing(gens)
+def ring_define(ring: PolyRing, rels) -> RingPresentation:
+    """Build a presentation from a ring and relation elements."""
     return RingPresentation(ring, rels)

@@ -69,6 +69,12 @@ class Report:
     def add_flag(self, claim_id, passed: bool, detail: str, source="derived"):
         self.checks.append(Check(claim_id, "pass", "pass" if passed else detail, passed, source))
 
+    def add_dims(self, claim_id, expected, presentation, degrees):
+        """Compare the graded dimensions of a presentation in the given
+        degrees, joined by commas, with the expected string."""
+        dims = ",".join(str(presentation.graded_component_dim(d)) for d in degrees)
+        self.add_check(claim_id, expected, dims, source="derived")
+
     def to_dict(self) -> dict:
         payload = self.payload
         if payload is None:
@@ -133,10 +139,6 @@ def _exps(ring: PolyRing, **kwargs):
     return tuple(exps)
 
 
-def _rf(num, den=1) -> RatFunc:
-    return RatFunc(num if isinstance(num, UniPoly) else UniPoly.const(num), den)
-
-
 def scenario_I_g0(genus="symbolic") -> Report:
     """Unpointed presentation: derives the three pushforward identities,
     eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3)."""
@@ -167,18 +169,14 @@ def scenario_I_g0(genus="symbolic") -> Report:
             base_ring.gen("c1") ** 3,
         ],
     )
-    report.add_check("intermediate_dims_0_to_3", "1,1,1,0",
-                     ",".join(str(inter.graded_component_dim(d)) for d in range(4)),
-                     source="derived")
+    report.add_dims("intermediate_dims_0_to_3", "1,1,1,0", inter, range(4))
 
     delta_ring = PolyRing([Generator("delta", 1)])
     delta = delta_ring.gen("delta")
     final = ring_define(delta_ring, [delta**3])
     report.derived_relations = [delta**3]
     report.final_presentation = final
-    report.add_check("final_dims_0_to_3", "1,1,1,0",
-                     ",".join(str(final.graded_component_dim(d)) for d in range(4)),
-                     source="derived")
+    report.add_dims("final_dims_0_to_3", "1,1,1,0", final, range(4))
     report.add_flag("delta_cubed_zero", final.is_zero(delta**3), "delta^3 != 0")
     report.add_flag("delta_squared_nonzero", not final.is_zero(delta**2), "delta^2 == 0")
     report.extras = {
@@ -209,14 +207,13 @@ def _one_point_relations(gp: UniPoly):
     kc = lam.invert()  # c1 = kc*delta, c2 = ratio*kc^2*delta^2
 
     zring = PolyRing([Generator("z", 1), Generator("psi1", 1), Generator("delta", 1)])
-    z, psi1, delta = zring.gen("z"), zring.gen("psi1"), zring.gen("delta")
+    z, delta = zring.gen("z"), zring.gen("delta")
     c1_sub, c2_sub = delta.scale(kc), (delta * delta).scale(ratio * kc * kc)
     pbtrel = (z * z) + (c1_sub * z) + c2_sub
     rel1 = rel1_line.substitute({"c1": c1_sub, "c2": c2_sub, "z": z}, target=zring)
 
     # Invert the Weierstrass-divisor identity d_11 = (2g+2) z.
-    dii = psi1.scale(_rf(gp + 1, gp - 1)) - delta.scale(_rf(1, 2 * (2 * gp + 1) * (gp - 1)))
-    z_sub = dii.scale(_rf(1, 2 * gp + 2))
+    z_sub = edidin_hu_classes(zring, 1, 1, gp)[0].scale(RatFunc(1, 2 * gp + 2))
 
     pring = PolyRing([Generator("psi1", 1), Generator("delta", 1)])
     rel_a = rel1.substitute({"z": z_sub}, target=pring).monic()
@@ -250,11 +247,11 @@ def scenario_I_g1(genus="symbolic") -> Report:
     report.raw_relations = [pbtrel, rel1]
 
     # Pinned displays for the rewritten relations.
-    kpz = _rf(1, 2 * (2 * gp + 1) * (gp + 1))
-    kpd = _rf(1, 8 * (2 * gp + 1) * (gp - 1) * (gp + 1) ** 2)
+    kpz = RatFunc(1, 2 * (2 * gp + 1) * (gp + 1))
+    kpd = RatFunc(1, 8 * (2 * gp + 1) * (gp - 1) * (gp + 1) ** 2)
     exp_pbtrel = (z * z) - (delta * z).scale(kpz) - (delta * delta).scale(kpd)
     report.add_check("pbtrel", exp_pbtrel, pbtrel)
-    krd = _rf(gp, 2 * (2 * gp + 1) * (gp - 1) * (gp + 1))
+    krd = RatFunc(gp, 2 * (2 * gp + 1) * (gp - 1) * (gp + 1))
     exp_rel1 = (delta * z) + (delta * delta).scale(krd)
     report.add_check("rel1", exp_rel1, rel1)
 
@@ -272,7 +269,7 @@ def scenario_I_g1(genus="symbolic") -> Report:
     )
 
     report.derived_relations.append(rel_b)
-    a_g = _rf(
+    a_g = RatFunc(
         16 * gp**4 - 24 * gp**3 + 16 * gp**2 + 8 * gp - 3,
         4 * (2 * gp + 1) ** 2 * (gp + 1) ** 2,
     )
@@ -286,17 +283,10 @@ def scenario_I_g1(genus="symbolic") -> Report:
     report.derived_relations.append(rel_c)
     final = ring_define(pring, [rel_a, rel_b, rel_c])
     report.final_presentation = final
-    for r in (rel_a, rel_b, rel_c):
-        if not final.is_zero(r):
-            report.add_flag("derived_relations_vanish", False, element_str(r))
-            break
-    else:
-        report.add_flag("derived_relations_vanish", True, "")
-    report.add_check(
-        "final_dims_0_to_3", "1,2,1,0",
-        ",".join(str(final.graded_component_dim(d)) for d in range(4)),
-        source="derived",
-    )
+    survivor = next((r for r in (rel_a, rel_b, rel_c) if not final.is_zero(r)), None)
+    report.add_flag("derived_relations_vanish", survivor is None,
+                    "" if survivor is None else element_str(survivor))
+    report.add_dims("final_dims_0_to_3", "1,2,1,0", final, range(4))
     report.add_flag("delta_cubed_zero", final.is_zero(deltaf**3), "delta^3 != 0")
 
     s, t = (r.coefficient(_exps(pring, delta=2)) for r in (rel_a, rel_b))
@@ -334,11 +324,7 @@ def scenario_Wn(n: int, genus="symbolic") -> Report:
     report.final_presentation = pres
     report.derived_relations = list(rels)
 
-    report.add_check(
-        "positive_degree_dims_1_to_3", "0,0,0",
-        ",".join(str(pres.graded_component_dim(d)) for d in (1, 2, 3)),
-        source="derived",
-    )
+    report.add_dims("positive_degree_dims_1_to_3", "0,0,0", pres, (1, 2, 3))
     report.add_flag("all_z_vanish", all(pres.is_zero(zi) for zi in zs), "some z_i != 0")
     report.add_flag("c1_vanishes", pres.is_zero(c1), "c1 != 0")
     report.add_flag("c2_vanishes", pres.is_zero(c2), "c2 != 0")
@@ -362,20 +348,19 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     else:
         report.notes.append("bound n <= 2g+6 recorded")
 
-    if branch is None:
-        if genus == "symbolic":
-            branches = ["small_n", "large_n"]
-        else:
-            branches = ["small_n" if n <= genus else "large_n"]
-    else:
-        if branch not in ("small_n", "large_n"):
-            raise ValueError("branch must be small_n or large_n")
+    if branch not in (None, "small_n", "large_n"):
+        raise ValueError("branch must be small_n or large_n")
+    if branch is not None:
         branches = [branch]
+    elif genus == "symbolic":
+        branches = ["small_n", "large_n"]
+    else:
+        branches = ["small_n" if n <= genus else "large_n"]
     report.extras["branches"] = branches
 
     horizontal, vertical = two_factor_context()
     rules = section_pullbacks(horizontal, vertical)
-    cN = horizontal.fiber().scale(gp + 1) + vertical.fiber().scale(UniPoly.const(2))
+    cN = horizontal.fiber().scale(gp + 1) + vertical.fiber().scale(2)
 
     out_ring = PolyRing([Generator("zeta", 1), Generator("c1", 1), Generator("d1", 1)])
     zeta, c1, d1 = out_ring.gen("zeta"), out_ring.gen("c1"), out_ring.gen("d1")
@@ -389,14 +374,12 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
         line_v = cN + vertical.cotangent
         pf2 = zeta + line_v.substitute(rules, target=horizontal.ring)
 
-        exp_pf1 = zeta + c1.scale(2 * e - gp + 1) - d1.scale(UniPoly.const(2))
+        exp_pf1 = zeta + c1.scale(2 * e - gp + 1) - d1.scale(2)
         report.add_check(f"pf_prime[{br}]", exp_pf1, pf1)
         report.add_check(f"pf_doubleprime[{br}]", zeta - c1.scale(gp + 1), pf2)
 
         pres = ring_define(out_ring, [c1, pf1, pf2])
-        report.add_check(
-            f"degree1_dim[{br}]", "0", str(pres.graded_component_dim(1)), source="derived"
-        )
+        report.add_dims(f"degree1_dim[{br}]", "0", pres, (1,))
         report.add_flag(
             f"all_degree1_classes_vanish[{br}]",
             pres.is_zero(zeta) and pres.is_zero(c1) and pres.is_zero(d1),
@@ -414,9 +397,9 @@ def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
     d_ij = (psi_i + psi_j)/(g-1) - delta/(2(2g+1)(g-1)) for i != j."""
     psi_i, psi_j = ring.gen(f"psi{i}"), ring.gen(f"psi{j}")
     delta = ring.gen("delta")
-    cd = _rf(1, 2 * (2 * gp + 1) * (gp - 1))
-    d_ii = psi_i.scale(_rf(gp + 1, gp - 1)) - delta.scale(cd)
-    d_ij = (psi_i + psi_j).scale(_rf(1, gp - 1)) - delta.scale(cd)
+    cd = RatFunc(1, 2 * (2 * gp + 1) * (gp - 1))
+    d_ii = psi_i.scale(RatFunc(gp + 1, gp - 1)) - delta.scale(cd)
+    d_ij = (psi_i + psi_j).scale(RatFunc(1, gp - 1)) - delta.scale(cd)
     return d_ii, d_ij
 
 
@@ -439,7 +422,7 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
     coeff = product.coefficient(_exps(ring, psi1=1, psi2=1))
     report.add_check(
         "psi_i_psi_j_coefficient",
-        str(_rf(gp + 1, (gp - 1) ** 2)),
+        str(RatFunc(gp + 1, (gp - 1) ** 2)),
         str(coeff),
     )
 
@@ -462,7 +445,7 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
 
     dim2 = pres.graded_component_dim(2)
     report.add_flag("degree2_dim_at_most_1", dim2 <= 1, f"dim = {dim2}")
-    report.add_check("degree3_dim", "0", str(pres.graded_component_dim(3)), source="derived")
+    report.add_dims("degree3_dim", "0", pres, (3,))
 
     psi12 = pres.normal_form(ring.gen("psi1") * ring.gen("psi2"))
     mult = psi12.coefficient(_exps(ring, delta=2))

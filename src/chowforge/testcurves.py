@@ -51,12 +51,10 @@ class BlowupLedger:
     derived_self_intersections: dict = field(init=False)
 
     def __post_init__(self):
-        derived = {}
-        for name, base in self.base_self_intersections.items():
-            total = UniPoly.const(0)
-            for count in self.exceptional_multiplicities.get(name, {}).values():
-                total = total + (count if isinstance(count, UniPoly) else UniPoly.const(count))
-            derived[name] = base - total
+        derived = {
+            name: base - sum(self.exceptional_multiplicities.get(name, {}).values(), UniPoly())
+            for name, base in self.base_self_intersections.items()
+        }
         object.__setattr__(self, "derived_self_intersections", derived)
 
     def derived(self, section: str) -> UniPoly:

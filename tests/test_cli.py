@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, determinism, golden comparison."""
 
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +12,17 @@ import pytest
 
 from chowforge import points
 from chowforge.cli import (
-    NUMERIC_ONLY,
-    SCENARIOS,
     MissingGolden,
     RunConfig,
     build_report,
     canonical_json,
     compare_golden,
     main,
+    render_text,
 )
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = REPO / "goldens"
 
 
 def test_exit_zero_when_all_checks_pass(capsys):
@@ -131,19 +133,53 @@ def test_missing_golden_raises_and_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _readme_examples(golden_dir):
+    """The argument lists of README's Command line examples, with
+    `golden_dir` in place of the golden directory they name."""
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        args = shlex.split(line)[1:]
+        if "--golden-dir" in args:
+            args[args.index("--golden-dir") + 1] = str(golden_dir)
+        examples.append(args)
+    return examples
+
+
 @pytest.mark.skipif(not GOLDEN_DIR.exists(), reason="goldens not generated")
-def test_committed_goldens_match(capsys):
-    # The configurations of scripts/regenerate_goldens.py.
-    for scenario in SCENARIOS + ("all",):
-        genus = 2 if scenario in NUMERIC_ONLY else "symbolic"
-        cfg = RunConfig(scenario=scenario, genus=genus, format="json")
-        code, summary = compare_golden(build_report(cfg), str(GOLDEN_DIR))
-        assert code == 0, f"{scenario}: {summary}"
-    for genus in (2, 3):
-        cfg = RunConfig(scenario="all", genus=genus, format="json")
-        golden = (GOLDEN_DIR / f"all_g{genus}.json").read_text()
-        assert canonical_json(build_report(cfg)) == golden, f"all at genus {genus}"
-    capsys.readouterr()
+def test_readme_command_line_examples(tmp_path, capsys):
+    codes = [main(args) for args in _readme_examples(GOLDEN_DIR)]
+    # The last example exits 1 only because of the c05 checks of i_g1.
+    assert codes == [0, 0, 0, 1]
+    assert capsys.readouterr().out.endswith("golden comparison: no differences\n")
+    # A tampered golden is named on stdout and alone makes the exit status 1.
+    for name in ("all.json", "i_g0.json"):
+        golden = (GOLDEN_DIR / name).read_text()
+        (tmp_path / name).write_text(golden.replace("(8*g^3", "(9*g^3", 1))
+    first, *_, last = _readme_examples(tmp_path)
+    for args in (last, first + ["--golden-dir", str(tmp_path)]):
+        assert main(args) == 1
+        assert "golden comparison differences:" in capsys.readouterr().out
+
+
+def _regenerate_goldens_script():
+    path = REPO / "scripts" / "regenerate_goldens.py"
+    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not GOLDEN_DIR.exists(), reason="goldens not generated")
+def test_committed_goldens_match():
+    """Every configuration of scripts/regenerate_goldens.py reproduces its
+    committed golden byte for byte, and every committed golden has one."""
+    names = []
+    for name, cfg in _regenerate_goldens_script().golden_configs():
+        assert canonical_json(build_report(cfg)) == (GOLDEN_DIR / name).read_text(), name
+        names.append(name)
+    assert sorted(names) == sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
 
 
 def test_all_symbolic_skips_numeric_only_scenarios():
@@ -152,6 +188,9 @@ def test_all_symbolic_skips_numeric_only_scenarios():
     assert "general_position" not in names and "curve_conditions" not in names
     skipped = {s["scenario"] for s in report["skipped"]}
     assert skipped == {"general_position", "curve_conditions"}
+    text = render_text(report)
+    for name in skipped:
+        assert f"skipped {name}: requires numeric genus (prime-field run)" in text
     numeric = build_report(RunConfig(scenario="all", genus=2))
     assert {s.scenario_id for s in numeric["scenarios"]} >= {
         "general_position",

@@ -227,11 +227,16 @@ def test_is_prime_matches_trial_division():
 
 
 def test_composite_modulus_rejected_by_entry_points():
-    for prime in (9, 15, 1_000_001):
+    # diag(2, 3) is singular mod 2 and mod 3, so a rank of 2 mod 6 would be
+    # a false full-rank certificate.
+    for prime in (6, 9, 15, 1, 1_000_001):
         with pytest.raises(CompositeModulus):
             sample_curve_points(2, 9, prime=prime)
         with pytest.raises(CompositeModulus):
             check_general_position(2, 5, prime=prime)
+        with pytest.raises(CompositeModulus):
+            rank_exact([[2, 0], [0, 3]], prime)
+    assert rank_exact([[2, 0], [0, 3]], DEFAULT_PRIME) == 2
 
 
 def test_sqrt_mod_non_residue_search_is_bounded():
