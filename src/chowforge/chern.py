@@ -11,8 +11,6 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rationals import UniPoly
 from .ring import Generator, PolyRing, RingElement, RingPresentation, ring_define
 
@@ -21,7 +19,6 @@ class NotReduced(ValueError):
     """Raised when a pushforward input still has fiber exponent > 1."""
 
 
-@dataclass(frozen=True)
 class JetSpec:
     """A principal-parts bundle P^e of a twist O(d) along the fiber.
 
@@ -29,23 +26,23 @@ class JetSpec:
     g+1); order is the jet order e >= 0.
     """
 
-    twist_degree: UniPoly
-    order: int
+    __slots__ = ("twist_degree", "order")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, twist_degree: UniPoly, order: int):
+        if order < 0:
             raise ValueError("jet order must be >= 0")
+        self.twist_degree, self.order = twist_degree, order
 
 
-@dataclass(frozen=True)
 class ProjBundleCtx:
     """A P^1-bundle context: quotient presentation, the fiber hyperplane
     class name, and the relative cotangent class (set at construction, since
     it depends on how the bundle is presented)."""
 
-    presentation: RingPresentation
-    fiber_class: str
-    cotangent: RingElement
+    __slots__ = ("presentation", "fiber_class", "cotangent")
+
+    def __init__(self, presentation: RingPresentation, fiber_class: str, cotangent: RingElement):
+        self.presentation, self.fiber_class, self.cotangent = presentation, fiber_class, cotangent
 
     @property
     def ring(self) -> PolyRing:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,31 +46,27 @@ class MissingGolden(FileNotFoundError):
     """Raised when a golden file for a scenario does not exist."""
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """One run's settings; the report echoes them in this order, without
-    format and golden_dir."""
+    """One run's settings; genus is "symbolic" or an int >= 2.  The report
+    echoes all but format and golden_dir."""
 
-    scenario: str
-    genus: object = "symbolic"  # "symbolic" or int >= 2
-    n: int = 3
-    seed: int = 0
-    trials: int = 20
-    prime: int = DEFAULT_PRIME
-    format: str = "text"
-    golden_dir: str | None = None
+    __slots__ = ("scenario", "genus", "n", "seed", "trials", "prime", "format", "golden_dir")
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS + ("all",):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.genus != "symbolic":
-            if not isinstance(self.genus, int) or self.genus < 2:
+    def __init__(self, scenario: str, genus="symbolic", n: int = 3, seed: int = 0,
+                 trials: int = 20, prime: int = DEFAULT_PRIME, format: str = "text",
+                 golden_dir: str | None = None):
+        if scenario not in SCENARIOS + ("all",):
+            raise ValueError(f"unknown scenario {scenario!r}")
+        if genus != "symbolic":
+            if not isinstance(genus, int) or genus < 2:
                 raise ValueError("numeric genus must be an integer >= 2")
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
-        require_odd_prime(self.prime)
-        if self.format not in ("text", "json"):
+        if trials < 1:
+            raise ValueError(f"need trials >= 1, got {trials}")
+        require_odd_prime(prime)
+        if format not in ("text", "json"):
             raise ValueError("format must be text or json")
+        self.scenario, self.genus, self.n, self.seed = scenario, genus, n, seed
+        self.trials, self.prime, self.format, self.golden_dir = trials, prime, format, golden_dir
 
 
 def _matrix_text(m) -> str:
@@ -111,8 +106,10 @@ def _general_position_scenario(cfg: RunConfig) -> Report:
     verdict = check_general_position(
         cfg.genus, cfg.n, seed=cfg.seed, trials=cfg.trials, prime=cfg.prime
     )
+    fields = {"status": verdict.status, "target_rank": verdict.target_rank,
+              "trials": verdict.trials, "witness": verdict.witness, "note": verdict.note}
     report = Report("general_position", cfg.genus,
-                    payload={"n": cfg.n, "verdict": asdict(verdict)}, notes=[verdict.note])
+                    payload={"n": cfg.n, "verdict": fields}, notes=[verdict.note])
     report.add_check("general_position_full_rank", "PASS", verdict.status, source="derived")
     return report
 
@@ -168,7 +165,8 @@ def build_report(cfg: RunConfig) -> dict:
     all_pass = all(out.all_pass() for out in outputs)
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {k: v for k, v in asdict(cfg).items() if k not in ("format", "golden_dir")},
+        "config": {"scenario": cfg.scenario, "genus": cfg.genus, "n": cfg.n,
+                   "seed": cfg.seed, "trials": cfg.trials, "prime": cfg.prime},
         "scenarios": outputs,
         "skipped": skipped,
         "all_checks_pass": all_pass,

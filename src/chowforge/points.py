@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import _rational_rank
@@ -86,68 +85,66 @@ def require_odd_prime(prime: int) -> None:
         raise CompositeModulus(f"modulus {prime} is not an odd prime")
 
 
-@dataclass(frozen=True)
 class Simple:
     """Evaluate at the point: one row."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class HorizontalJet:
     """Derivatives of orders 0..order-1 along the horizontal ruling
     (first-factor coordinate), at fixed second coordinate: order rows."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int):
+        if order < 1:
             raise ValueError("horizontal jet order must be >= 1")
+        self.order = order
 
 
-@dataclass(frozen=True)
 class VerticalJet:
     """Value plus first derivative along the vertical ruling: two rows."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class PointCondition:
-    """A point of P^1 x P^1 with a condition kind attached."""
+    """A point ((x0, x1), (y0, y1)) of P^1 x P^1 with a condition kind attached."""
 
-    point: tuple  # ((x0, x1), (y0, y1))
-    kind: object = field(default_factory=Simple)
+    __slots__ = ("point", "kind")
 
-    def __post_init__(self):
-        (x0, x1), (y0, y1) = self.point
+    def __init__(self, point: tuple, kind: object = Simple()):
+        (x0, x1), (y0, y1) = point
         if x0 == 0 and x1 == 0:
             raise PointAtChartBoundary("first-factor coordinates both zero")
         if y0 == 0 and y1 == 0:
             raise PointAtChartBoundary("second-factor coordinates both zero")
+        self.point, self.kind = point, kind
 
 
-@dataclass(frozen=True)
 class PointConfig:
     """A list of conditions over Q (prime=None) or F_prime.  When flagged,
     distinct first-factor projections are validated on construction."""
 
-    conditions: tuple
-    prime: int | None = None
-    require_distinct_first: bool = False
+    __slots__ = ("conditions", "prime", "require_distinct_first")
 
-    def __post_init__(self):
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        p = self.prime
-        for c in self.conditions:
+    def __init__(self, conditions, prime: int | None = None, require_distinct_first: bool = False):
+        self.conditions = conditions = tuple(conditions)
+        self.prime, self.require_distinct_first = prime, require_distinct_first
+        for c in conditions:
             for pair in c.point:
                 for v in pair:
-                    if p is not None and not isinstance(v, int):
+                    if prime is not None and not isinstance(v, int):
                         raise FieldMismatch("prime-field configs need integer coordinates")
-                    if p is None and not isinstance(v, (int, Fraction)):
+                    if prime is None and not isinstance(v, (int, Fraction)):
                         raise FieldMismatch("rational configs need int or Fraction coordinates")
-                if p is not None and pair[0] % p == 0 and pair[1] % p == 0:
-                    raise PointAtChartBoundary(f"coordinates {pair} are both zero mod {p}")
-        if self.require_distinct_first:
+                if prime is not None and pair[0] % prime == 0 and pair[1] % prime == 0:
+                    raise PointAtChartBoundary(f"coordinates {pair} are both zero mod {prime}")
+        if require_distinct_first:
             seen: dict = {}
-            for j, c in enumerate(self.conditions):
-                i = seen.setdefault(_slope(c.point[0], p), j)
+            for j, c in enumerate(conditions):
+                i = seen.setdefault(_slope(c.point[0], prime), j)
                 if i != j:
                     raise ValueError(f"conditions {i} and {j} share a first-factor projection")
 
@@ -279,16 +276,16 @@ def _rank_mod(rows: list, p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """One-sided randomized verdict: PASS carries a reproducible witness;
-    FAIL only means no sampled trial achieved full rank."""
+    """One-sided randomized verdict: status "PASS" carries a reproducible
+    witness; "FAIL" only means no sampled trial achieved full rank."""
 
-    status: str  # "PASS" | "FAIL"
-    target_rank: int
-    trials: int
-    witness: dict | None
-    note: str = "probabilistic one-sided check"
+    __slots__ = ("status", "target_rank", "trials", "witness", "note")
+
+    def __init__(self, status: str, target_rank: int, trials: int, witness: dict | None,
+                 note: str = "probabilistic one-sided check"):
+        self.status, self.target_rank, self.trials = status, target_rank, trials
+        self.witness, self.note = witness, note
 
 
 def _distinct_randranges(rng: random.Random, count: int, prime: int) -> list[int]:

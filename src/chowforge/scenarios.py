@@ -9,8 +9,6 @@ numeric scenarios of the command line build the same Report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chern import (
     JetSpec,
     jet_top_chern,
@@ -23,40 +21,38 @@ from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly, genus_poly
 from .ring import (
     Generator,
     PolyRing,
-    RingPresentation,
     element_str,
     ring_define,
 )
 
 
-@dataclass(frozen=True)
 class Check:
-    """One verifiable claim: an expected value against the derived value."""
+    """One verifiable claim: an expected value against the derived value;
+    source is "pinned" (a reference constant) or "derived" (an oracle)."""
 
-    claim_id: str
-    expected: str
-    actual: str
-    passed: bool
-    source: str = "pinned"  # "pinned" reference constant or "derived" oracle
+    __slots__ = ("claim_id", "expected", "actual", "passed", "source")
+
+    def __init__(self, claim_id: str, expected: str, actual: str, passed: bool,
+                 source: str = "pinned"):
+        self.claim_id, self.expected, self.actual = claim_id, expected, actual
+        self.passed, self.source = passed, source
 
 
-@dataclass
 class Report:
-    """One scenario's result.  Its JSON form holds the scenario and genus,
-    then the payload, then checks, notes and extras.  The payload is the
-    presentation's relations unless `payload` is given; `text` (tables
-    shown in text output) is not serialised."""
+    """One scenario's result (input_genus "symbolic" or an integer >= 2).
+    Its JSON form holds the scenario and genus, the payload (by default the
+    presentation's relations), then checks, notes and extras; `text`
+    (tables shown in text output) is not serialised."""
 
-    scenario_id: str
-    input_genus: object  # "symbolic" or an integer >= 2
-    payload: dict | None = None
-    raw_relations: list = field(default_factory=list)
-    derived_relations: list = field(default_factory=list)
-    final_presentation: RingPresentation | None = None
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
-    text: str = ""
+    __slots__ = ("scenario_id", "input_genus", "payload", "raw_relations", "derived_relations",
+                 "final_presentation", "checks", "notes", "extras", "text")
+
+    def __init__(self, scenario_id: str, input_genus, payload: dict | None = None,
+                 notes: list | None = None, text: str = ""):
+        self.scenario_id, self.input_genus, self.payload = scenario_id, input_genus, payload
+        self.raw_relations, self.derived_relations, self.checks, self.extras = [], [], [], {}
+        self.final_presentation, self.text = None, text  # a RingPresentation once set
+        self.notes = [] if notes is None else notes
 
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)

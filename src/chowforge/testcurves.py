@@ -11,7 +11,6 @@ standard expansion of a pulled-back section class with E^2 = -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import (
@@ -35,7 +34,6 @@ class ShapeMismatch(ValueError):
     """Raised when a basis change is applied to an incompatible matrix."""
 
 
-@dataclass(frozen=True)
 class BlowupLedger:
     """Self-intersection bookkeeping on a blown-up surface.
 
@@ -46,16 +44,16 @@ class BlowupLedger:
     proper transform, since each blowup at a point of the section subtracts 1.
     """
 
-    base_self_intersections: dict
-    exceptional_multiplicities: dict
-    derived_self_intersections: dict = field(init=False)
+    __slots__ = ("base_self_intersections", "exceptional_multiplicities",
+                 "derived_self_intersections")
 
-    def __post_init__(self):
-        derived = {
-            name: base - sum(self.exceptional_multiplicities.get(name, {}).values(), UniPoly())
-            for name, base in self.base_self_intersections.items()
+    def __init__(self, base_self_intersections: dict, exceptional_multiplicities: dict):
+        self.base_self_intersections = base_self_intersections
+        self.exceptional_multiplicities = exceptional_multiplicities
+        self.derived_self_intersections = {
+            name: base - sum(exceptional_multiplicities.get(name, {}).values(), UniPoly())
+            for name, base in base_self_intersections.items()
         }
-        object.__setattr__(self, "derived_self_intersections", derived)
 
     def derived(self, section: str) -> UniPoly:
         try:
@@ -112,14 +110,15 @@ def psi_degree(ledger: BlowupLedger, section: str) -> UniPoly:
     return -ledger.derived(section)
 
 
-@dataclass(frozen=True)
 class IntersectionMatrix:
     """Labeled square matrix of integer polynomials in g: rows are the test
-    curves (T_i then T_ij), columns the divisor classes (psi_k then delta_kl)."""
+    curves (T_i then T_ij), columns the divisor classes (psi_k then delta_kl).
+    entries is a tuple of tuples of UniPoly."""
 
-    row_labels: tuple
-    col_labels: tuple
-    entries: tuple  # tuple of tuples of UniPoly
+    __slots__ = ("row_labels", "col_labels", "entries")
+
+    def __init__(self, row_labels: tuple, col_labels: tuple, entries: tuple):
+        self.row_labels, self.col_labels, self.entries = row_labels, col_labels, entries
 
     @property
     def size(self) -> int:
@@ -286,13 +285,15 @@ def rank_numeric(entries_q) -> int:
     return _rational_rank(entries_q)
 
 
-@dataclass(frozen=True)
 class FullRankCertificate:
-    determinant: UniPoly
-    expected_determinant: UniPoly
-    sign_matches_expected: bool
-    cross_check_agrees: bool
-    roots_geq_2: int
+    __slots__ = ("determinant", "expected_determinant", "sign_matches_expected",
+                 "cross_check_agrees", "roots_geq_2")
+
+    def __init__(self, determinant: UniPoly, expected_determinant: UniPoly,
+                 sign_matches_expected: bool, cross_check_agrees: bool, roots_geq_2: int):
+        self.determinant, self.expected_determinant = determinant, expected_determinant
+        self.sign_matches_expected = sign_matches_expected
+        self.cross_check_agrees, self.roots_geq_2 = cross_check_agrees, roots_geq_2
 
     @property
     def certified(self) -> bool:

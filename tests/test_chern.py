@@ -36,6 +36,8 @@ def test_jet_top_chern_order_zero():
     ctx = standard_context()
     z = ctx.gen("z")
     assert jet_top_chern(JetSpec(2 * G + 2, 0), ctx) == z.scale(2 * G + 2)
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        JetSpec(2 * G + 2, -1)
 
 
 def test_jet_top_chern_order_one():

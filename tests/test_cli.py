@@ -37,6 +37,29 @@ def test_exit_one_on_failed_check(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    """Each report is one process, so import time is paid per report: the
+    library's records are plain classes, and importing it must not load
+    dataclasses or its inspect import.  Both interpreters get the same
+    environment, so a site hook that loads either module does not count."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    listing = "import sys; print(' '.join(sys.modules))"
+
+    def modules(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    added = modules("import chowforge.cli; " + listing) - modules(listing)
+    assert "chowforge.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
+def test_run_config_rejects_unknown_scenario():
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        RunConfig(scenario="nope")
+
+
 def test_exit_two_on_config_errors(capsys, monkeypatch):
     assert main(["--genus", "1"]) == 2
     assert main(["--genus", "nonsense"]) == 2

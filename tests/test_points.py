@@ -53,14 +53,17 @@ def test_condition_row_counts():
         single = PointConfig((PointCondition(((1, 1), (2, 1)), kind),), prime=P)
         assert len(evaluation_matrix(single, 2)) == rows
     cfg = PointConfig(
-        (
+        [
             PointCondition(((1, 1), (2, 1)), HorizontalJet(2)),
             PointCondition(((3, 1), (2, 1)), VerticalJet()),
             PointCondition(((4, 1), (5, 1))),
-        ),
+        ],
         prime=P,
     )
     assert len(evaluation_matrix(cfg, 2)) == 5
+    # Conditions are kept as a tuple; a condition without a kind is Simple.
+    assert isinstance(cfg.conditions, tuple) and isinstance(cfg.conditions[2].kind, Simple)
+    assert Simple() != VerticalJet()
 
 
 def test_single_point_rank_one():
@@ -115,8 +118,12 @@ def test_chart_independence_of_rank():
 
 
 def test_point_validation_errors():
-    with pytest.raises(PointAtChartBoundary):
+    with pytest.raises(PointAtChartBoundary, match="first-factor coordinates both zero"):
         PointCondition(((0, 0), (1, 1)))
+    with pytest.raises(PointAtChartBoundary, match="second-factor coordinates both zero"):
+        PointCondition(((1, 1), (0, 0)))
+    with pytest.raises(ValueError, match="horizontal jet order must be >= 1"):
+        HorizontalJet(0)
     with pytest.raises(FieldMismatch):
         PointConfig((PointCondition(((Fraction(1, 2), 1), (1, 1))),), prime=P)
     with pytest.raises(ValueError):

@@ -111,6 +111,19 @@ def test_equal_elements_of_different_rings_hash_equal():
     assert s.gen("x") + s.gen("y") != s.gen("x")
 
 
+def test_generators_compare_and_hash_by_value():
+    assert Generator("x") == Generator("x", 1) and hash(Generator("x")) == hash(Generator("x", 1))
+    assert Generator("x") != Generator("x", 2) and Generator("x") != Generator("y")
+    r = PolyRing([Generator("x"), Generator("y", 2)])
+    s = PolyRing([Generator("x"), Generator("y", 2)])
+    assert r == s and hash(r) == hash(s) and len({r, s}) == 1
+    assert r != PolyRing([Generator("x"), Generator("y")])
+    with pytest.raises(ValueError, match="generator degree must be >= 1"):
+        Generator("x", 0)
+    with pytest.raises(AttributeError):
+        Generator("x").degree = 2
+
+
 def test_constants_compare_and_hash_as_their_coefficients():
     ring = PolyRing([Generator("x")])
     two = ring.const(2)

@@ -7,6 +7,7 @@ import pytest
 from chowforge.rationals import PoleAtPoint, UniPoly
 from chowforge.scenarios import (
     BadN,
+    Report,
     edidin_hu_classes,
     genus_poly,
     one_point_constants,
@@ -41,6 +42,17 @@ def test_genus_poly_validation():
         genus_poly(1)
     with pytest.raises(ValueError):
         genus_poly("three")
+
+
+def test_reports_do_not_share_containers():
+    a, b = Report("a", 2), Report("b", 2)
+    a.add_check("c", 1, 1)
+    a.raw_relations.append(1)
+    a.derived_relations.append(1)
+    a.notes.append("note")
+    a.extras["k"] = 1
+    assert b.checks == b.raw_relations == b.derived_relations == b.notes == [] and b.extras == {}
+    assert a.all_pass() and a.checks[0].source == "pinned"
 
 
 def test_i_g0_symbolic_all_pass():
