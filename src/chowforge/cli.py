@@ -27,6 +27,7 @@ from .points import (
     sample_curve_points,
 )
 from .rationals import PoleAtPoint, poly_str
+from .ring import NonterminatingHint
 from .scenarios import (
     Report,
     scenario_A1_vanishing,
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = build_report(cfg)
-    except (ValueError, BoundViolated, PoleAtPoint, SamplingExhausted) as exc:
+    except (ValueError, BoundViolated, PoleAtPoint, SamplingExhausted, NonterminatingHint) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if cfg.format == "json":

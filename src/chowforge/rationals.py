@@ -273,19 +273,22 @@ def poly_str(p: UniPoly) -> str:
     """
     if p.is_zero:
         return "0"
-    coeffs = p.coeffs
+    nums, den = p.numerators, p.denominator
     parts = []
     for d in range(p.degree, -1, -1):
-        c = coeffs[d]
+        c = nums[d]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        mag = -c if c < 0 else c
+        c = abs(c)
+        common = math.gcd(c, den)
+        # The magnitude as Fraction prints it: "num/den" in lowest terms, or "num".
+        mag = str(c // common) if common == den else f"{c // common}/{den // common}"
         if d == 0:
-            body = str(mag)
+            body = mag
         else:
             gpow = "g" if d == 1 else f"g^{d}"
-            body = gpow if mag == 1 else f"{mag}*{gpow}"
+            body = gpow if mag == "1" else f"{mag}*{gpow}"
         parts.append(sign + body)
     return "".join(parts)
 
@@ -619,7 +622,7 @@ def _rational_rank(rows) -> int:
     """Exact rank of a matrix of rationals: each row is scaled by the lcm of
     its denominators, and the integer rows are eliminated fraction-free.
     Rows of unequal length raise ValueError."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
     ints = []

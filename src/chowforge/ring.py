@@ -32,7 +32,7 @@ class UnknownGenerator(KeyError):
 
 
 class NonterminatingHint(RuntimeError):
-    """Raised when basis completion exceeds MAX_BASIS live elements."""
+    """Raised when basis completion adds over MAX_BASIS live elements to its input."""
 
 
 class InhomogeneousRelations(ValueError):
@@ -43,7 +43,7 @@ class MonomialOverflow(OverflowError):
     """Raised when a monomial's weighted degree does not fit a packed slot."""
 
 
-MAX_BASIS = 200  # completion stops past this many live elements: the input looks pathological
+MAX_BASIS = 200  # live elements completion may add to its input; past that it looks pathological
 SLOT_BITS = 16  # width of one slot of a packed monomial
 
 
@@ -453,7 +453,8 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     with the two is still pending (Buchberger's chain criterion).
 
     An element is live while no other element's leading monomial divides its
-    own (of equal ones, the first is live); MAX_BASIS bounds the live count.
+    own (of equal ones, the first is live); the live count may exceed the
+    input count by at most MAX_BASIS.
     A new element is reduced by all others, so it starts live."""
     guard, one = ring._guard, RatFunc(1)
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
@@ -484,8 +485,9 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
         basis.append(_monic(s))
         leads.append(lk)
         live = {i2 for i2 in live if ((leads[i2] | guard) - lk) & guard != guard} | {k}
-        if len(live) > MAX_BASIS:
-            raise NonterminatingHint(f"over {MAX_BASIS} live elements; input looks pathological")
+        if len(live) - n > MAX_BASIS:
+            raise NonterminatingHint(
+                f"completion grew past its {n} relations by over {MAX_BASIS} live elements")
         pending.update(((i2, k), None) for i2 in range(k))
     # Autoreduce: each live element's tail is reduced by the other live ones.
     minimal = [basis[i] for i in sorted(live)]

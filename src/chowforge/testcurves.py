@@ -51,7 +51,7 @@ class BlowupLedger:
         self.base_self_intersections = base_self_intersections
         self.exceptional_multiplicities = exceptional_multiplicities
         self.derived_self_intersections = {
-            name: base - sum(exceptional_multiplicities.get(name, {}).values(), UniPoly())
+            name: base - sum(exceptional_multiplicities.get(name, {}).values())
             for name, base in base_self_intersections.items()
         }
 
@@ -68,15 +68,16 @@ def family_one_ledger(gp: UniPoly, n: int, i: int) -> BlowupLedger:
     fixed point; each fixed section meets exactly its own exceptional."""
     if not (1 <= i <= n):
         raise BadIndex(f"section index {i} outside 1..{n}")
+    roaming, zero = 2 - 2 * gp, UniPoly()
     base = {}
     through = {}
     for k in range(1, n + 1):
         name = f"sigma_{k}"
         if k == i:
-            base[name] = -(2 * gp - 2)
+            base[name] = roaming
             through[name] = {f"E_{j}": 1 for j in range(1, n + 1) if j != i}
         else:
-            base[name] = UniPoly.const(0)
+            base[name] = zero
             through[name] = {f"E_{k}": 1}
     return BlowupLedger(base, through)
 
@@ -88,18 +89,18 @@ def family_two_ledger(gp: UniPoly, n: int, i: int, j: int) -> BlowupLedger:
     exceptionals (one crossing with each roaming section)."""
     if not (1 <= i < j <= n):
         raise BadIndex(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
+    roaming, ramification, zero = 2 - 2 * gp, 2 * gp + 2, UniPoly()
     base = {}
     through = {}
     for k in range(1, n + 1):
         name = f"sigma_{k}"
         if k in (i, j):
-            base[name] = -(2 * gp - 2)
-            through[name] = {"E_ram": 2 * gp + 2}
-            through[name].update(
-                {f"E_{k2}_{k}": 1 for k2 in range(1, n + 1) if k2 not in (i, j)}
-            )
+            base[name] = roaming
+            # Unit counts first: the ledger sums them as ints before adding 2g+2.
+            through[name] = {f"E_{k2}_{k}": 1 for k2 in range(1, n + 1) if k2 not in (i, j)}
+            through[name]["E_ram"] = ramification
         else:
-            base[name] = UniPoly.const(0)
+            base[name] = zero
             through[name] = {f"E_{k}_{i}": 1, f"E_{k}_{j}": 1}
     return BlowupLedger(base, through)
 
@@ -142,25 +143,32 @@ def _pairs(n: int):
 def intersection_matrix(genus, n: int) -> IntersectionMatrix:
     """Assemble the pairing matrix from the two family ledgers plus the
     boundary counts: T_i meets delta_jk once iff i is one of (j, k); T_ij
-    meets delta_kl with multiplicity 2g+2, 1, 0 by index overlap 2, 1, 0."""
+    meets delta_kl with multiplicity 2g+2, 1, 0 by index overlap 2, 1, 0.
+
+    A family's ledger treats every section index alike, so one ledger per
+    family gives every row: T_i reads its roaming and fixed psi degrees from
+    the ledger of T_1, and T_ij from that of T_12."""
     if not isinstance(n, int) or n < 1:
         raise BadN(f"need n >= 1, got {n}")
     gp = genus_poly(genus)
     pairs = _pairs(n)
     rows = [f"T_{i}" for i in range(1, n + 1)] + [f"T_{i}{j}" for i, j in pairs]
     cols = [f"psi_{k}" for k in range(1, n + 1)] + [f"delta_{k}{l}" for k, l in pairs]
+    # sigma_n is a fixed section of each ledger whenever some row has one.
+    one = family_one_ledger(gp, n, 1)
+    roaming, fixed = psi_degree(one, "sigma_1"), psi_degree(one, f"sigma_{n}")
+    boundary = (UniPoly(), UniPoly.const(1), 2 * gp + 2)  # by index overlap 0, 1, 2
     entries = []
     for i in range(1, n + 1):
-        ledger = family_one_ledger(gp, n, i)
-        row = [psi_degree(ledger, f"sigma_{k}") for k in range(1, n + 1)]
-        row += [UniPoly.const(1 if i in kl else 0) for kl in pairs]
+        row = [roaming if k == i else fixed for k in range(1, n + 1)]
+        row += [boundary[i in kl] for kl in pairs]
         entries.append(tuple(row))
+    if pairs:
+        two = family_two_ledger(gp, n, 1, 2)
+        roaming, fixed = psi_degree(two, "sigma_1"), psi_degree(two, f"sigma_{n}")
     for i, j in pairs:
-        ledger = family_two_ledger(gp, n, i, j)
-        row = [psi_degree(ledger, f"sigma_{k}") for k in range(1, n + 1)]
-        for k, l in pairs:
-            overlap = len({i, j} & {k, l})
-            row.append((2 * gp + 2) if overlap == 2 else UniPoly.const(overlap))
+        row = [roaming if k in (i, j) else fixed for k in range(1, n + 1)]
+        row += [boundary[(i in kl) + (j in kl)] for kl in pairs]
         entries.append(tuple(row))
     return IntersectionMatrix(tuple(rows), tuple(cols), tuple(entries))
 
@@ -176,17 +184,21 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
         raise ShapeMismatch("matrix size does not match its labels")
     entries = [list(row) for row in m.entries]
     # Column operations: psi_i column -= sum of delta_ij columns over j != i.
+    # Subtracting a zero entry changes nothing, so zero entries are skipped.
     for i in range(1, n + 1):
         for pi, (k, l) in enumerate(pairs):
             if i in (k, l):
                 col = n + pi
-                for r in range(m.size):
-                    entries[r][i - 1] = entries[r][i - 1] - entries[r][col]
+                for row in entries:
+                    if not row[col].is_zero:
+                        row[i - 1] = row[i - 1] - row[col]
     # Row operations: T_ij row -= T_i row + T_j row.
     for pi, (i, j) in enumerate(pairs):
-        r = n + pi
-        for c in range(m.size):
-            entries[r][c] = entries[r][c] - entries[i - 1][c] - entries[j - 1][c]
+        row = entries[n + pi]
+        for source in (entries[i - 1], entries[j - 1]):
+            for c, e in enumerate(source):
+                if not e.is_zero:
+                    row[c] = row[c] - e
     new_rows = tuple(m.row_labels[:n] + tuple(f"{lbl}'" for lbl in m.row_labels[n:]))
     new_cols = tuple(tuple(f"{lbl}'" for lbl in m.col_labels[:n]) + m.col_labels[n:])
     return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chowforge import points
+from chowforge import points, ring
 from chowforge.cli import (
     MissingGolden,
     RunConfig,
@@ -58,6 +58,16 @@ def test_import_loads_no_dataclasses_or_inspect():
 def test_run_config_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario 'nope'"):
         RunConfig(scenario="nope")
+
+
+def test_completion_cap_exits_two_with_one_line(capsys, monkeypatch):
+    """A completion stopped by the basis cap is not a failed check."""
+    monkeypatch.setattr(ring, "MAX_BASIS", 0)
+    assert main(["--scenario", "i_g0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "by over 0 live elements" in captured.err
 
 
 def test_exit_two_on_config_errors(capsys, monkeypatch):

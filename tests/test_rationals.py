@@ -38,6 +38,40 @@ def test_poly_str_canonical_forms():
     assert poly_str(G.scale(Fraction(1, 2))) == "1/2*g"
 
 
+def _poly_str_via_fractions(p):
+    """poly_str's format, spelled through Fraction coefficients."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for d in range(p.degree, -1, -1):
+        c = p.coeffs[d]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        gpow = "" if d == 0 else ("g" if d == 1 else f"g^{d}")
+        body = str(mag) if d == 0 else (gpow if mag == 1 else f"{mag}*{gpow}")
+        parts.append(sign + body)
+    return "".join(parts)
+
+
+@st.composite
+def _polys(draw):
+    den = draw(st.just(1) | st.integers(1, 10**6))
+    # Numerators of -den, 0 and den give coefficients -1, gaps and 1.
+    coeff = st.sampled_from([-den, 0, den]) | st.integers(-(10**9), 10**9)
+    nums = draw(st.lists(coeff, max_size=6))
+    return UniPoly([Fraction(x, den) for x in nums])
+
+
+@given(_polys())
+@settings(max_examples=300, deadline=None)
+@example(UniPoly([Fraction(-3, 4)]))
+@example(UniPoly([1, 0, 0, -1]))
+def test_poly_str_matches_fraction_formatting(p):
+    assert poly_str(p) == _poly_str_via_fractions(p)
+
+
 def test_coefficients_and_degree():
     p = UniPoly([-1, 0, 3])  # 3g^2 - 1
     assert p.degree == 2

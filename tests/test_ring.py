@@ -241,9 +241,10 @@ def test_basis_size_bound_raises(monkeypatch):
     ring = PolyRing([Generator("x"), Generator("y"), Generator("z")])
     x, y, z = ring.gen("x"), ring.gen("y"), ring.gen("z")
     rels = [x * x - y * z, x * y - z * z]  # completion adds y^2*z - x*z^2
-    monkeypatch.setattr(ring_module, "MAX_BASIS", 3)
+    # The cap counts live elements beyond the two input relations, not the input.
+    monkeypatch.setattr(ring_module, "MAX_BASIS", 1)
     assert len(ring_define(ring, rels).groebner_basis) == 3
-    monkeypatch.setattr(ring_module, "MAX_BASIS", 2)
+    monkeypatch.setattr(ring_module, "MAX_BASIS", 0)
     with pytest.raises(NonterminatingHint):
         ring_define(ring, rels)
 

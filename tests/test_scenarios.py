@@ -168,7 +168,7 @@ def test_specialize_matches_numeric_run_spot_check():
     assert [str(r) for r in sym_raw] == [str(r) for r in num.raw_relations]
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 7])
 def test_r2_at_the_paper_bound(genus):
     """The Chow ring of H_{g,n} is claimed for n <= 2g+6: r2 at that bound."""
     report = scenario_R2(2 * genus + 6, genus)

@@ -81,6 +81,25 @@ def test_intersection_matrix_n3_symbolic_table():
     assert m.entries[5] == (two, 4 * G + 1, 4 * G + 1, one, one, 2 * G + 2)
 
 
+@pytest.mark.parametrize("genus", ["symbolic", 2, 3, 7])
+def test_every_row_matches_its_own_ledger(genus):
+    """intersection_matrix reads one ledger per family; each row must still
+    be the psi degrees of the ledger of its own test curve, and each boundary
+    entry the overlap rule: 0 or 1 by overlap, 2g+2 for the full pair."""
+    gp = G if genus == "symbolic" else UniPoly.const(genus)
+    for n in range(1, 7):
+        m = intersection_matrix(genus, n)
+        pairs = _pairs(n)
+        curves = [(i,) for i in range(1, n + 1)] + pairs
+        for row, curve in zip(m.entries, curves):
+            ledger = (family_one_ledger(gp, n, *curve) if len(curve) == 1
+                      else family_two_ledger(gp, n, *curve))
+            assert row[:n] == tuple(psi_degree(ledger, f"sigma_{k}") for k in range(1, n + 1))
+            for kl, entry in zip(pairs, row[n:]):
+                overlap = len(set(curve) & set(kl))
+                assert entry == (2 * gp + 2 if overlap == 2 else UniPoly.const(overlap))
+
+
 def test_intersection_matrix_small_n():
     m1 = intersection_matrix("symbolic", 1)
     assert m1.size == 1 and m1.entries[0][0] == 2 * G - 2
