@@ -6,11 +6,14 @@ fraction-free elimination behind every integer determinant and rational rank.
 A polynomial is stored as a tuple of integer numerators over one positive
 integer denominator in lowest terms, so its arithmetic runs on Python ints
 with one gcd or lcm per operation; `Fraction` coefficients are built only
-when asked for.  Greatest common divisors come from the primitive remainder
-sequence over the integers (Brown 1971): every pseudo-remainder is divided by
-its content, which keeps the coefficients from growing exponentially.
-Rational functions add and multiply with gcds of the smaller factors
-(Henrici 1956) and cancel common factors by exact integer quotients.
+when asked for.  A gcd with a linear argument is a root test: one integer
+Horner evaluation of the other argument.  Other greatest common divisors
+come from the primitive remainder sequence over the integers (Brown 1971):
+every pseudo-remainder is divided by its content, which keeps the
+coefficients from growing exponentially.  Rational functions add and
+multiply with gcds of the smaller factors (Henrici 1956), add over a
+denominator 1 with no gcd at all, and cancel common factors by exact integer
+quotients.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -191,13 +194,9 @@ class UniPoly:
         return _poly([i * x for i, x in enumerate(self.numerators)][1:], self.denominator)
 
     def __call__(self, g0) -> Fraction:
-        # Homogeneous Horner at g0 = p/q: acc = value * denominator * q**degree.
         g0 = _rational(g0)
         p, q = g0.numerator, g0.denominator
-        acc, qpow = 0, 1
-        for x in reversed(self.numerators):
-            acc = acc * p + x * qpow
-            qpow *= q
+        acc = _homogeneous_value(self.numerators, p, q)
         return Fraction(acc, self.denominator * q ** max(self.degree, 0))
 
     # -- printing ----------------------------------------------------------
@@ -212,6 +211,16 @@ class UniPoly:
 # The slots' own setters, which bypass the __setattr__ that keeps instances
 # immutable; they are the fast way to fill a fresh instance.
 _set_numerators, _set_denominator = UniPoly.numerators.__set__, UniPoly.denominator.__set__
+
+
+def _homogeneous_value(nums, p: int, q: int) -> int:
+    """sum(nums[i] * p**i * q**(n - i)) for n = len(nums) - 1, by Horner: the
+    numerators' polynomial at p/q times q**n, in integers (q may be negative)."""
+    acc, qpow = 0, 1
+    for x in reversed(nums):
+        acc = acc * p + x * qpow
+        qpow *= q
+    return acc
 
 
 def _raw(nums: tuple, den: int) -> UniPoly:
@@ -250,8 +259,9 @@ def power(base, k: int, one):
     while k:
         if k & 1:
             result = result * base
-        base = base * base
         k >>= 1
+        if k:  # a square past the top bit would go unused
+            base = base * base
     return result
 
 
@@ -353,13 +363,19 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0.
 
-    Primitive remainder sequence over the integers: the last nonzero term is
-    primitive with a positive leading coefficient, so over that coefficient
-    it is already the monic gcd in lowest terms."""
+    A linear argument r0 + r1*g is the gcd when the other argument vanishes
+    at its root -r0/r1, and 1 otherwise.  Otherwise the primitive remainder
+    sequence over the integers runs: its last nonzero term is primitive with
+    a positive leading coefficient, so over that coefficient it is already
+    the monic gcd in lowest terms."""
     if a.degree == 0 or b.degree == 0:  # a nonzero constant divides both
         return _ONE
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
+    if a.degree == 1 or b.degree == 1:
+        line, other = (a, b) if a.degree == 1 else (b, a)
+        r0, r1 = line.numerators
+        return _ONE if _homogeneous_value(other.numerators, -r0, r1) else line.monic()
     x, y = _primitive(a.numerators), _primitive(b.numerators)
     if len(x) < len(y):
         x, y = y, x
@@ -448,6 +464,11 @@ class RatFunc:
         (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
         if a.is_zero or c.is_zero:
             return o if a.is_zero else self
+        # With b = 1, gcd(a*d + c, d) = gcd(c, d) = 1: the sum is in lowest terms.
+        if b.is_one():
+            return _ratfunc(a * d + c, d)
+        if d.is_one():
+            return _ratfunc(c * b + a, b)
         g = poly_gcd(b, d)
         if g.is_one():
             return _ratfunc(a * d + c * b, b * d)

@@ -16,6 +16,10 @@ output.  No slot overflows: every slot is at most the weighted degree;
 every packed value comes from PolyRing.pack (inputs, and each S-pair's lcm),
 which raises MonomialOverflow once a weighted degree reaches
 2^(SLOT_BITS - 2), a spare bit below G; reduction never raises the degree.
+
+A basis element is stored as a rewrite rule lead -> tail: the monic element
+is x^lead - sum(tail), so a reduction step adds coeff * x^shift * tail and
+never negates.  groebner_basis spells each rule out as the monic element.
 """
 
 from __future__ import annotations
@@ -407,19 +411,21 @@ def element_str(e: RingElement) -> str:
 
 
 def _monic(terms: dict) -> tuple:
-    """A nonzero packed term dict as a (leading monomial, monic tail) pair;
-    the tail is a tuple of (packed monomial, coefficient) pairs."""
+    """A nonzero packed term dict as the rewrite rule (lead, tail) of its
+    monic multiple x^lead - sum(tail); the tail is a tuple of (packed
+    monomial, coefficient) pairs, the negated monic tail."""
     lead = max(terms)
-    inv = terms[lead].invert()
+    inv = -terms[lead].invert()
     return lead, tuple((e, inv * c) for e, c in terms.items() if e != lead)
 
 
 def _subtract(work: dict, shift: int, tail, coeff: RatFunc) -> None:
-    """work -= coeff * x^shift * tail, on packed monomials."""
-    neg = -coeff
+    """work -= coeff * x^shift * (x^lead - sum(tail)) once the term
+    coeff * x^(shift + lead) is popped: work += coeff * x^shift * tail,
+    on packed monomials."""
     for e, c in tail:
         e += shift
-        t = work[e] + neg * c if e in work else neg * c
+        t = work[e] + coeff * c if e in work else coeff * c
         if t.is_zero:
             del work[e]
         else:
@@ -427,8 +433,9 @@ def _subtract(work: dict, shift: int, tail, coeff: RatFunc) -> None:
 
 
 def _reduce(terms: dict, reducers, guard: int) -> dict:
-    """Full normal form of a packed term dict modulo monic (leading monomial,
-    tail) pairs; guard holds the guard bits of the ring's exponent slots."""
+    """Full normal form of a packed term dict modulo rewrite rules (lead,
+    tail), each x^lead -> sum(tail); guard holds the guard bits of the
+    ring's exponent slots."""
     done: dict = {}
     work = dict(terms)
     while work:
@@ -444,8 +451,8 @@ def _reduce(terms: dict, reducers, guard: int) -> dict:
 
 
 def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
-    """The reduced Groebner basis of packed term dicts, as (leading monomial,
-    monic tail) pairs in descending order of leading monomial.
+    """The reduced Groebner basis of packed term dicts, as rewrite rules
+    (lead, tail) in descending order of leading monomial.
 
     Pairs are reduced first in, first out.  A pair is skipped when its
     leading monomials are coprime (product criterion), or when a third live
@@ -456,7 +463,7 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     own (of equal ones, the first is live); the live count may exceed the
     input count by at most MAX_BASIS.
     A new element is reduced by all others, so it starts live."""
-    guard, one = ring._guard, RatFunc(1)
+    guard, minus_one = ring._guard, RatFunc(-1)
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
     basis = [_monic(r) for r in relations if r]
     leads = [lead for lead, _ in basis]
@@ -476,8 +483,9 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                for k in live):
             continue
+        # The negated S-polynomial: x^(lcm-li) * ti - x^(lcm-lj) * tj.
         s = {lcm - li + e: c for e, c in ti}
-        _subtract(s, lcm - lj, tj, one)
+        _subtract(s, lcm - lj, tj, minus_one)
         s = _reduce(s, basis, guard)
         if not s:
             continue
@@ -510,7 +518,8 @@ class RingPresentation:
         rels = [ring.import_element(r) for r in relations]
         reducers = _buchberger(ring, [{ring.pack(e): c for e, c in r.terms.items()} for r in rels])
         basis = tuple(
-            RingElement(ring, {ring.unpack(m): c for m, c in ((lead, RatFunc(1)),) + tail})
+            RingElement(ring, {ring.unpack(m): c for m, c in ((lead, RatFunc(1)),)
+                               + tuple((m, -c) for m, c in tail)})
             for lead, tail in reducers
         )
         object.__setattr__(self, "ring", ring)

@@ -22,6 +22,7 @@ from chowforge.rationals import (
     poly_divmod,
     poly_gcd,
     poly_str,
+    power,
     ratfunc_eval,
     ratfunc_str,
     sturm_roots_geq,
@@ -94,6 +95,66 @@ def test_gcd_perfect_square_case():
     got = poly_gcd(4 * G**2 + 4 * G + 1, 2 * G + 1)
     assert got == G + Fraction(1, 2)
     assert poly_str(got) == "g+1/2"
+
+
+def test_gcd_with_a_linear_argument():
+    """A linear argument's root decides the gcd: the line, monic, or 1."""
+    quartic = 4 * (G + 1) ** 2 * (2 * G + 1) ** 2
+    cases = [
+        (2 * G + 1, 4 * G**2 - 1, G + Fraction(1, 2)),
+        # Root -2, from numerators (6, 3) over the denominator 5.
+        ((3 * G + 6).scale(Fraction(1, 5)), (G + 2) * (G**2 + 1), G + 2),
+        ((3 * G + 6).scale(Fraction(1, 5)), (G - 2) * (G**2 + 1), UniPoly.const(1)),
+        (2 * G + 1, 3 * G - 1, UniPoly.const(1)),
+        (2 * G + 2, 3 * G + 3, G + 1),
+        (2 * G + 1, quartic, G + Fraction(1, 2)),
+        (G + 1, quartic, G + 1),
+        (G - 1, quartic, UniPoly.const(1)),
+        (3 * G + 1, quartic, UniPoly.const(1)),
+    ]
+    big = UniPoly([-(2**70 + 1), 2**71 + 3])
+    cases += [(big, big * (G**2 + 5), big.monic()), (big, G**2 + 5, UniPoly.const(1)),
+              (big, big.scale(Fraction(7, 2**72)), big.monic())]
+    for line, other, expected in cases:
+        for got in (poly_gcd(line, other), poly_gcd(other, line)):
+            assert got == expected
+            # Primitive numerators, as _exact_quotient needs of a divisor.
+            assert math.gcd(*got.numerators) == 1 and got.numerators[-1] == got.denominator
+    assert RatFunc(4 * G**2 - 1, 2 * G + 1) == RatFunc(2 * G - 1)
+    assert RatFunc(quartic, 6 * G + 3) == RatFunc(((G + 1) ** 2 * (2 * G + 1)).scale(Fraction(4, 3)))
+
+
+def test_sum_with_a_polynomial_needs_no_cancelling():
+    """a/b + c is (a + c*b)/b in lowest terms; c + (-c) is zero over 1."""
+    x = RatFunc(G, 2 * G + 1)
+    cases = [(RatFunc(G + 1), 2 * G**2 + 4 * G + 1), (RatFunc(3), 7 * G + 3),
+             (RatFunc(Fraction(-1, 2)), UniPoly.const(Fraction(-1, 2)))]
+    for c, num in cases:
+        for got in (x + c, c + x):
+            assert (got.num, got.den) == (num.scale(Fraction(1, 2)), G + Fraction(1, 2))
+            assert got == RatFunc(num, 2 * G + 1) and _is_normalized(got)
+    zero = RatFunc(G**2 - 3) + RatFunc(3 - G**2)
+    assert zero.is_zero and zero.den.is_one() and zero == RatFunc(0)
+
+
+class _CountedProducts:
+    """A multiplicative stand-in that counts the products power takes."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return self
+
+
+def test_power_squares_only_while_bits_remain():
+    for k in range(10):
+        log = []
+        power(_CountedProducts(log), k, _CountedProducts(log))
+        # popcount(k) products into the result, bit_length(k) - 1 squares.
+        assert len(log) == max(bin(k).count("1") + k.bit_length() - 1, 0)
+        assert power(G + 1, k, UniPoly.const(1)) == math.prod([G + 1] * k, start=UniPoly.const(1))
 
 
 def test_normalize_cancellation():
@@ -378,6 +439,31 @@ def test_ratfunc_arithmetic_matches_fraction_oracle(a, b, c, d, e):
     for got, num, den in cases:
         _assert_canonical(got.num), _assert_canonical(got.den)
         assert (got.num.coeffs, got.den.coeffs) == _oracle_normalize(num, den)
+
+
+kernel_lines = st.builds(lambda r0, r1: UniPoly([r0, r1]), kernel_coeffs,
+                         kernel_coeffs.filter(lambda c: c != 0))
+
+
+@given(kernel_lines, small_kernel_polys.filter(lambda p: not p.is_zero), small_kernel_polys,
+       small_kernel_polys.filter(lambda p: not p.is_zero), kernel_coeffs.filter(lambda c: c != 0))
+@settings(max_examples=200, deadline=None)
+@example(UniPoly([1, 2]), UniPoly([-1, 0, 4]), UniPoly([1]), UniPoly([1, 2]), 1)
+def test_linear_gcds_and_polynomial_sums_match_fraction_oracle(line, p, a, b, k):
+    """The root test against the Fraction Euclid, and sums over a
+    denominator 1 against the gcd-normalized sum."""
+    assert poly_gcd(line * p, line) == poly_gcd(line, (line * p).scale(k)) == line.monic()
+    L, P = list(line.coeffs), list(p.coeffs)
+    assert list(poly_gcd(line, p).coeffs) == _oracle_gcd(L, P) == list(poly_gcd(p, line).coeffs)
+    x, y = RatFunc(a, b), RatFunc(p)
+    X = (list(x.num.coeffs), list(x.den.coeffs))
+    expected = _oracle_normalize(_oracle_add(X[0], _oracle_mul(P, X[1])), X[1])
+    for got in (x + y, y + x):
+        _assert_canonical(got.num), _assert_canonical(got.den)
+        assert (got.num.coeffs, got.den.coeffs) == expected
+    both = y + RatFunc(a)  # both denominators 1
+    assert (both.num.coeffs, both.den.coeffs) == _oracle_normalize(
+        _oracle_add(P, list(a.coeffs)), [Fraction(1)])
 
 
 def _to_sympy(p: UniPoly):

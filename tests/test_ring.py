@@ -249,6 +249,29 @@ def test_basis_size_bound_raises(monkeypatch):
         ring_define(ring, rels)
 
 
+@pytest.mark.parametrize("name", ["ctx", "i_g1", "w_n(3)", "r2(3)", "r2(5) at g=2"])
+def test_reducers_are_rewrite_rules(name):
+    """Each stored (lead, tail) says x^lead -> sum(tail): the lead's normal
+    form is the tail, and the basis element is x^lead - sum(tail)."""
+    from chowforge.chern import standard_context
+    from chowforge.scenarios import scenario_I_g1, scenario_R2, scenario_Wn
+
+    pres = {
+        "ctx": lambda: standard_context().presentation,
+        "i_g1": lambda: scenario_I_g1().final_presentation,
+        "w_n(3)": lambda: scenario_Wn(3).final_presentation,
+        "r2(3)": lambda: scenario_R2(3).final_presentation,
+        "r2(5) at g=2": lambda: scenario_R2(5, 2).final_presentation,
+    }[name]()
+    ring = pres.ring
+    assert len(pres._reducers) == len(pres.groebner_basis)
+    for (lead, tail), element in zip(pres._reducers, pres.groebner_basis):
+        mono = ring.element({ring.unpack(lead): 1})
+        rewritten = ring.element({ring.unpack(m): c for m, c in tail})
+        assert pres.normal_form(mono) == rewritten
+        assert element == mono - rewritten
+
+
 def _random_element(rng, ring, max_terms=4, max_exp=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
