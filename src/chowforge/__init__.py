@@ -9,8 +9,9 @@ anywhere.  Modules:
 - ring: graded polynomial rings, weighted grevlex normal forms, presentations.
 - chern: projective-bundle contexts, jet-bundle Chern classes, pushforwards.
 - scenarios: the named presentation computations and the one Report type.
-- testcurves: blow-up ledgers, intersection matrices, full-rank certificates.
-- points: point-condition evaluation matrices and probabilistic rank checks.
+- testcurves: blow-up ledgers, intersection matrices, full-rank certificates,
+  and the one exact rank over Q.
+- points: F_p point-condition evaluation matrices and probabilistic rank checks.
 - cli: the `chowforge` command-line entry point and its scenario table.
 """
 

@@ -1,7 +1,7 @@
-"""Exact linear algebra for point/jet conditions on bidegree-(g+1, 2) forms
-on P^1 x P^1: monomial basis, evaluation matrices (simple points, horizontal
-jets, vertical first-order jets), exact rank over Q or a prime field,
-curve-point sampling, and the dimension-count helpers.
+"""Exact linear algebra for point conditions on bidegree-(g+1, 2) forms on
+P^1 x P^1 over a prime field F_p: monomial basis, evaluation matrices (one
+row per point), exact rank over F_p, curve-point sampling, and the
+dimension-count helpers.
 
 Randomized checks are one-sided: a full-rank witness over F_p certifies the
 generic (characteristic-p) statement; a FAIL only reports that no sampled
@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
-
-from .rationals import _rational_rank
 
 DEFAULT_PRIME = 1_000_003
 SAMPLING_ATTEMPTS = 2000
@@ -85,61 +82,35 @@ def require_odd_prime(prime: int) -> None:
         raise CompositeModulus(f"modulus {prime} is not an odd prime")
 
 
-class Simple:
-    """Evaluate at the point: one row."""
-
-    __slots__ = ()
-
-
-class HorizontalJet:
-    """Derivatives of orders 0..order-1 along the horizontal ruling
-    (first-factor coordinate), at fixed second coordinate: order rows."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("horizontal jet order must be >= 1")
-        self.order = order
-
-
-class VerticalJet:
-    """Value plus first derivative along the vertical ruling: two rows."""
-
-    __slots__ = ()
-
-
 class PointCondition:
-    """A point ((x0, x1), (y0, y1)) of P^1 x P^1 with a condition kind attached."""
+    """A point ((x0, x1), (y0, y1)) of P^1 x P^1: the condition that a form
+    vanish there."""
 
-    __slots__ = ("point", "kind")
+    __slots__ = ("point",)
 
-    def __init__(self, point: tuple, kind: object = Simple()):
+    def __init__(self, point: tuple):
         (x0, x1), (y0, y1) = point
         if x0 == 0 and x1 == 0:
             raise PointAtChartBoundary("first-factor coordinates both zero")
         if y0 == 0 and y1 == 0:
             raise PointAtChartBoundary("second-factor coordinates both zero")
-        self.point, self.kind = point, kind
+        self.point = point
 
 
 class PointConfig:
-    """A list of conditions over Q (prime=None) or F_prime.  When flagged,
-    distinct first-factor projections are validated on construction."""
+    """A list of point conditions over F_prime.  When flagged, distinct
+    first-factor projections are validated on construction."""
 
-    __slots__ = ("conditions", "prime", "require_distinct_first")
+    __slots__ = ("conditions", "prime")
 
-    def __init__(self, conditions, prime: int | None = None, require_distinct_first: bool = False):
+    def __init__(self, conditions, prime: int, require_distinct_first: bool = False):
         self.conditions = conditions = tuple(conditions)
-        self.prime, self.require_distinct_first = prime, require_distinct_first
+        self.prime = prime
         for c in conditions:
             for pair in c.point:
-                for v in pair:
-                    if prime is not None and not isinstance(v, int):
-                        raise FieldMismatch("prime-field configs need integer coordinates")
-                    if prime is None and not isinstance(v, (int, Fraction)):
-                        raise FieldMismatch("rational configs need int or Fraction coordinates")
-                if prime is not None and pair[0] % prime == 0 and pair[1] % prime == 0:
+                if not all(isinstance(v, int) for v in pair):
+                    raise FieldMismatch("prime-field configs need integer coordinates")
+                if pair[0] % prime == 0 and pair[1] % prime == 0:
                     raise PointAtChartBoundary(f"coordinates {pair} are both zero mod {prime}")
         if require_distinct_first:
             seen: dict = {}
@@ -162,75 +133,44 @@ def _inv(v, p):
 
 
 def _slope(coords, prime):
-    """u0/u1 for the point [u0:u1] of P^1, or None at [1:0]."""
+    """u0/u1 mod prime for the point [u0:u1] of P^1, or None at [1:0]."""
     u0, u1 = coords
-    if prime is None:
-        return None if u1 == 0 else Fraction(u0, u1)
     return None if u1 % prime == 0 else u0 * _inv(u1, prime) % prime
 
 
-def _powers(t, top: int, prime) -> list:
-    """t^0, ..., t^top, as Fractions over Q and reduced mod prime."""
-    out = [Fraction(1) if prime is None else 1]
-    for _ in range(top):
-        out.append(out[-1] * t if prime is None else out[-1] * t % prime)
-    return out
-
-
-def _chart_derivs(coords, top: int, prime):
-    """The function taking k to the k-th derivatives of the monomials
-    u0^e u1^(top-e), listed for e = top down to 0, at the point.  In the
-    chart where u1 is normalized to 1 the monomial is t^e with t = u0/u1; in
-    the opposite chart it is s^(top-e) with s = u1/u0, which is zero there."""
+def _monomials(coords, top: int, prime) -> list[int]:
+    """The monomials u0^e u1^(top-e), listed for e = top down to 0, at the
+    point mod prime.  In the chart where u1 is normalized to 1 the monomial
+    is t^e with t = u0/u1; in the opposite chart it is s^(top-e) with
+    s = u1/u0, which is zero there."""
     t = _slope(coords, prime)
-    powers = _powers(0 if t is None else t, top, prime)
-
-    def derivs(k):
-        # perm(e, k) is the falling factorial e(e-1)...(e-k+1), zero for k > e.
-        d = powers if k == 0 else [math.perm(e, k) * powers[max(e - k, 0)] for e in range(top + 1)]
-        return d if t is None else d[::-1]
-
-    return derivs
+    if t is None:
+        return [1] + [0] * top
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * t % prime)
+    return out[::-1]
 
 
 def evaluation_matrix(cfg: PointConfig, g: int):
-    """One row per scalar condition, one column per basis monomial.
-
-    Jets are symbolic derivatives of the monomials in the affine chart that
-    normalizes the nonzero coordinate of the relevant factor, so each row is
-    the outer product of an x-factor and a y-factor derivative vector, both
-    listed in the descending exponent order of monomial_basis."""
+    """One row per point, one column per basis monomial: each row is the
+    outer product of the x-factor and y-factor monomial values, both listed
+    in the descending exponent order of monomial_basis and each taken in
+    the affine chart that normalizes a nonzero coordinate."""
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
-    prime = cfg.prime
+    p = cfg.prime
     rows = []
     for cond in cfg.conditions:
-        xderivs = _chart_derivs(cond.point[0], g + 1, prime)
-        yderivs = _chart_derivs(cond.point[1], 2, prime)
-        if isinstance(cond.kind, Simple):
-            orders = [(0, 0)]
-        elif isinstance(cond.kind, HorizontalJet):
-            orders = [(k, 0) for k in range(cond.kind.order)]
-        elif isinstance(cond.kind, VerticalJet):
-            orders = [(0, 0), (0, 1)]
-        else:
-            raise TypeError(f"unknown condition kind {cond.kind!r}")
-        for kx, ky in orders:
-            xs, ys = xderivs(kx), yderivs(ky)
-            if prime is None:
-                rows.append([u * v for u in xs for v in ys])
-            else:
-                rows.append([u * v % prime for u in xs for v in ys])
+        xs, ys = _monomials(cond.point[0], g + 1, p), _monomials(cond.point[1], 2, p)
+        rows.append([u * v % p for u in xs for v in ys])
     return rows
 
 
-def rank_exact(matrix, prime: int | None = None) -> int:
-    """Exact rank over Q (fraction-free integer elimination after clearing
-    each row's denominators) or F_prime (packed rows); a modulus that is not
-    an odd prime raises CompositeModulus, and rows of unequal length raise
+def rank_exact(matrix, prime: int) -> int:
+    """Exact rank over F_prime (packed rows); a modulus that is not an odd
+    prime raises CompositeModulus, and rows of unequal length raise
     ValueError."""
-    if prime is None:
-        return _rational_rank(matrix)
     require_odd_prime(prime)
     rows = [list(row) for row in matrix]
     if len({len(row) for row in rows}) > 1:
@@ -280,12 +220,12 @@ class Verdict:
     """One-sided randomized verdict: status "PASS" carries a reproducible
     witness; "FAIL" only means no sampled trial achieved full rank."""
 
-    __slots__ = ("status", "target_rank", "trials", "witness", "note")
+    __slots__ = ("status", "target_rank", "trials", "witness")
+    note = "probabilistic one-sided check"
 
-    def __init__(self, status: str, target_rank: int, trials: int, witness: dict | None,
-                 note: str = "probabilistic one-sided check"):
+    def __init__(self, status: str, target_rank: int, trials: int, witness: dict | None):
         self.status, self.target_rank, self.trials = status, target_rank, trials
-        self.witness, self.note = witness, note
+        self.witness = witness
 
 
 def _distinct_randranges(rng: random.Random, count: int, prime: int) -> list[int]:
@@ -305,7 +245,6 @@ def check_general_position(
     seed: int = 0,
     trials: int = 20,
     prime: int = DEFAULT_PRIME,
-    allow_bound_violation: bool = False,
 ) -> Verdict:
     """Random configurations of n-1 points with the first g on a common
     horizontal line (shared second coordinate, distinct first coordinates):
@@ -316,7 +255,7 @@ def check_general_position(
         raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
     require_odd_prime(prime)
     target = n - 1
-    if target > 3 * g + 5 and not allow_bound_violation:
+    if target > 3 * g + 5:
         raise BoundViolated(f"n-1 = {target} exceeds 3g+5 = {3 * g + 5}")
     if target > prime:
         raise ValueError(f"n-1 = {target} distinct first coordinates do not exist mod {prime}")
@@ -327,7 +266,7 @@ def check_general_position(
         conds = []
         for i in range(target):
             y = shared_y if i < g else rng.randrange(prime)
-            conds.append(PointCondition(((xs[i], 1), (y, 1)), Simple()))
+            conds.append(PointCondition(((xs[i], 1), (y, 1))))
         cfg = PointConfig(tuple(conds), prime=prime, require_distinct_first=True)
         m = evaluation_matrix(cfg, g)
         if rank_exact(m, prime) == target:

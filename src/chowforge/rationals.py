@@ -12,8 +12,8 @@ come from the primitive remainder sequence over the integers (Brown 1971):
 every pseudo-remainder is divided by its content, which keeps the
 coefficients from growing exponentially.  Rational functions add and
 multiply with gcds of the smaller factors (Henrici 1956), add over a
-denominator 1 with no gcd at all, and cancel common factors by exact integer
-quotients.
+denominator 1 with no gcd at all, multiply by one with no product of
+denominators, and cancel common factors by exact integer quotients.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -509,7 +509,8 @@ class RatFunc:
         g = poly_gcd(c, b)
         if not g.is_one():
             c, b = _exact_quotient(c, g), _exact_quotient(b, g)
-        return _ratfunc(a * c, b * d)
+        # A denominator 1 leaves the other one as the product's.
+        return _ratfunc(a * c, d if b.is_one() else b if d.is_one() else b * d)
 
     __rmul__ = __mul__
 
@@ -525,7 +526,11 @@ class RatFunc:
         return _ratfunc(*_monic_den(self.den, self.num))
 
     def __call__(self, g0) -> Fraction:
-        return ratfunc_eval(self, g0)
+        """Exact value at g0; raises PoleAtPoint if the denominator vanishes."""
+        d = self.den(g0)
+        if d == 0:
+            raise PoleAtPoint(f"pole at g = {g0}")
+        return self.num(g0) / d
 
     def __str__(self):
         return ratfunc_str(self)
@@ -560,14 +565,6 @@ def ratfunc_str(f: RatFunc) -> str:
     if f.is_polynomial():
         return poly_str(f.num)
     return f"({poly_str(f.num)})/({poly_str(f.den)})"
-
-
-def ratfunc_eval(f: RatFunc, g0) -> Fraction:
-    """Exact value f(g0); raises PoleAtPoint if the denominator vanishes."""
-    d = f.den(g0)
-    if d == 0:
-        raise PoleAtPoint(f"pole at g = {g0}")
-    return f.num(g0) / d
 
 
 def _sign_changes(values) -> int:
@@ -637,17 +634,3 @@ def _bareiss(a) -> tuple[int, int]:
         if rank == nrows:
             break
     return rank, sign * prev if rank == nrows == ncols else 0
-
-
-def _rational_rank(rows) -> int:
-    """Exact rank of a matrix of rationals: each row is scaled by the lcm of
-    its denominators, and the integer rows are eliminated fraction-free.
-    Rows of unequal length raise ValueError."""
-    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("matrix rows have unequal lengths")
-    ints = []
-    for row in rows:
-        lcm = math.lcm(*(v.denominator for v in row))
-        ints.append([v.numerator * (lcm // v.denominator) for v in row])
-    return _bareiss(ints)[0]

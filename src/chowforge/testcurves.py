@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .rationals import (
-    BadN, RatFunc, UniPoly, _bareiss, _rational_rank, genus_poly, poly_str, sturm_roots_geq,
+    BadN, RatFunc, UniPoly, _bareiss, genus_poly, poly_str, sturm_roots_geq,
 )
 
 
@@ -291,10 +291,18 @@ def gaussian_determinant(entries) -> RatFunc:
 
 
 def rank_numeric(entries_q) -> int:
-    """Exact rank of a matrix of rationals, by the fraction-free elimination
-    in `rationals` (the test-curve layer's name for it).  Rows of unequal
-    length raise ValueError."""
-    return _rational_rank(entries_q)
+    """Exact rank of a matrix of rationals: each row is scaled by the lcm of
+    its denominators, and the integer rows are eliminated fraction-free.
+    Rows of unequal length raise ValueError."""
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+            for row in entries_q]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    ints = []
+    for row in rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        ints.append([v.numerator * (lcm // v.denominator) for v in row])
+    return _bareiss(ints)[0]
 
 
 class FullRankCertificate:

@@ -41,7 +41,8 @@ def test_import_loads_no_dataclasses_or_inspect():
     """Each report is one process, so import time is paid per report: the
     library's records are plain classes, and importing it must not load
     dataclasses or its inspect import.  Both interpreters get the same
-    environment, so a site hook that loads either module does not count."""
+    environment, so a site hook that loads one of these modules does not
+    count."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     listing = "import sys; print(' '.join(sys.modules))"
 
@@ -50,9 +51,24 @@ def test_import_loads_no_dataclasses_or_inspect():
                              capture_output=True, text=True).stdout
         return set(out.split())
 
-    added = modules("import chowforge.cli; " + listing) - modules(listing)
+    base = modules(listing)
+    added = modules("import chowforge.cli; " + listing) - base
     assert "chowforge.cli" in added
     assert not {"dataclasses", "inspect"} & added
+    # The points layer works over F_p alone, so the point_witness set-up
+    # loads neither the rationals layer nor fractions.
+    added = modules("import chowforge.points; " + listing) - base
+    assert "chowforge.points" in added
+    assert not {"dataclasses", "inspect", "fractions", "chowforge.rationals"} & added
+
+
+def test_general_position_beyond_the_paper_bound_exits_two(capsys):
+    """n-1 > 3g+5 points are refused, not checked: the report stops at the
+    bound of the paper's rationality theorem."""
+    assert main(["--scenario", "general_position", "--genus", "8", "--n", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: n-1 = 30 exceeds 3g+5 = 29\n"
 
 
 def test_run_config_rejects_unknown_scenario():

@@ -23,7 +23,6 @@ from chowforge.rationals import (
     poly_gcd,
     poly_str,
     power,
-    ratfunc_eval,
     ratfunc_str,
     sturm_roots_geq,
 )
@@ -182,10 +181,10 @@ def test_eval_examples():
         16 * G**4 - 24 * G**3 + 16 * G**2 + 8 * G - 3,
         4 * (2 * G + 1) ** 2 * (G + 1) ** 2,
     )
-    assert ratfunc_eval(a_g, 2) == Fraction(141, 900) == Fraction(47, 300)
-    assert ratfunc_eval(RatFunc(7), Fraction(5, 3)) == 7
+    assert a_g(2) == Fraction(141, 900) == Fraction(47, 300)
+    assert RatFunc(7)(Fraction(5, 3)) == 7
     with pytest.raises(PoleAtPoint):
-        ratfunc_eval(RatFunc(G + 1, G - 1), 1)
+        RatFunc(G + 1, G - 1)(1)
 
 
 def test_ratfunc_str_forms():
