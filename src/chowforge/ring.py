@@ -24,7 +24,7 @@ never negates.  groebner_basis spells each rule out as the monic element.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import heapq
 from operator import itemgetter, mul
 from fractions import Fraction
 
@@ -454,53 +454,101 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     """The reduced Groebner basis of packed term dicts, as rewrite rules
     (lead, tail) in descending order of leading monomial.
 
-    Pairs are reduced first in, first out.  A pair is skipped when its
-    leading monomials are coprime (product criterion), or when a third live
-    element's leading monomial divides their lcm and neither of its pairs
-    with the two is still pending (Buchberger's chain criterion).
+    Normal selection strategy (Giovini et al. 1991): a heap hands out the
+    pending pair of smallest lcm first, and each input as a pair keyed by
+    its leading monomial; as int order is weighted grevlex, homogeneous
+    input completes degree by degree.  Each popped input or S-polynomial is
+    reduced by the live elements; a nonzero remainder becomes a new element.
+
+    Each new element k gets the Gebauer-Moeller update (1988) once: of its
+    pairs with the live elements, criterion M drops a pair whose lcm another
+    one properly divides, criterion F keeps one pair per lcm, and the product
+    criterion drops every pair of an lcm some pair of coprime leading
+    monomials has; criterion B drops a pending pair (i, j) whose lcm k's
+    leading monomial divides when it equals neither lcm with k.
 
     An element is live while no other element's leading monomial divides its
-    own (of equal ones, the first is live); the live count may exceed the
-    input count by at most MAX_BASIS.
-    A new element is reduced by all others, so it starts live."""
-    guard, minus_one = ring._guard, RatFunc(-1)
+    own; the live count may exceed the input count by at most MAX_BASIS."""
+    guard, top, minus_one, pack = ring._guard, ring._top, RatFunc(-1), ring.pack
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
-    basis = [_monic(r) for r in relations if r]
-    leads = [lead for lead, _ in basis]
-    live = {i for i, li in enumerate(leads) if not any(
-        ((li | guard) - lj) & guard == guard and (lj != li or j < i)
-        for j, lj in enumerate(leads) if j != i)}
-    n = len(basis)
-    pending = OrderedDict.fromkeys((i, j) for i in range(n) for j in range(i + 1, n))
-    while pending:
-        (i, j), _ = pending.popitem(last=False)
-        (li, ti), (lj, tj) = basis[i], basis[j]
-        if ((li | guard) - low) & ((lj | guard) - low) & guard == 0:
-            continue  # no exponent slot nonzero in both: S-polynomial reduces to zero
-        lcm = ring.pack(map(max, ring.unpack(li), ring.unpack(lj)))
-        m = lcm | guard
-        if any((m - leads[k]) & guard == guard and k != i and k != j
-               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
-               for k in live):
-            continue
-        # The negated S-polynomial: x^(lcm-li) * ti - x^(lcm-lj) * tj.
-        s = {lcm - li + e: c for e, c in ti}
-        _subtract(s, lcm - lj, tj, minus_one)
-        s = _reduce(s, basis, guard)
+    inputs = [r for r in relations if r]
+    n = len(inputs)
+    heap = [(max(r), -1, r_index) for r_index, r in enumerate(inputs)]  # -1: an input
+    heapq.heapify(heap)
+    basis, exps = [], []  # rules (lead, tail), and each lead's exponent tuple
+    live, reducers = [], []  # indices into basis and their rules, oldest first
+    pending = {}  # lcm weighted degree -> {pair (i, j), i < j: lcm}; popped or pruned pairs leave
+    while heap:
+        lcm, i, j = heapq.heappop(heap)
+        if i < 0:
+            s = inputs[j]
+        elif pending[lcm >> top].pop((i, j), -1) < 0:
+            continue  # pruned by criterion B
+        else:
+            # The negated S-polynomial: x^(lcm-li) * ti - x^(lcm-lj) * tj.
+            (li, ti), (lj, tj) = basis[i], basis[j]
+            s = {lcm - li + e: c for e, c in ti}
+            _subtract(s, lcm - lj, tj, minus_one)
+        s = _reduce(s, reducers, guard)
         if not s:
             continue
-        k, lk = len(basis), max(s)
+        k = len(basis)
         basis.append(_monic(s))
-        leads.append(lk)
-        live = {i2 for i2 in live if ((leads[i2] | guard) - lk) & guard != guard} | {k}
+        lk = basis[k][0]
+        ek = ring.unpack(lk)
+        exps.append(ek)
+        lkg = (lk | guard) - low  # the guard bit of each exponent slot nonzero in lk
+        lcms = {}  # lcm with lk of each element asked for in this update
+
+        def lcm_with(i2):
+            if i2 not in lcms:
+                li = basis[i2][0]
+                # Coprime leads: the product, never reduced, only compared;
+                # its slots stay below 2^(SLOT_BITS - 1), so none carries.
+                lcms[i2] = (pack(map(max, exps[i2], ek)) if ((li | guard) - low) & lkg & guard
+                            else li + lk)
+            return lcms[i2]
+
+        # No lead divides lk, live ones as k is reduced and dead ones as a live
+        # lead divides theirs.  So lcm(i, k) = lk * u with u != 1, and when
+        # criterion B or M drops a pair of lcm lk * v, u properly divides v:
+        # v has weighted degree 2 or more.
+        near = (lk >> top) + 2
+        # Criterion B, on the pairs pending before k.
+        for d, bucket in pending.items():
+            if d < near:
+                continue
+            for pair in [pair for pair, m in bucket.items() if ((m | guard) - lk) & guard == guard]:
+                m = bucket[pair]
+                if lcm_with(pair[0]) != m and lcm_with(pair[1]) != m:
+                    del bucket[pair]
+        # Criteria M, F and the product criterion on k's pairs, by ascending
+        # lcm, of one lcm coprime leads first: a proper divisor of an lcm is
+        # smaller, so it has been seen before.
+        new = []
+        for i2 in live:
+            m = lcm_with(i2)
+            new.append((m, m != basis[i2][0] + lk, i2))  # of coprime leads, the lcm is the product
+        new.sort()
+        seen = []  # the lcms not dropped by criterion M
+        for pos, (m, shares, i2) in enumerate(new):
+            if pos and new[pos - 1][0] == m:
+                continue  # criterion F: the first pair of an lcm speaks for all
+            if shares:  # else the product criterion
+                mg = m | guard
+                if m >> top >= near and any((mg - d) & guard == guard for d in seen):
+                    continue  # criterion M
+                pending.setdefault(m >> top, {})[(i2, k)] = m
+                heapq.heappush(heap, (m, i2, k))
+            seen.append(m)
+        live = [i2 for i2 in live if ((basis[i2][0] | guard) - lk) & guard != guard] + [k]
+        reducers = [basis[i2] for i2 in live]
         if len(live) - n > MAX_BASIS:
             raise NonterminatingHint(
                 f"completion grew past its {n} relations by over {MAX_BASIS} live elements")
-        pending.update(((i2, k), None) for i2 in range(k))
     # Autoreduce: each live element's tail is reduced by the other live ones.
-    minimal = [basis[i] for i in sorted(live)]
-    final = [(lead, tuple(_reduce(dict(t), minimal[:i] + minimal[i + 1 :], guard).items()))
-             for i, (lead, t) in enumerate(minimal)]
+    final = [(lead, tuple(_reduce(dict(t), reducers[:i] + reducers[i + 1 :], guard).items()))
+             for i, (lead, t) in enumerate(reducers)]
     return sorted(final, key=itemgetter(0), reverse=True)
 
 

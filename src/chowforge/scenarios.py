@@ -135,12 +135,13 @@ def _exps(ring: PolyRing, **kwargs):
     return tuple(exps)
 
 
-def scenario_I_g0(genus="symbolic") -> Report:
+def scenario_I_g0(genus="symbolic", core=None) -> Report:
     """Unpointed presentation: derives the three pushforward identities,
-    eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3)."""
+    eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3).
+    core is _core_classes at this genus, derived here when None."""
     gp = genus_poly(genus)
     report = Report("i_g0", genus)
-    ctx, firstp, secondp, rel1_line, dclass, ratio, lam = _core_classes(gp)
+    ctx, firstp, secondp, rel1_line, dclass, ratio, lam = core or _core_classes(gp)
     ring = ctx.ring
     c1 = ring.gen("c1")
 
@@ -194,12 +195,13 @@ def _expected_secondp(ring, gp):
     )
 
 
-def _one_point_relations(gp: UniPoly):
+def _one_point_relations(gp: UniPoly, core=None):
     """The one-pointed derivation: the projective-bundle relation pbtrel and
     the order-1 jet class rel1 in (z, psi1, delta), z expressed in psi1 and
     delta, and the monic derived relations rel_a = delta*psi1 + s*delta^2
-    and rel_b = psi1^2 + t*delta^2 in (psi1, delta)."""
-    _, _, _, rel1_line, _, ratio, lam = _core_classes(gp)
+    and rel_b = psi1^2 + t*delta^2 in (psi1, delta).  core is
+    _core_classes(gp), derived here when None."""
+    _, _, _, rel1_line, _, ratio, lam = core or _core_classes(gp)
     kc = lam.invert()  # c1 = kc*delta, c2 = ratio*kc^2*delta^2
 
     zring = PolyRing([Generator("z", 1), Generator("psi1", 1), Generator("delta", 1)])
@@ -218,15 +220,27 @@ def _one_point_relations(gp: UniPoly):
     return pbtrel, rel1, z_sub, rel_a, rel_b
 
 
-def one_point_constants(genus="symbolic") -> tuple[RatFunc, RatFunc]:
+def one_point_constants(genus="symbolic", one_point=None) -> tuple[RatFunc, RatFunc]:
     """The coefficients (s, t) of the derived one-pointed relations
-    delta*psi1 + s*delta^2 and psi1^2 + t*delta^2 (engine-derived)."""
-    rel_a, rel_b = _one_point_relations(genus_poly(genus))[3:]
+    delta*psi1 + s*delta^2 and psi1^2 + t*delta^2 (engine-derived).
+    one_point is _one_point_relations at this genus, derived here when None."""
+    rel_a, rel_b = (one_point or _one_point_relations(genus_poly(genus)))[3:]
     exps = _exps(rel_a.ring, delta=2)
     return rel_a.coefficient(exps), rel_b.coefficient(exps)
 
 
-def scenario_I_g1(genus="symbolic") -> Report:
+def shared_classes(genus="symbolic") -> dict:
+    """Keyword arguments, by scenario id, that hand scenario_I_g0,
+    scenario_I_g1 and scenario_R2 at this genus the classes each would
+    otherwise derive for itself: a report of all three derives them once."""
+    gp = genus_poly(genus)
+    core = _core_classes(gp)
+    one_point = _one_point_relations(gp, core)
+    return {"i_g0": {"core": core}, "i_g1": {"one_point": one_point},
+            "r2": {"constants": one_point_constants(genus, one_point)}}
+
+
+def scenario_I_g1(genus="symbolic", one_point=None) -> Report:
     """One-pointed presentation: rewrites the projective-bundle relation and
     the order-1 jet class in terms of delta, inverts the Weierstrass-divisor
     identity to express z in psi1 and delta, and derives the final relations.
@@ -234,11 +248,12 @@ def scenario_I_g1(genus="symbolic") -> Report:
     The pinned expected values for the delta^2 terms and the final relation
     constants do not match what the mechanical derivation produces; those
     checks report their failure honestly (see the repository notes ledger for
-    the analysis).
+    the analysis).  one_point is _one_point_relations at this genus, derived
+    here when None.
     """
     gp = genus_poly(genus)
     report = Report("i_g1", genus)
-    pbtrel, rel1, z_sub, rel_a, rel_b = _one_point_relations(gp)
+    pbtrel, rel1, z_sub, rel_a, rel_b = one_point or _one_point_relations(gp)
     z, delta = pbtrel.ring.gen("z"), pbtrel.ring.gen("delta")
     report.raw_relations = [pbtrel, rel1]
 
@@ -399,10 +414,11 @@ def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
     return d_ii, d_ij
 
 
-def scenario_R2(n: int, genus="symbolic") -> Report:
+def scenario_R2(n: int, genus="symbolic", constants=None) -> Report:
     """Degree-2 tautological component: expands the product of the two
     boundary classes, pins its psi_i*psi_j coefficient, and certifies the
-    degree-2 component has dimension <= 1 (spanned by delta^2)."""
+    degree-2 component has dimension <= 1 (spanned by delta^2).  constants
+    is one_point_constants at this genus, derived here when None."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
@@ -424,16 +440,21 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
 
     # Relations: pulled-back one-pointed relations per marked point, the
     # boundary-product vanishing per pair, and the cubic vanishing of delta.
-    s, t = one_point_constants(genus)
+    s, t = one_point_constants(genus) if constants is None else constants
     rels = []
     for i in range(1, n + 1):
         psi = ring.gen(f"psi{i}")
         rels.append(delta * psi + (delta * delta).scale(s))
         rels.append(psi * psi + (delta * delta).scale(t))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d_ii, d_ij = edidin_hu_classes(ring, i, j, gp)
-            rels.append(d_ii * d_ij)
+    # d_ii * d_ij is d_11 * d_12 with psi1 and psi2 renamed psi_i and psi_j.
+    for i in range(n):
+        for j in range(i + 1, n):
+            renamed = {}
+            for (e1, e2, *_, ed), c in product.terms.items():
+                exps = [0] * (n + 1)
+                exps[i], exps[j], exps[n] = e1, e2, ed
+                renamed[tuple(exps)] = c
+            rels.append(ring.element(renamed))
     rels.append(delta**3)
     pres = ring_define(ring, rels)
     report.final_presentation = pres

@@ -1,5 +1,6 @@
 """Graded quotient rings: normal forms, ideal membership, graded dimensions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -270,6 +271,109 @@ def test_reducers_are_rewrite_rules(name):
         rewritten = ring.element({ring.unpack(m): c for m, c in tail})
         assert pres.normal_form(mono) == rewritten
         assert element == mono - rewritten
+
+
+def _scenario_presentation(scenario, n, genus):
+    from chowforge.scenarios import scenario_I_g0, scenario_I_g1, scenario_R2, scenario_Wn
+
+    report = {
+        "i_g0": lambda: scenario_I_g0(genus),
+        "i_g1": lambda: scenario_I_g1(genus),
+        "w_n": lambda: scenario_Wn(n, genus),
+        "r2": lambda: scenario_R2(n, genus),
+    }[scenario]()
+    return report.final_presentation
+
+
+def _needs_pairs_presentation(name):
+    """Small ideals whose completion adds S-polynomials; the scenarios'
+    presentations above complete by reducing their inputs alone."""
+    from chowforge.rationals import genus_poly
+    from chowforge.scenarios import _core_classes
+
+    if name == "i_g0 elimination":  # scenario_I_g0's presentation in (c1, c2)
+        ratio = _core_classes(genus_poly("symbolic"))[5]
+        ring = PolyRing([Generator("c1", 1), Generator("c2", 2)])
+        c1, c2 = ring.gen("c1"), ring.gen("c2")
+        return ring_define(ring, [c2 - (c1 * c1).scale(ratio), c1**3])
+    ring = PolyRing([Generator(v) for v in "xyzt"])
+    x, y, z, t = (ring.gen(v) for v in "xyzt")
+    return ring_define(ring, {
+        "symbolic cubic": [x * x - (y * z).scale(G), x * y - z * z + t * t,
+                           y**3 - (x * z * t).scale(2 * G + 1)],
+        "cyclic-4": [x + y + z + t, x * y + y * z + z * t + t * x,
+                     x * y * z + y * z * t + z * t * x + t * x * y, x * y * z * t - 1],
+        "katsura-3": [x + (y + z + t).scale(2) - 1, x * x + (y * y + z * z + t * t).scale(2) - x,
+                      (x * y + y * z + z * t).scale(2) - y, y * y + (x * z + y * t).scale(2) - z],
+        # Criterion B must keep a pending pair whose lcm equals its first
+        # (cubics 1) or its second (cubics 2) element's lcm with the new one.
+        "cubics 1": [(y**3).scale(2) + y * z * z, x * y * y + (z**3).scale(2),
+                     y**3 + (y * z * z).scale(2), x * y * y + x * z * z],
+        "cubics 2": [x**3 + z**3, y**3 - (x * y * z).scale(2), y**3 - (x * x * z).scale(2)],
+    }[name])
+
+
+@pytest.mark.parametrize("scenario,n,genus", [
+    ("r2", 3, "symbolic"), ("r2", 4, "symbolic"), ("r2", 5, 2), ("r2", 8, 2),
+    ("w_n", 5, "symbolic"), ("i_g0", None, "symbolic"), ("i_g1", None, "symbolic"),
+    ("i_g0 elimination", None, None), ("symbolic cubic", None, None),
+    ("cyclic-4", None, None), ("katsura-3", None, None), ("cubics 1", None, None),
+    ("cubics 2", None, None),
+])
+def test_completion_is_confluent(scenario, n, genus):
+    """Checked on the returned basis alone, whatever pairs completion pruned:
+    every input reduces to 0, the S-polynomial of every pair of basis
+    elements reduces to 0, and no leading monomial divides a term of another
+    element."""
+    if genus is None:
+        pres = _needs_pairs_presentation(scenario)
+    else:
+        pres = _scenario_presentation(scenario, n, genus)
+    ring, basis = pres.ring, pres.groebner_basis
+    assert all(pres.is_zero(r) for r in pres.relations)
+    leads = [f.leading_exponent() for f in basis]
+
+    def shifted(f, lead, lcm):
+        return ring.element({tuple(a - b for a, b in zip(lcm, lead)): 1}) * f.monic()
+
+    for a, (f, lf) in enumerate(zip(basis, leads)):
+        for g, lg in zip(basis[a + 1 :], leads[a + 1 :]):
+            lcm = tuple(map(max, lf, lg))
+            assert pres.is_zero(shifted(f, lf, lcm) - shifted(g, lg, lcm))
+        for g in basis[:a] + basis[a + 1 :]:
+            assert not any(all(x >= y for x, y in zip(term, lf)) for term in g.terms)
+
+
+# sha256 of repr(groebner_basis).  A reduced Groebner basis is unique, so a
+# change to how completion selects or prunes pairs leaves every digest as it is.
+BASIS_DIGESTS = [
+    ("i_g0", None, "symbolic", "3ba9577a7a740254d1a03eebbd2529ae8ff7329ed74125ebf00140a31b4ec96c"),
+    ("i_g1", None, "symbolic", "edd8788185b4c98a668b0dff614c6bf7d9cad06bf5056841ab529cdaf9aabfea"),
+    ("i_g1", None, 2, "d251fab2fc33dbb56de01780c3b03625f2505b3744a51d65bead2808b1893507"),
+    ("i_g1", None, 3, "04a9d2fbdf4fd93266ff798005253428064eb27d60559658783f23f620030d21"),
+    ("i_g1", None, 5, "28c991c0ab96eaa91c0b7a7d3e75a7591f0ef5b21d4fd749218c8fb1cb47cc76"),
+] + [
+    ("w_n", n, genus, digest)
+    for n, digest in (
+        (2, "ac7b5842d961dc8ff3ee36c96d949fa8ee11869118bbc28928018c47237b7275"),
+        (3, "3c286e687ba847efad8b902a320ab39ec604d252c27b596b1747802ab0d143c2"),
+        (5, "a549d28e106f0352fb555e90a0da86d66889011de4956c9b2ee69cb86fb2a6e5"),
+    )
+    for genus in ("symbolic", 2, 3, 5)  # the basis does not depend on the genus
+] + [
+    ("r2", 3, "symbolic", "3d5f839226f4a3fe88ebd712a2208654192cd30aa5ae6e16e5b2d050de0aaf03"),
+    ("r2", 6, "symbolic", "fb10fb560dc35ffd4bc52ae50149f96a96f1817db8c79da9e41c3bf560fba057"),
+    ("r2", 8, 2, "8729a6ca2ec0646655549c3c9ed3bd8fb79b1dd7a4c1711db2e20db515a13bf7"),
+    ("r2", 10, 3, "538d9a1ecfe7dfade6ed43409a6bb733696fcc72911409a170f6362dff078bf3"),
+    ("r2", 16, 5, "8e53f1ef4b526adec8514fdae1077993214c3666d8da3e16e9e8064de092432d"),
+    ("r2", 2, 8, "370fac633be64c06244c2640ff012b088dc1177bc3b7a61f4b745eecaa27036d"),
+]
+
+
+@pytest.mark.parametrize("scenario,n,genus,digest", BASIS_DIGESTS)
+def test_groebner_basis_digest(scenario, n, genus, digest):
+    basis = _scenario_presentation(scenario, n, genus).groebner_basis
+    assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
 
 
 def _random_element(rng, ring, max_terms=4, max_exp=3):
