@@ -37,7 +37,7 @@ from .scenarios import (
     scenario_Wn,
     shared_classes,
 )
-from .testcurves import block_change_of_basis, certify_full_rank, intersection_matrix
+from .testcurves import certify_full_rank, intersection_matrix
 
 SCHEMA_VERSION = 1
 
@@ -81,14 +81,13 @@ def _matrix_text(m) -> str:
 
 def _matrix_scenario(cfg: RunConfig) -> Report:
     m = intersection_matrix(cfg.genus, cfg.n)
-    b = block_change_of_basis(m)
     cert = certify_full_rank(m)
     report = Report("test_matrix", cfg.genus, payload={
         "n": cfg.n,
         "matrix": m.to_dict(),
-        "block_form": b.to_dict(),
+        "block_form": cert.block_form.to_dict(),
         "determinant": poly_str(cert.determinant),
-    }, text=_matrix_text(m) + "\n" + _matrix_text(b))
+    }, text=_matrix_text(m) + "\n" + _matrix_text(cert.block_form))
     det_abs = (
         cert.determinant
         if cert.determinant.is_zero or cert.determinant.leading > 0

@@ -98,12 +98,14 @@ class PointCondition:
 
 
 class PointConfig:
-    """A list of point conditions over F_prime.  When flagged, distinct
-    first-factor projections are validated on construction."""
+    """A list of point conditions over F_prime, for an odd prime (else
+    CompositeModulus).  When flagged, distinct first-factor projections are
+    validated on construction."""
 
     __slots__ = ("conditions", "prime")
 
     def __init__(self, conditions, prime: int, require_distinct_first: bool = False):
+        require_odd_prime(prime)
         self.conditions = conditions = tuple(conditions)
         self.prime = prime
         for c in conditions:

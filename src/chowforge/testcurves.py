@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 
 from .rationals import (
-    BadN, RatFunc, UniPoly, _bareiss, genus_poly, poly_str, sturm_roots_geq,
+    BadN, RatFunc, UniPoly, _bareiss, _homogeneous_value, genus_poly, poly_str,
+    sturm_roots_geq,
 )
 
 
@@ -204,68 +205,6 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
     return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))
 
 
-def _interpolate(xs, ys) -> UniPoly:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    by Newton divided differences expanded in the monomial basis."""
-    diffs = [Fraction(y) for y in ys]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [diffs[-1]]
-    for k in range(len(xs) - 2, -1, -1):
-        # coeffs <- coeffs * (g - xs[k]) + diffs[k]
-        shifted = [Fraction(0)] + coeffs
-        for d, c in enumerate(coeffs):
-            shifted[d] -= xs[k] * c
-        shifted[0] += diffs[k]
-        coeffs = shifted
-    return UniPoly(coeffs)
-
-
-def bareiss_determinant(entries) -> UniPoly:
-    """Exact determinant of a square matrix of UniPoly, by evaluation and
-    interpolation.
-
-    The determinant has degree at most D = sum over rows of the largest
-    entry degree, so its values at the D+1 genera g = 0..D determine it.
-    Each row is scaled by the lcm of its coefficient denominators, which
-    makes every evaluated entry an integer; each value is then a
-    fraction-free integer determinant, and the scales are divided out at the
-    end."""
-    size = len(entries)
-    if any(len(row) != size for row in entries):
-        raise NotSquare("determinant needs a square matrix")
-    if size == 0:
-        return UniPoly.const(1)
-    int_rows = []
-    scale = 1
-    bound = 0
-    for row in entries:
-        top = max(e.degree for e in row)
-        if top < 0:
-            return UniPoly()
-        bound += top
-        lcm = math.lcm(*(e.denominator for e in row))
-        scale *= lcm
-        int_rows.append([[c * (lcm // e.denominator) for c in reversed(e.numerators)]
-                         for e in row])
-    xs = list(range(bound + 1))
-    values = []
-    for x in xs:
-        a = []
-        for row in int_rows:
-            evaluated = []
-            for desc in row:
-                v = 0
-                for c in desc:
-                    v = v * x + c
-                evaluated.append(v)
-            a.append(evaluated)
-        values.append(_bareiss(a)[1])
-    det = _interpolate(xs, values)
-    return det if scale == 1 else det.scale(Fraction(1, scale))
-
-
 def gaussian_determinant(entries) -> RatFunc:
     """Determinant over the rational-function field by Gaussian elimination:
     the independent reference the determinant tests compare against."""
@@ -306,12 +245,14 @@ def rank_numeric(entries_q) -> int:
 
 
 class FullRankCertificate:
-    __slots__ = ("determinant", "expected_determinant", "sign_matches_expected",
-                 "cross_check_agrees", "roots_geq_2")
+    __slots__ = ("block_form", "determinant", "expected_determinant",
+                 "sign_matches_expected", "cross_check_agrees", "roots_geq_2")
 
-    def __init__(self, determinant: UniPoly, expected_determinant: UniPoly,
-                 sign_matches_expected: bool, cross_check_agrees: bool, roots_geq_2: int):
-        self.determinant, self.expected_determinant = determinant, expected_determinant
+    def __init__(self, block_form: IntersectionMatrix, determinant: UniPoly,
+                 expected_determinant: UniPoly, sign_matches_expected: bool,
+                 cross_check_agrees: bool, roots_geq_2: int):
+        self.block_form, self.determinant = block_form, determinant
+        self.expected_determinant = expected_determinant
         self.sign_matches_expected = sign_matches_expected
         self.cross_check_agrees, self.roots_geq_2 = cross_check_agrees, roots_geq_2
 
@@ -325,33 +266,50 @@ class FullRankCertificate:
         )
 
 
-def _block_product(b: IntersectionMatrix, n: int) -> UniPoly | None:
+def _block_product(b: IntersectionMatrix, n: int) -> tuple[UniPoly, bool]:
     """Product of the diagonal of a block form (see block_change_of_basis),
-    which is its determinant when the block below the psi block is zero and
-    both diagonal blocks are diagonal; None when that structure fails."""
+    and whether the block below the psi block is zero and both diagonal
+    blocks are diagonal, which makes that product its determinant."""
+    structured = all(
+        c == r or r < n <= c or b.entry(r, c).is_zero
+        for r in range(b.size) for c in range(b.size)
+    )
     product = UniPoly.const(1)
     for r in range(b.size):
-        for c in range(b.size):
-            upper_right = r < n <= c
-            if c != r and not upper_right and not b.entry(r, c).is_zero:
-                return None
         product = product * b.entry(r, r)
-    return product
+    return product, structured
 
 
 def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
-    """Exact determinant (evaluation and interpolation), cross-checked
-    without elimination against the diagonal product of the block form;
-    comparison against +-(2g-2)^n (2g)^(n choose 2), and a real-root count
-    certifying nonvanishing for every genus >= 2."""
+    """Determinant of m as the diagonal product of its block form, checked by
+    elimination over Z; comparison against +-(2g-2)^n (2g)^(n choose 2), and
+    a real-root count certifying nonvanishing for every genus >= 2.
+
+    block_change_of_basis only subtracts columns from columns and rows from
+    rows, which keeps the determinant, so when its result has the block form
+    the diagonal product is det m.  The cross-check does not rest on that
+    argument: det m and the product have degree at most D = max(sum over rows
+    of the largest entry degree, degree of the product), so they are equal
+    when fraction-free elimination (Bareiss 1968) of m at each genus
+    g = 0..D gives the product's value there.  It needs entries in Z[g];
+    any other entry fails it."""
     if m.size != len(m.col_labels):
         raise NotSquare("intersection matrix must be square")
     n = sum(1 for lbl in m.col_labels if lbl.startswith("psi"))
+    b = block_change_of_basis(m)
+    det, structured = _block_product(b, n)
+    bound = max(sum(max(e.degree for e in row) for row in m.entries), det.degree)
+    cross_ok = (
+        structured
+        and all(e.denominator == 1 for row in m.entries for e in row)
+        and all(
+            _bareiss([[_homogeneous_value(e.numerators, x, 1) for e in row]
+                      for row in m.entries])[1] == _homogeneous_value(det.numerators, x, 1)
+            for x in range(bound + 1)
+        )
+    )
     gp = UniPoly.g()
-    det = bareiss_determinant(m.entries)
-    cross_ok = det == _block_product(block_change_of_basis(m), n)
-    npairs = m.size - n
-    expected = (2 * gp - 2) ** n * (2 * gp) ** npairs
+    expected = (2 * gp - 2) ** n * (2 * gp) ** (m.size - n)
     # Entries may already be specialized at an integer genus.
     if all(e.degree <= 0 for row in m.entries for e in row):
         # Numeric matrix: compare values, not polynomials in g.
@@ -360,4 +318,4 @@ def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
     else:
         sign_ok = det == expected or det == -expected
         roots = sturm_roots_geq(det, Fraction(2))
-    return FullRankCertificate(det, expected, sign_ok, cross_ok, roots)
+    return FullRankCertificate(b, det, expected, sign_ok, cross_ok, roots)

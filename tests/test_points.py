@@ -205,14 +205,17 @@ def test_is_prime_matches_trial_division():
 
 def test_composite_modulus_rejected_by_entry_points():
     # diag(2, 3) is singular mod 2 and mod 3, so a rank of 2 mod 6 would be
-    # a false full-rank certificate.
-    for prime in (6, 9, 15, 1, 1_000_001):
+    # a false full-rank certificate.  Mod 9 a point config would get a wrong
+    # evaluation matrix (2^7 is no inverse of 2), and mod 0 it divided by 0.
+    for prime in (6, 9, 15, 0, 1, 1_000_001):
         with pytest.raises(CompositeModulus):
             sample_curve_points(2, 9, prime=prime)
         with pytest.raises(CompositeModulus):
             check_general_position(2, 5, prime=prime)
         with pytest.raises(CompositeModulus):
             rank_exact([[2, 0], [0, 3]], prime)
+        with pytest.raises(CompositeModulus):
+            PointConfig((PointCondition(((2, 1), (3, 1))),), prime=prime)
     assert rank_exact([[2, 0], [0, 3]], DEFAULT_PRIME) == 2
 
 

@@ -1,17 +1,18 @@
 """Blow-up ledgers, intersection matrices, and the full-rank certificate."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowforge.rationals import PoleAtPoint, RatFunc, UniPoly, sturm_roots_geq
+from chowforge import testcurves
+from chowforge.rationals import PoleAtPoint, UniPoly, _bareiss, sturm_roots_geq
 from chowforge.testcurves import (
     BadN,
     IntersectionMatrix,
     NotSquare,
-    bareiss_determinant,
     block_change_of_basis,
     certify_full_rank,
     family_one_ledger,
@@ -154,9 +155,7 @@ def test_basis_change_preserves_determinant():
     for n in (2, 3, 4):
         m = intersection_matrix("symbolic", n)
         b = block_change_of_basis(m)
-        assert bareiss_determinant(list(map(list, m.entries))) == bareiss_determinant(
-            list(map(list, b.entries))
-        )
+        assert gaussian_determinant(m.entries) == gaussian_determinant(b.entries)
 
 
 def test_certify_full_rank_symbolic():
@@ -194,6 +193,25 @@ def test_cross_check_rejects_broken_block_structure():
     assert not cert.cross_check_agrees and not cert.certified
 
 
+@pytest.mark.parametrize("genus", ["symbolic", 2])
+def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, monkeypatch):
+    """A basis change that keeps the block shape but doubles the row T_12'
+    doubles the diagonal product; elimination over Z at the evaluation
+    genera must disagree with it."""
+    unbroken = block_change_of_basis
+
+    def doubled(m):
+        b = unbroken(m)
+        rows = list(b.entries)
+        rows[3] = tuple(2 * e for e in rows[3])
+        return IntersectionMatrix(b.row_labels, b.col_labels, tuple(rows))
+
+    monkeypatch.setattr(testcurves, "block_change_of_basis", doubled)
+    cert = certify_full_rank(intersection_matrix(genus, 3))
+    assert not cert.determinant.is_zero
+    assert not cert.cross_check_agrees and not cert.certified
+
+
 def test_certify_full_rank_numeric():
     cert = certify_full_rank(intersection_matrix(2, 3))
     val = cert.determinant(Fraction(0))
@@ -203,18 +221,20 @@ def test_certify_full_rank_numeric():
 
 def test_determinant_cross_checks():
     m = intersection_matrix("symbolic", 2)
-    det = bareiss_determinant(list(map(list, m.entries)))
-    gdet = gaussian_determinant(list(map(list, m.entries)))
+    det = certify_full_rank(m).determinant
+    gdet = gaussian_determinant(m.entries)
     assert gdet.is_polynomial() and gdet.num == det
     assert sturm_roots_geq(det, Fraction(2)) == 0
     with pytest.raises(NotSquare):
-        bareiss_determinant([[UniPoly.const(1), UniPoly.const(2)]])
+        certify_full_rank(IntersectionMatrix(
+            ("T_1",), ("psi_1", "delta_12"), ((UniPoly.const(1), UniPoly.const(2)),)
+        ))
 
 
 def test_numeric_rank_spot_checks():
     for g0, n in ((2, 4), (7, 5), (10, 6)):
         m = intersection_matrix(g0, n)
-        q = [[Fraction(str(e)) for e in row] for row in m.entries]
+        q = [[e.leading if e.degree == 0 else 0 for e in row] for row in m.entries]
         assert rank_numeric(q) == m.size
 
 
@@ -224,26 +244,33 @@ entry_polys = st.lists(small_fracs, max_size=3).map(UniPoly)
 
 @st.composite
 def poly_matrices(draw):
-    """Square UniPoly matrices of size <= 5 and entry degree <= 2.  Some are
-    made singular (one row a multiple of another); in others one row is a
-    multiple of (g - x0), so the determinant vanishes at the evaluation
-    point g = x0 and the interpolation must still recover it."""
+    """Square UniPoly matrices of size <= 5 and entry degree <= 2, with an
+    evaluation genus x0 in 0..3.  Some are made singular (one row a multiple
+    of another); in others one row is a multiple of (g - x0), so the
+    determinant vanishes at the evaluation point."""
     size = draw(st.integers(min_value=1, max_value=5))
     rows = [[draw(entry_polys) for _ in range(size)] for _ in range(size)]
     shape = draw(st.sampled_from(["generic", "singular", "vanishing"]))
+    x0 = draw(st.integers(min_value=0, max_value=3))
     if shape == "singular" and size >= 2:
         factor = draw(small_fracs)
         rows[1] = [e.scale(factor) for e in rows[0]]
     elif shape == "vanishing":
-        x0 = draw(st.integers(min_value=0, max_value=3))
         rows[0] = [(G - x0).scale(draw(small_fracs)) for _ in range(size)]
-    return rows
+    return rows, x0
 
 
 @given(poly_matrices())
 @settings(max_examples=80, deadline=None)
-def test_bareiss_determinant_matches_field_elimination(rows):
-    assert RatFunc(bareiss_determinant(rows)) == gaussian_determinant(rows)
+def test_bareiss_determinant_matches_field_elimination(case):
+    """The kernel of certify_full_rank's cross-check: the fraction-free
+    determinant of the matrix evaluated at one integer genus, rows scaled to
+    integers, is the field determinant there times the scales."""
+    rows, x0 = case
+    values = [[e(x0) for e in row] for row in rows]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in values]
+    ints = [[int(v * s) for v in row] for row, s in zip(values, scales)]
+    assert _bareiss(ints)[1] == gaussian_determinant(rows)(x0) * math.prod(scales)
 
 
 def test_determinants_match_sympy_domain_matrix():
@@ -261,4 +288,4 @@ def test_determinants_match_sympy_domain_matrix():
         oracle = DomainMatrix([[to_ring(e) for e in row] for row in m.entries],
                               (m.size, m.size), ring).det()
         coeffs = sympy.Poly(ring.to_sympy(oracle), g).all_coeffs()[::-1]
-        assert [Fraction(int(c)) for c in coeffs] == list(bareiss_determinant(m.entries).coeffs)
+        assert [Fraction(int(c)) for c in coeffs] == list(certify_full_rank(m).determinant.coeffs)
