@@ -205,6 +205,12 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
     return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))
 
 
+def bareiss_determinant(m: IntersectionMatrix, genus: int) -> int:
+    """Fraction-free (Bareiss 1968) determinant of m over Z at an integer genus."""
+    return _bareiss([[_homogeneous_value(e.numerators, genus, 1) for e in row]
+                     for row in m.entries])[1]
+
+
 def gaussian_determinant(entries) -> RatFunc:
     """Determinant over the rational-function field by Gaussian elimination:
     the independent reference the determinant tests compare against."""
@@ -290,9 +296,8 @@ def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
     the diagonal product is det m.  The cross-check does not rest on that
     argument: det m and the product have degree at most D = max(sum over rows
     of the largest entry degree, degree of the product), so they are equal
-    when fraction-free elimination (Bareiss 1968) of m at each genus
-    g = 0..D gives the product's value there.  It needs entries in Z[g];
-    any other entry fails it."""
+    when bareiss_determinant at each genus g = 0..D gives the product's value
+    there.  An entry outside Z[g] fails it."""
     if m.size != len(m.col_labels):
         raise NotSquare("intersection matrix must be square")
     n = sum(1 for lbl in m.col_labels if lbl.startswith("psi"))
@@ -302,17 +307,13 @@ def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
     cross_ok = (
         structured
         and all(e.denominator == 1 for row in m.entries for e in row)
-        and all(
-            _bareiss([[_homogeneous_value(e.numerators, x, 1) for e in row]
-                      for row in m.entries])[1] == _homogeneous_value(det.numerators, x, 1)
-            for x in range(bound + 1)
-        )
+        and all(bareiss_determinant(m, x) * det.denominator
+                == _homogeneous_value(det.numerators, x, 1) for x in range(bound + 1))
     )
     gp = UniPoly.g()
     expected = (2 * gp - 2) ** n * (2 * gp) ** (m.size - n)
-    # Entries may already be specialized at an integer genus.
+    # Entries specialized at an integer genus: compare values, not polynomials.
     if all(e.degree <= 0 for row in m.entries for e in row):
-        # Numeric matrix: compare values, not polynomials in g.
         sign_ok = not det.is_zero
         roots = 0
     else:

@@ -13,6 +13,7 @@ from chowforge.testcurves import (
     BadN,
     IntersectionMatrix,
     NotSquare,
+    bareiss_determinant,
     block_change_of_basis,
     certify_full_rank,
     family_one_ledger,
@@ -193,20 +194,22 @@ def test_cross_check_rejects_broken_block_structure():
     assert not cert.cross_check_agrees and not cert.certified
 
 
+@pytest.mark.parametrize("scale", [2, Fraction(1, 3)], ids=["doubled", "third"])
 @pytest.mark.parametrize("genus", ["symbolic", 2])
-def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, monkeypatch):
-    """A basis change that keeps the block shape but doubles the row T_12'
-    doubles the diagonal product; elimination over Z at the evaluation
-    genera must disagree with it."""
+def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, scale, monkeypatch):
+    """A basis change that keeps the block shape but scales the row T_12'
+    scales the diagonal product; elimination over Z at the evaluation
+    genera must disagree with it.  Dividing by 3 leaves the product's
+    numerators equal to det m, so the product's denominator must count."""
     unbroken = block_change_of_basis
 
-    def doubled(m):
+    def scaled(m):
         b = unbroken(m)
         rows = list(b.entries)
-        rows[3] = tuple(2 * e for e in rows[3])
+        rows[3] = tuple(e * scale for e in rows[3])
         return IntersectionMatrix(b.row_labels, b.col_labels, tuple(rows))
 
-    monkeypatch.setattr(testcurves, "block_change_of_basis", doubled)
+    monkeypatch.setattr(testcurves, "block_change_of_basis", scaled)
     cert = certify_full_rank(intersection_matrix(genus, 3))
     assert not cert.determinant.is_zero
     assert not cert.cross_check_agrees and not cert.certified
@@ -224,6 +227,7 @@ def test_determinant_cross_checks():
     det = certify_full_rank(m).determinant
     gdet = gaussian_determinant(m.entries)
     assert gdet.is_polynomial() and gdet.num == det
+    assert bareiss_determinant(m, 5) == det(Fraction(5))
     assert sturm_roots_geq(det, Fraction(2)) == 0
     with pytest.raises(NotSquare):
         certify_full_rank(IntersectionMatrix(
