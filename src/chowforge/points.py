@@ -287,57 +287,26 @@ def _poly_eval_mod(coeffs, x, p):
 
 
 def _poly_gcd_mod(a, b, p):
-    a, b = [c % p for c in a], [c % p for c in b]
+    """A gcd over F_p of two coefficient lists (constant term first), with
+    no trailing zeros: [] when both are zero.  Each remainder is taken in
+    place, cancelling the dividend's top coefficient against b's."""
 
-    def norm(u):
-        while u and u[-1] == 0:
+    def strip(u):
+        while u and not u[-1]:
             u.pop()
         return u
 
-    a, b = norm(a), norm(b)
+    a, b = strip([c % p for c in a]), strip([c % p for c in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        while len(r) >= len(b):
-            f = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - f * c) % p
-            r = norm(r)
-        a, b = b, r
+        inv, nb = pow(b[-1], p - 2, p), len(b) - 1
+        while len(a) > nb:
+            f = a.pop() * inv % p
+            shift = len(a) - nb
+            for i in range(nb):
+                a[shift + i] = (a[shift + i] - f * b[i]) % p
+            strip(a)
+        a, b = b, a
     return a
-
-
-def _poly_is_square_mod(d, p) -> bool:
-    """Whether a polynomial over F_p is a perfect square (direct sqrt attempt)."""
-    d = [c % p for c in d]
-    while d and d[-1] == 0:
-        d.pop()
-    if not d:
-        return True
-    deg = len(d) - 1
-    if deg % 2:
-        return False
-    lead = d[-1]
-    if pow(lead, (p - 1) // 2, p) != 1:
-        return False
-    m = deg // 2
-    s = [0] * (m + 1)
-    s[m] = _sqrt_mod(lead, p)
-    inv2sm = pow(2 * s[m] % p, p - 2, p)
-    for t in range(1, m + 1):
-        k = 2 * m - t
-        acc = 0
-        for i in range(m - t + 1, m + 1):
-            j = k - i
-            if 0 <= j <= m and j > m - t:
-                acc = (acc + s[i] * s[j]) % p
-        s[m - t] = ((d[k] - acc) * inv2sm) % p
-    square = [0] * (2 * m + 1)
-    for i in range(m + 1):
-        for j in range(m + 1):
-            square[i + j] = (square[i + j] + s[i] * s[j]) % p
-    return all((square[i] - (d[i] if i < len(d) else 0)) % p == 0 for i in range(2 * m + 1))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -373,14 +342,19 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 
 def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: int = 0):
-    """Sample a random bidegree-(g+1, 2) form over F_prime (rejecting the
-    obviously reducible ones) and `count` smooth points on its vanishing
-    locus with distinct first coordinates, trying at most SAMPLING_ATTEMPTS
-    forms and SAMPLING_ATTEMPTS first coordinates per form.
+    """Sample a random smooth bidegree-(g+1, 2) form over F_prime and
+    `count` points on its vanishing locus with distinct first coordinates,
+    trying at most SAMPLING_ATTEMPTS forms and SAMPLING_ATTEMPTS first
+    coordinates per form.
 
-    In the affine chart the form is f = A(x) y^2 + B(x) y + C(x), and a point
-    takes y = (-B + sqrt(d)) / 2A with d = B^2 - 4AC nonzero.  There
-    df/dy = 2Ay + B = sqrt(d) is nonzero, so every sampled point is smooth.
+    In the affine chart the form is f = A(x) y^2 + B(x) y + C(x), a double
+    cover of the x-line branched where d = B^2 - 4AC vanishes.  The curve is
+    smooth exactly when d, a binary form of degree 2g+2, has no repeated
+    root: d has degree at least 2g+1 (so x = infinity is at most a simple
+    root) and gcd(d, d') = 1.  That also rejects A = 0 (d = B^2), a common
+    factor h of A, B and C (h^2 divides d) and a square d.  A point takes
+    y = (-B + sqrt(d)) / 2A with d nonzero; there df/dy = 2Ay + B = sqrt(d)
+    is nonzero as well.
 
     Returns (coefficient list in monomial_basis order, list of points)."""
     if g < 2:
@@ -397,17 +371,13 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
         A = [coeffs[(a, 2)] for a in range(g + 2)]
         B = [coeffs[(a, 1)] for a in range(g + 2)]
         C = [coeffs[(a, 0)] for a in range(g + 2)]
-        if all(c == 0 for c in A):
-            continue
-        disc = [0] * (2 * g + 4)
+        disc = [0] * (2 * g + 3)
         for i in range(g + 2):
             for j in range(g + 2):
-                disc[i + j] = (disc[i + j] + B[i] * B[j] - 4 * A[i] * C[j]) % p
-        if all(c == 0 for c in disc):
+                disc[i + j] += B[i] * B[j] - 4 * A[i] * C[j]
+        if not (disc[-1] % p or disc[-2] % p):  # a double root at x = infinity
             continue
-        if len(_poly_gcd_mod(_poly_gcd_mod(A, B, p), C, p)) > 1:
-            continue
-        if _poly_is_square_mod(disc, p):
+        if len(_poly_gcd_mod(disc, [k * c for k, c in enumerate(disc)][1:], p)) != 1:
             continue
         points = []
         used_x: set[int] = set()

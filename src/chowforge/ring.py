@@ -589,28 +589,33 @@ class RingPresentation:
 
     def graded_component_dim(self, d: int) -> int:
         """Dimension over the coefficient field of the degree-d component:
-        the count of standard monomials of weighted degree d."""
+        the count of standard monomials of weighted degree d.
+
+        They are built degree by degree.  A divisor of a standard monomial
+        is standard, so each standard monomial of degree k is one of degree
+        k - w_i times generator i, and a packed product is a sum."""
         for r in self.relations:
             if not r.is_homogeneous():
                 raise InhomogeneousRelations(str(r))
+        if d < 0:
+            return 0
+        if d >= 1 << SLOT_BITS - 2:
+            raise MonomialOverflow(f"a weighted degree reached 2^{SLOT_BITS - 2}")
         ring, guard = self.ring, self.ring._guard
         leads = [lead for lead, _ in self._reducers]
-        packed = (ring.pack(exps) | guard for exps in _weighted_tuples(ring._weights, d))
-        return sum(not any((m - lead) & guard == guard for lead in leads) for m in packed)
+
+        def standard(ms):
+            return [m for m in ms if not any(((m | guard) - lead) & guard == guard for lead in leads)]
+
+        levels = [standard([0])]
+        for k in range(1, d + 1):
+            levels.append(standard({m + unit for w, unit in zip(ring._weights, ring._units)
+                                    if w <= k for m in levels[k - w]}))
+        return len(levels[d])
 
     def specialize(self, g0) -> "RingPresentation":
         """The same presentation with coefficients evaluated at a genus."""
         return RingPresentation(self.ring, [r.specialize(g0) for r in self.relations])
-
-
-def _weighted_tuples(weights, d, prefix=()):
-    if not weights:
-        if d == 0:
-            yield prefix
-        return
-    w = weights[0]
-    for e in range(d // w + 1):
-        yield from _weighted_tuples(weights[1:], d - e * w, prefix + (e,))
 
 
 def ring_define(ring: PolyRing, rels) -> RingPresentation:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chowforge import points, ring
+from chowforge import cli, points, ring
 from chowforge.cli import (
     MissingGolden,
     RunConfig,
@@ -20,6 +20,8 @@ from chowforge.cli import (
     main,
     render_text,
 )
+
+from test_points import form_is_smooth, gf_gcd
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "goldens"
@@ -115,6 +117,25 @@ def test_exit_two_on_config_errors(capsys, monkeypatch):
     assert captured.err.count("need n >= 2, got 1") == 3
     assert captured.err.count("need trials >= 1") == 2
     assert captured.out == ""
+
+
+@pytest.mark.skipif(gf_gcd is None, reason="sympy is not installed")
+def test_curve_conditions_witness_lies_on_a_smooth_curve(monkeypatch, capsys):
+    """At genus 2, prime 13 and seed 11 the first form whose discriminant is
+    not a square is a singular curve; the witness must come from a smooth one."""
+    sampled = []
+
+    def recording(*args, **kwargs):
+        sampled.append(points.sample_curve_points(*args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(cli, "sample_curve_points", recording)
+    flags = ["--genus", "2", "--prime", "13", "--seed", "11", "--format", "json"]
+    assert main(["--scenario", "curve_conditions"] + flags) == 0
+    [(form, pts)] = sampled
+    witness = json.loads(capsys.readouterr().out)["scenarios"][0]["witness"]
+    assert witness["points"] == [[list(x), list(y)] for x, y in pts]
+    assert form_is_smooth(form, 2, 13)
 
 
 @pytest.mark.parametrize("prime", [9, 15, 1_000_001])

@@ -28,10 +28,11 @@ from chowforge.points import (
 from chowforge.testcurves import rank_numeric
 
 try:
-    from sympy import GF, QQ
+    from sympy import GF, QQ, ZZ
+    from sympy.polys.galoistools import gf_degree, gf_diff, gf_gcd, gf_mul, gf_sub_mul
     from sympy.polys.matrices import DomainMatrix
 except ImportError:  # sympy is an optional second oracle
-    DomainMatrix = None
+    DomainMatrix = gf_gcd = None
 
 P = DEFAULT_PRIME
 
@@ -422,7 +423,7 @@ def _form_oracle(coeffs, g, x, y, prime):
 def test_sampled_points_lie_on_the_form_and_are_smooth(g, seed, prime, data):
     """Every sampled point is a zero of the returned form, is smooth there
     (df/dy = sqrt(d) is nonzero, so no separate test is needed) and has its
-    own first coordinate."""
+    own first coordinate; the whole curve is smooth as well."""
     count = data.draw(st.integers(1, min(2 * g + 5, prime // 2)))
     coeffs, pts = sample_curve_points(g, count, prime=prime, seed=seed)
     assert len(coeffs) == 3 * g + 6 and len(pts) == count
@@ -433,3 +434,30 @@ def test_sampled_points_lie_on_the_form_and_are_smooth(g, seed, prime, data):
         assert f == 0
         assert (fx, fy) != (0, 0)
         assert fy != 0
+    if gf_gcd is not None:
+        assert form_is_smooth(coeffs, g, prime)
+
+
+def form_is_smooth(coeffs, g, prime):
+    """Whether the (g+1, 2) curve of a form in monomial_basis order is smooth,
+    by sympy over GF(prime): with A, B and C its coefficients of y^2, y and 1
+    as polynomials in x, the discriminant d = B^2 - 4AC has degree at least
+    2g+1 and gcd(d, d') = 1."""
+    terms = dict(zip(monomial_basis(g), coeffs))
+    # Coefficient lists with the top degree first, as galoistools takes them.
+    A, B, C = ([ZZ(terms[(a, b)]) for a in range(g + 1, -1, -1)] for b in (2, 1, 0))
+    d = gf_sub_mul(gf_mul(B, B, prime, ZZ), gf_mul([ZZ(4)], A, prime, ZZ), C, prime, ZZ)
+    return gf_degree(d) >= 2 * g + 1 and gf_gcd(d, gf_diff(d, prime, ZZ), prime, ZZ) == [1]
+
+
+@pytest.mark.skipif(gf_gcd is None, reason="sympy is not installed")
+@pytest.mark.parametrize("prime", (11, 13, 101, DEFAULT_PRIME))
+def test_sampled_curves_are_smooth(prime):
+    """At small primes a few percent of random forms have a discriminant with
+    a repeated root (a singular curve); the sampler must skip them.  Seed
+    299's first form mod 11 has a square-free d of degree below 2g+1: its
+    only repeated root is at x = infinity."""
+    for g in range(2, 17):
+        for seed in (*range(30), 299):
+            coeffs, _ = sample_curve_points(g, 1, prime=prime, seed=seed)
+            assert form_is_smooth(coeffs, g, prime), (g, seed)

@@ -83,8 +83,9 @@ def test_inhomogeneous_relations_rejected():
     ring = PolyRing([Generator("x")])
     x = ring.gen("x")
     pres = ring_define(ring, [x * x + x])
-    with pytest.raises(InhomogeneousRelations):
-        pres.graded_component_dim(2)
+    for d in range(-1, 5):
+        with pytest.raises(InhomogeneousRelations):
+            pres.graded_component_dim(d)
 
 
 def test_unknown_generator():
@@ -220,6 +221,9 @@ def test_degree_past_the_slot_bound_raises():
     x, y = ring.gen("x"), ring.gen("y")
     pres = ring_define(ring, [x**3])
     assert pres.normal_form(x ** (bound - 1)).is_zero
+    assert pres.graded_component_dim(bound - 1) == 1  # y^((bound - 1) / 3); x^3 = 0
+    with pytest.raises(MonomialOverflow):
+        pres.graded_component_dim(bound)
     assert pres.normal_form(y ** ((bound - 1) // 3)) == y ** ((bound - 1) // 3)
     for e in (x**bound, y ** -(-bound // 3), x * y ** (bound // 3), x ** (bound - 3) * y + x):
         with pytest.raises(MonomialOverflow):
@@ -374,6 +378,39 @@ BASIS_DIGESTS = [
 def test_groebner_basis_digest(scenario, n, genus, digest):
     basis = _scenario_presentation(scenario, n, genus).groebner_basis
     assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
+
+
+def _tuples_of_weighted_degree(weights, d):
+    if not weights:
+        return [()] if d == 0 else []
+    w = weights[0]
+    return [(e,) + rest for e in range(d // w + 1)
+            for rest in _tuples_of_weighted_degree(weights[1:], d - e * w)]
+
+
+@pytest.mark.parametrize("scenario,n,genus", [
+    ("ctx", None, None), ("i_g1", None, "symbolic"), ("w_n", 2, "symbolic"),
+    ("r2", 2, "symbolic"),  # the c15 presentations
+    ("i_g0 elimination", None, None),  # in (c1, c2), c2 of weight 2
+] + [(s, n, "symbolic") for s in ("r2", "w_n") for n in range(3, 7)] + [("r2", 6, 2), ("w_n", 6, 2)])
+def test_graded_dims_match_brute_force(scenario, n, genus):
+    """graded_component_dim(d) counts the exponent tuples of weighted degree
+    d that no leading exponent of groebner_basis divides, d = 0..4."""
+    if scenario == "ctx":
+        from chowforge.chern import standard_context
+
+        pres = standard_context().presentation
+    elif genus is None:
+        pres = _needs_pairs_presentation(scenario)
+    else:
+        pres = _scenario_presentation(scenario, n, genus)
+    weights = [gen.degree for gen in pres.ring.generators]
+    leads = [f.leading_exponent() for f in pres.groebner_basis]
+    for d in range(5):
+        standard = [e for e in _tuples_of_weighted_degree(weights, d)
+                    if not any(all(x >= y for x, y in zip(e, lead)) for lead in leads)]
+        assert pres.graded_component_dim(d) == len(standard), d
+    assert pres.graded_component_dim(-1) == 0
 
 
 def _random_element(rng, ring, max_terms=4, max_exp=3):
