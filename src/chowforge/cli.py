@@ -35,7 +35,6 @@ from .scenarios import (
     scenario_I_g1,
     scenario_R2,
     scenario_Wn,
-    shared_classes,
 )
 from .testcurves import certify_full_rank, intersection_matrix
 
@@ -132,15 +131,14 @@ def _curve_conditions_scenario(cfg: RunConfig) -> Report:
     return report
 
 
-# Every scenario by name; the keyword arguments of i_g0, i_g1 and r2 come
-# from shared_classes.  The lambdas look the scenario function up when
+# Every scenario by name.  The lambdas look the scenario function up when
 # called, so a wrapper later installed on the module attribute is seen.
 SCENARIO_RUNNERS = {
-    "i_g0": lambda cfg, **shared: scenario_I_g0(cfg.genus, **shared),
-    "i_g1": lambda cfg, **shared: scenario_I_g1(cfg.genus, **shared),
+    "i_g0": lambda cfg: scenario_I_g0(cfg.genus),
+    "i_g1": lambda cfg: scenario_I_g1(cfg.genus),
     "w_n": lambda cfg: scenario_Wn(cfg.n, cfg.genus),
     "a1_vanishing": lambda cfg: scenario_A1_vanishing(cfg.n, cfg.genus),
-    "r2": lambda cfg, **shared: scenario_R2(cfg.n, cfg.genus, **shared),
+    "r2": lambda cfg: scenario_R2(cfg.n, cfg.genus),
     "test_matrix": _matrix_scenario,
     "general_position": _general_position_scenario,
     "curve_conditions": _curve_conditions_scenario,
@@ -153,8 +151,6 @@ def build_report(cfg: RunConfig) -> dict:
     """Run the configured scenarios.  The "scenarios" entry holds their Report
     objects, which canonical_json and render_text serialise."""
     names = SCENARIOS if cfg.scenario == "all" else (cfg.scenario,)
-    # i_g0, i_g1 and r2 build on the same classes: one report derives them once.
-    shared = shared_classes(cfg.genus) if cfg.scenario == "all" else {}
     outputs = []
     skipped = []
     for name in names:
@@ -165,7 +161,7 @@ def build_report(cfg: RunConfig) -> dict:
                 )
                 continue
             raise ValueError(f"scenario {name} requires --genus <integer>")
-        outputs.append(SCENARIO_RUNNERS[name](cfg, **shared.get(name, {})))
+        outputs.append(SCENARIO_RUNNERS[name](cfg))
     all_pass = all(out.all_pass() for out in outputs)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -99,12 +99,11 @@ class PointCondition:
 
 class PointConfig:
     """A list of point conditions over F_prime, for an odd prime (else
-    CompositeModulus).  When flagged, distinct first-factor projections are
-    validated on construction."""
+    CompositeModulus)."""
 
     __slots__ = ("conditions", "prime")
 
-    def __init__(self, conditions, prime: int, require_distinct_first: bool = False):
+    def __init__(self, conditions, prime: int):
         require_odd_prime(prime)
         self.conditions = conditions = tuple(conditions)
         self.prime = prime
@@ -114,12 +113,6 @@ class PointConfig:
                     raise FieldMismatch("prime-field configs need integer coordinates")
                 if pair[0] % prime == 0 and pair[1] % prime == 0:
                     raise PointAtChartBoundary(f"coordinates {pair} are both zero mod {prime}")
-        if require_distinct_first:
-            seen: dict = {}
-            for j, c in enumerate(conditions):
-                i = seen.setdefault(_slope(c.point[0], prime), j)
-                if i != j:
-                    raise ValueError(f"conditions {i} and {j} share a first-factor projection")
 
 
 def monomial_basis(g: int) -> list[tuple[int, int]]:
@@ -269,7 +262,7 @@ def check_general_position(
         for i in range(target):
             y = shared_y if i < g else rng.randrange(prime)
             conds.append(PointCondition(((xs[i], 1), (y, 1))))
-        cfg = PointConfig(tuple(conds), prime=prime, require_distinct_first=True)
+        cfg = PointConfig(tuple(conds), prime=prime)
         m = evaluation_matrix(cfg, g)
         if rank_exact(m, prime) == target:
             return Verdict("PASS", target, t + 1, {"seed": seed, "trial": t, "prime": prime})
@@ -344,8 +337,9 @@ def _sqrt_mod(a: int, p: int) -> int:
 def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: int = 0):
     """Sample a random smooth bidegree-(g+1, 2) form over F_prime and
     `count` points on its vanishing locus with distinct first coordinates,
-    trying at most SAMPLING_ATTEMPTS forms and SAMPLING_ATTEMPTS first
-    coordinates per form.
+    trying at most SAMPLING_ATTEMPTS forms.  Each form draws at most
+    max(SAMPLING_ATTEMPTS, 4 * count) first coordinates, and none once
+    every residue has been tried.
 
     In the affine chart the form is f = A(x) y^2 + B(x) y + C(x), a double
     cover of the x-line branched where d = B^2 - 4AC vanishes.  The curve is
@@ -380,13 +374,14 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
         if len(_poly_gcd_mod(disc, [k * c for k, c in enumerate(disc)][1:], p)) != 1:
             continue
         points = []
-        used_x: set[int] = set()
-        budget = SAMPLING_ATTEMPTS
-        while len(points) < count and budget > 0:
+        tried: set[int] = set()
+        budget = max(SAMPLING_ATTEMPTS, 4 * count)
+        while len(points) < count and len(tried) < p and budget > 0:
             budget -= 1
             x = rng.randrange(p)
-            if x in used_x:
+            if x in tried:
                 continue
+            tried.add(x)
             a = _poly_eval_mod(A, x, p)
             if a == 0:
                 continue
@@ -396,7 +391,6 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
             if d == 0 or pow(d, (p - 1) // 2, p) != 1:
                 continue
             y = ((-b + _sqrt_mod(d, p)) * pow(2 * a, p - 2, p)) % p
-            used_x.add(x)
             points.append(((x, 1), (y, 1)))
         if len(points) == count:
             return [coeffs[m] for m in basis], points

@@ -613,10 +613,6 @@ class RingPresentation:
                                     if w <= k for m in levels[k - w]}))
         return len(levels[d])
 
-    def specialize(self, g0) -> "RingPresentation":
-        """The same presentation with coefficients evaluated at a genus."""
-        return RingPresentation(self.ring, [r.specialize(g0) for r in self.relations])
-
 
 def ring_define(ring: PolyRing, rels) -> RingPresentation:
     """Build a presentation from a ring and relation elements."""

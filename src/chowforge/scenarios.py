@@ -9,6 +9,8 @@ numeric scenarios of the command line build the same Report.
 
 from __future__ import annotations
 
+import functools
+
 from .chern import (
     JetSpec,
     jet_top_chern,
@@ -102,10 +104,12 @@ class Report:
         }
 
 
+@functools.cache
 def _core_classes(gp: UniPoly):
     """The four pushforward/jet classes every scenario builds on, plus the
     constants extracted from them: the c2 = ratio * c1^2 solution of the
-    first pushforward relation and the delta = lam * c1 identification."""
+    first pushforward relation and the delta = lam * c1 identification.
+    Derived once per genus: callers must not mutate the cached tuple."""
     ctx = standard_context()
     ring = ctx.ring
     z = ctx.fiber()
@@ -135,13 +139,12 @@ def _exps(ring: PolyRing, **kwargs):
     return tuple(exps)
 
 
-def scenario_I_g0(genus="symbolic", core=None) -> Report:
+def scenario_I_g0(genus="symbolic") -> Report:
     """Unpointed presentation: derives the three pushforward identities,
-    eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3).
-    core is _core_classes at this genus, derived here when None."""
+    eliminates c2 and c1^3, and certifies the quotient is Q[delta]/(delta^3)."""
     gp = genus_poly(genus)
     report = Report("i_g0", genus)
-    ctx, firstp, secondp, rel1_line, dclass, ratio, lam = core or _core_classes(gp)
+    ctx, firstp, secondp, rel1_line, dclass, ratio, lam = _core_classes(gp)
     ring = ctx.ring
     c1 = ring.gen("c1")
 
@@ -195,13 +198,14 @@ def _expected_secondp(ring, gp):
     )
 
 
-def _one_point_relations(gp: UniPoly, core=None):
+@functools.cache
+def _one_point_relations(gp: UniPoly):
     """The one-pointed derivation: the projective-bundle relation pbtrel and
     the order-1 jet class rel1 in (z, psi1, delta), z expressed in psi1 and
     delta, and the monic derived relations rel_a = delta*psi1 + s*delta^2
-    and rel_b = psi1^2 + t*delta^2 in (psi1, delta).  core is
-    _core_classes(gp), derived here when None."""
-    _, _, _, rel1_line, _, ratio, lam = core or _core_classes(gp)
+    and rel_b = psi1^2 + t*delta^2 in (psi1, delta).  Derived once per
+    genus: callers must not mutate the cached tuple."""
+    _, _, _, rel1_line, _, ratio, lam = _core_classes(gp)
     kc = lam.invert()  # c1 = kc*delta, c2 = ratio*kc^2*delta^2
 
     zring = PolyRing([Generator("z", 1), Generator("psi1", 1), Generator("delta", 1)])
@@ -220,27 +224,15 @@ def _one_point_relations(gp: UniPoly, core=None):
     return pbtrel, rel1, z_sub, rel_a, rel_b
 
 
-def one_point_constants(genus="symbolic", one_point=None) -> tuple[RatFunc, RatFunc]:
+def one_point_constants(genus="symbolic") -> tuple[RatFunc, RatFunc]:
     """The coefficients (s, t) of the derived one-pointed relations
-    delta*psi1 + s*delta^2 and psi1^2 + t*delta^2 (engine-derived).
-    one_point is _one_point_relations at this genus, derived here when None."""
-    rel_a, rel_b = (one_point or _one_point_relations(genus_poly(genus)))[3:]
+    delta*psi1 + s*delta^2 and psi1^2 + t*delta^2 (engine-derived)."""
+    rel_a, rel_b = _one_point_relations(genus_poly(genus))[3:]
     exps = _exps(rel_a.ring, delta=2)
     return rel_a.coefficient(exps), rel_b.coefficient(exps)
 
 
-def shared_classes(genus="symbolic") -> dict:
-    """Keyword arguments, by scenario id, that hand scenario_I_g0,
-    scenario_I_g1 and scenario_R2 at this genus the classes each would
-    otherwise derive for itself: a report of all three derives them once."""
-    gp = genus_poly(genus)
-    core = _core_classes(gp)
-    one_point = _one_point_relations(gp, core)
-    return {"i_g0": {"core": core}, "i_g1": {"one_point": one_point},
-            "r2": {"constants": one_point_constants(genus, one_point)}}
-
-
-def scenario_I_g1(genus="symbolic", one_point=None) -> Report:
+def scenario_I_g1(genus="symbolic") -> Report:
     """One-pointed presentation: rewrites the projective-bundle relation and
     the order-1 jet class in terms of delta, inverts the Weierstrass-divisor
     identity to express z in psi1 and delta, and derives the final relations.
@@ -248,12 +240,11 @@ def scenario_I_g1(genus="symbolic", one_point=None) -> Report:
     The pinned expected values for the delta^2 terms and the final relation
     constants do not match what the mechanical derivation produces; those
     checks report their failure honestly (see the repository notes ledger for
-    the analysis).  one_point is _one_point_relations at this genus, derived
-    here when None.
+    the analysis).
     """
     gp = genus_poly(genus)
     report = Report("i_g1", genus)
-    pbtrel, rel1, z_sub, rel_a, rel_b = one_point or _one_point_relations(gp)
+    pbtrel, rel1, z_sub, rel_a, rel_b = _one_point_relations(gp)
     z, delta = pbtrel.ring.gen("z"), pbtrel.ring.gen("delta")
     report.raw_relations = [pbtrel, rel1]
 
@@ -414,11 +405,10 @@ def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
     return d_ii, d_ij
 
 
-def scenario_R2(n: int, genus="symbolic", constants=None) -> Report:
+def scenario_R2(n: int, genus="symbolic") -> Report:
     """Degree-2 tautological component: expands the product of the two
     boundary classes, pins its psi_i*psi_j coefficient, and certifies the
-    degree-2 component has dimension <= 1 (spanned by delta^2).  constants
-    is one_point_constants at this genus, derived here when None."""
+    degree-2 component has dimension <= 1 (spanned by delta^2)."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
@@ -440,7 +430,7 @@ def scenario_R2(n: int, genus="symbolic", constants=None) -> Report:
 
     # Relations: pulled-back one-pointed relations per marked point, the
     # boundary-product vanishing per pair, and the cubic vanishing of delta.
-    s, t = one_point_constants(genus) if constants is None else constants
+    s, t = one_point_constants(genus)
     rels = []
     for i in range(1, n + 1):
         psi = ring.gen(f"psi{i}")

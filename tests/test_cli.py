@@ -20,6 +20,7 @@ from chowforge.cli import (
     main,
     render_text,
 )
+from chowforge.scenarios import scenario_I_g0
 
 from test_points import form_is_smooth, gf_gcd
 
@@ -79,7 +80,10 @@ def test_run_config_rejects_unknown_scenario():
 
 
 def test_completion_cap_exits_two_with_one_line(capsys, monkeypatch):
-    """A completion stopped by the basis cap is not a failed check."""
+    """A completion stopped by the basis cap is not a failed check.  The
+    shared classes are derived first, so the cap must fire in a completion
+    of i_g0's own."""
+    scenario_I_g0()
     monkeypatch.setattr(ring, "MAX_BASIS", 0)
     assert main(["--scenario", "i_g0"]) == 2
     captured = capsys.readouterr()

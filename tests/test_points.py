@@ -1,12 +1,14 @@
 """Point conditions on bidegree-(g+1, 2) forms over F_p: matrices, ranks, sampling."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chowforge import points
 from chowforge.points import (
     DEFAULT_PRIME,
     BadGenus,
@@ -16,6 +18,8 @@ from chowforge.points import (
     PointAtChartBoundary,
     PointCondition,
     PointConfig,
+    SamplingExhausted,
+    _distinct_randranges,
     _sqrt_mod,
     check_general_position,
     evaluation_matrix,
@@ -108,15 +112,6 @@ def test_point_validation_errors():
         PointCondition(((1, 1), (0, 0)))
     with pytest.raises(FieldMismatch):
         PointConfig((PointCondition(((Fraction(1, 2), 1), (1, 1))),), prime=P)
-    with pytest.raises(ValueError):
-        PointConfig(
-            (
-                PointCondition(((2, 1), (3, 1))),
-                PointCondition(((4, 2), (5, 1))),
-            ),
-            prime=P,
-            require_distinct_first=True,
-        )
     # Both coordinates zero mod p is no point of P^1 over F_p (it used to get
     # the row of [1:0]).
     for pair in ((P, 2 * P), (0, -P)):
@@ -124,11 +119,16 @@ def test_point_validation_errors():
             PointConfig((PointCondition((pair, (3, 1))),), prime=P)
         with pytest.raises(PointAtChartBoundary):
             PointConfig((PointCondition(((3, 1), pair)),), prime=P)
-    # [1:0] clashes with [7:0] but not with [0:1] (slope zero).
-    for firsts, clash in (([(0, 1), (1, 0), (7, 0)], (1, 2)), ([(0, 5), (3, 1), (0, 2)], (0, 2))):
-        conds = tuple(PointCondition((x, (1, 1))) for x in firsts)
-        with pytest.raises(ValueError, match=f"conditions {clash[0]} and {clash[1]} share"):
-            PointConfig(conds, prime=P, require_distinct_first=True)
+
+
+def test_distinct_randranges_returns_count_distinct_residues():
+    """check_general_position takes its first coordinates from here, so they
+    are distinct by construction; count = p takes every residue."""
+    for prime, count in ((7, 7), (11, 5), (P, 40)):
+        for seed in range(5):
+            xs = _distinct_randranges(random.Random(seed), count, prime)
+            assert len(xs) == len(set(xs)) == count
+            assert all(0 <= x < prime for x in xs)
 
 
 def test_ragged_matrix_rejected():
@@ -172,6 +172,41 @@ def test_sample_curve_points_beyond_bound_exploratory():
     cfg = PointConfig(tuple(PointCondition(p) for p in pts), prime=P)
     rank = rank_exact(evaluation_matrix(cfg, g), P)
     assert 2 * g + 5 <= rank <= 2 * g + 6
+
+
+def test_sampler_stops_a_form_once_every_residue_is_tried(monkeypatch):
+    """The random stream is replaced by one that counts its draws and
+    replays a smooth genus-3 form's 3g+6 coefficients mod 11 and then the
+    residues 0..10, over and over.  That form has fewer than 11 usable first
+    coordinates, so 11 points never exist, and each form must stop after
+    the p distinct draws instead of spending its budget on repeats."""
+    g, p, attempts = 3, 11, 50
+    coeffs, _ = sample_curve_points(g, 1, prime=p)
+    script = coeffs + list(range(p))
+    draws = []
+
+    class Replay:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, n):
+            draws.append(script[len(draws) % len(script)])
+            return draws[-1]
+
+    monkeypatch.setattr(points, "random", types.SimpleNamespace(Random=Replay))
+    monkeypatch.setattr(points, "SAMPLING_ATTEMPTS", attempts)
+    with pytest.raises(SamplingExhausted):
+        sample_curve_points(g, p, prime=p)
+    assert len(draws) == attempts * len(script)
+
+
+def test_sampler_budget_grows_with_count(monkeypatch):
+    """Each form may draw 4 * count first coordinates when that exceeds
+    SAMPLING_ATTEMPTS; a form that succeeds within the smaller budget draws
+    the same points as before."""
+    expected = sample_curve_points(8, 21)
+    monkeypatch.setattr(points, "SAMPLING_ATTEMPTS", 10)
+    assert sample_curve_points(8, 21) == expected
 
 
 def test_riemann_roch_counts():

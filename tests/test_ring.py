@@ -472,7 +472,7 @@ def test_specialize_commutes_with_normal_form(g0, case_seed):
     z, c1, c2 = ring.gen("z"), ring.gen("c1"), ring.gen("c2")
     rel = z * z + (c1 * z).scale(2 * G + 1) + c2
     sym = ring_define(ring, [rel])
-    num = sym.specialize(g0)
+    num = ring_define(ring, [r.specialize(g0) for r in sym.relations])
     e = _random_element(rng, ring)
     try:
         e_num = e.specialize(g0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from chowforge import scenarios
+from chowforge.cli import RunConfig, build_report
 from chowforge.rationals import PoleAtPoint, UniPoly
 from chowforge.scenarios import (
     BadN,
@@ -96,6 +98,23 @@ def test_one_point_constants():
     assert s(2) == Fraction(-1, 6)
     s2, t2 = one_point_constants(2)
     assert s2 == s(2) and t2 == t(2)
+
+
+def test_all_report_derives_shared_classes_once():
+    """i_g0, i_g1 and r2 build on the same classes: one `all` report derives
+    the core classes and the one-pointed relations once each."""
+    for cached in (scenarios._core_classes, scenarios._one_point_relations):
+        cached.cache_clear()
+    build_report(RunConfig("all"))
+    for cached in (scenarios._core_classes, scenarios._one_point_relations):
+        assert cached.cache_info().misses == 1
+
+
+def test_cached_classes_do_not_leak_between_reports():
+    """The second r2 report reads the cached one-pointed constants and must
+    equal the first."""
+    first, second = scenario_R2(3), scenario_R2(3)
+    assert first.to_dict() == second.to_dict()
 
 
 def test_wn_vanishing():
