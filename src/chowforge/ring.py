@@ -455,21 +455,21 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     (lead, tail) in descending order of leading monomial.
 
     Normal selection strategy (Giovini et al. 1991): a heap hands out the
-    pending pair of smallest lcm first, and each input as a pair keyed by
-    its leading monomial; as int order is weighted grevlex, homogeneous
-    input completes degree by degree.  Each popped input or S-polynomial is
+    pair of smallest lcm first, and each input as a pair keyed by its
+    leading monomial; as int order is weighted grevlex, homogeneous input
+    completes degree by degree.  Each popped input or S-polynomial is
     reduced by the live elements; a nonzero remainder becomes a new element.
 
-    Each new element k gets the Gebauer-Moeller update (1988) once: of its
-    pairs with the live elements, criterion M drops a pair whose lcm another
-    one properly divides, criterion F keeps one pair per lcm, and the product
-    criterion drops every pair of an lcm some pair of coprime leading
-    monomials has; criterion B drops a pending pair (i, j) whose lcm k's
-    leading monomial divides when it equals neither lcm with k.
+    A new element k is paired with each live element once, and two deletion
+    criteria of Gebauer and Moeller (1988) prune these pairs: criterion F
+    keeps one pair per lcm, and the product criterion drops every pair of an
+    lcm some pair of coprime leading monomials has.  Their criteria B and M
+    are left out: on every presentation the scenarios build they prune no
+    pair, and a criterion left out only adds pairs to reduce.
 
     An element is live while no other element's leading monomial divides its
     own; the live count may exceed the input count by at most MAX_BASIS."""
-    guard, top, minus_one, pack = ring._guard, ring._top, RatFunc(-1), ring.pack
+    guard, minus_one, pack = ring._guard, RatFunc(-1), ring.pack
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
     inputs = [r for r in relations if r]
     n = len(inputs)
@@ -477,13 +477,10 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     heapq.heapify(heap)
     basis, exps = [], []  # rules (lead, tail), and each lead's exponent tuple
     live, reducers = [], []  # indices into basis and their rules, oldest first
-    pending = {}  # lcm weighted degree -> {pair (i, j), i < j: lcm}; popped or pruned pairs leave
     while heap:
         lcm, i, j = heapq.heappop(heap)
         if i < 0:
             s = inputs[j]
-        elif pending[lcm >> top].pop((i, j), -1) < 0:
-            continue  # pruned by criterion B
         else:
             # The negated S-polynomial: x^(lcm-li) * ti - x^(lcm-lj) * tj.
             (li, ti), (lj, tj) = basis[i], basis[j]
@@ -498,49 +495,17 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
         ek = ring.unpack(lk)
         exps.append(ek)
         lkg = (lk | guard) - low  # the guard bit of each exponent slot nonzero in lk
-        lcms = {}  # lcm with lk of each element asked for in this update
-
-        def lcm_with(i2):
-            if i2 not in lcms:
-                li = basis[i2][0]
-                # Coprime leads: the product, never reduced, only compared;
-                # its slots stay below 2^(SLOT_BITS - 1), so none carries.
-                lcms[i2] = (pack(map(max, exps[i2], ek)) if ((li | guard) - low) & lkg & guard
-                            else li + lk)
-            return lcms[i2]
-
-        # No lead divides lk, live ones as k is reduced and dead ones as a live
-        # lead divides theirs.  So lcm(i, k) = lk * u with u != 1, and when
-        # criterion B or M drops a pair of lcm lk * v, u properly divides v:
-        # v has weighted degree 2 or more.
-        near = (lk >> top) + 2
-        # Criterion B, on the pairs pending before k.
-        for d, bucket in pending.items():
-            if d < near:
-                continue
-            for pair in [pair for pair, m in bucket.items() if ((m | guard) - lk) & guard == guard]:
-                m = bucket[pair]
-                if lcm_with(pair[0]) != m and lcm_with(pair[1]) != m:
-                    del bucket[pair]
-        # Criteria M, F and the product criterion on k's pairs, by ascending
-        # lcm, of one lcm coprime leads first: a proper divisor of an lcm is
-        # smaller, so it has been seen before.
-        new = []
-        for i2 in live:
-            m = lcm_with(i2)
-            new.append((m, m != basis[i2][0] + lk, i2))  # of coprime leads, the lcm is the product
-        new.sort()
-        seen = []  # the lcms not dropped by criterion M
+        # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
+        # coprime leads the lcm is the product, never reduced, only compared;
+        # its slots stay below 2^(SLOT_BITS - 1), so none carries.
+        new = sorted((pack(map(max, exps[i2], ek)), True, i2)
+                     if ((basis[i2][0] | guard) - low) & lkg & guard
+                     else (basis[i2][0] + lk, False, i2) for i2 in live)
         for pos, (m, shares, i2) in enumerate(new):
-            if pos and new[pos - 1][0] == m:
-                continue  # criterion F: the first pair of an lcm speaks for all
-            if shares:  # else the product criterion
-                mg = m | guard
-                if m >> top >= near and any((mg - d) & guard == guard for d in seen):
-                    continue  # criterion M
-                pending.setdefault(m >> top, {})[(i2, k)] = m
+            # Criterion F: the first pair of an lcm speaks for all; it is
+            # dropped by the product criterion when its leads are coprime.
+            if shares and not (pos and new[pos - 1][0] == m):
                 heapq.heappush(heap, (m, i2, k))
-            seen.append(m)
         live = [i2 for i2 in live if ((basis[i2][0] | guard) - lk) & guard != guard] + [k]
         reducers = [basis[i2] for i2 in live]
         if len(live) - n > MAX_BASIS:

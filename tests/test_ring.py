@@ -309,8 +309,9 @@ def _needs_pairs_presentation(name):
                      x * y * z + y * z * t + z * t * x + t * x * y, x * y * z * t - 1],
         "katsura-3": [x + (y + z + t).scale(2) - 1, x * x + (y * y + z * z + t * t).scale(2) - x,
                       (x * y + y * z + z * t).scale(2) - y, y * y + (x * z + y * t).scale(2) - z],
-        # Criterion B must keep a pending pair whose lcm equals its first
-        # (cubics 1) or its second (cubics 2) element's lcm with the new one.
+        # Each has a pair whose lcm equals its first (cubics 1) or its second
+        # (cubics 2) element's lcm with a newer element: the edge case of
+        # Gebauer-Moeller criterion B, which completion does not use.
         "cubics 1": [(y**3).scale(2) + y * z * z, x * y * y + (z**3).scale(2),
                      y**3 + (y * z * z).scale(2), x * y * y + x * z * z],
         "cubics 2": [x**3 + z**3, y**3 - (x * y * z).scale(2), y**3 - (x * x * z).scale(2)],
@@ -346,6 +347,27 @@ def test_completion_is_confluent(scenario, n, genus):
             assert pres.is_zero(shifted(f, lf, lcm) - shifted(g, lg, lcm))
         for g in basis[:a] + basis[a + 1 :]:
             assert not any(all(x >= y for x, y in zip(term, lf)) for term in g.terms)
+
+
+@pytest.mark.parametrize("name,size", [
+    ("cyclic-4", 7), ("katsura-3", 7), ("cubics 1", 5), ("cubics 2", 7),
+])
+def test_completion_matches_sympy(name, size):
+    """Outside oracle: the basis equals sympy's reduced grevlex basis, so the
+    ideal of the basis lies in the ideal of the inputs, which the confluence
+    test above does not show.  All generators have degree 1 and every
+    coefficient is rational."""
+    sympy = pytest.importorskip("sympy")
+    pres = _needs_pairs_presentation(name)
+    gens = sympy.symbols([gen.name for gen in pres.ring.generators])
+
+    def poly(e):
+        return sympy.Poly(sum(sympy.Rational(c(0)) * sympy.Mul(*[v**k for v, k in zip(gens, exps)])
+                              for exps, c in e.terms.items()), *gens, domain=sympy.QQ).monic()
+
+    theirs = sympy.groebner([poly(r) for r in pres.relations], *gens, order="grevlex")
+    assert len(pres.groebner_basis) == size
+    assert {poly(b) for b in pres.groebner_basis} == {p.monic() for p in theirs.polys}
 
 
 # sha256 of repr(groebner_basis).  A reduced Groebner basis is unique, so a

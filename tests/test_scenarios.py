@@ -128,6 +128,15 @@ def test_wn_vanishing():
         scenario_Wn(1)
 
 
+def test_wn_rests_on_the_derived_pushforward_relations(monkeypatch):
+    """w_n takes firstp and secondp from the derivation: with the pinned
+    displays replaced by a wrong relation, its report does not change."""
+    expected = scenario_Wn(3).to_dict()
+    for name in ("_expected_firstp", "_expected_secondp"):
+        monkeypatch.setattr(scenarios, name, lambda ring, gp: ring.gen("c2"))
+    assert scenario_Wn(3).to_dict() == expected
+
+
 def test_a1_vanishing_both_branches_symbolic():
     report = scenario_A1_vanishing(3)
     assert report.extras["branches"] == ["small_n", "large_n"]
