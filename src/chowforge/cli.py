@@ -16,12 +16,9 @@ from pathlib import Path
 from .points import (
     BoundViolated,
     DEFAULT_PRIME,
-    PointCondition,
-    PointConfig,
     SamplingExhausted,
     check_general_position,
-    evaluation_matrix,
-    rank_exact,
+    interpolation_rank,
     require_odd_prime,
     riemann_roch_counts,
     sample_curve_points,
@@ -118,8 +115,7 @@ def _curve_conditions_scenario(cfg: RunConfig) -> Report:
     g = cfg.genus
     count = 2 * g + 5
     form, pts = sample_curve_points(g, count, prime=cfg.prime, seed=cfg.seed)
-    pc = PointConfig(tuple(PointCondition(pt) for pt in pts), prime=cfg.prime)
-    rank = rank_exact(evaluation_matrix(pc, g), cfg.prime)
+    rank = interpolation_rank([(x, y) for (x, _), (y, _) in pts], g, cfg.prime)
     report = Report("curve_conditions", g, payload={
         "n": cfg.n,
         "count": count,

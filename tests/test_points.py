@@ -23,6 +23,7 @@ from chowforge.points import (
     _sqrt_mod,
     check_general_position,
     evaluation_matrix,
+    interpolation_rank,
     is_prime,
     monomial_basis,
     rank_exact,
@@ -252,6 +253,8 @@ def test_composite_modulus_rejected_by_entry_points():
             rank_exact([[2, 0], [0, 3]], prime)
         with pytest.raises(CompositeModulus):
             PointConfig((PointCondition(((2, 1), (3, 1))),), prime=prime)
+        with pytest.raises(CompositeModulus):
+            interpolation_rank([(2, 3)], 2, prime)
     assert rank_exact([[2, 0], [0, 3]], DEFAULT_PRIME) == 2
 
 
@@ -275,6 +278,56 @@ def test_general_position_at_the_paper_bound():
         _, pts = sample_curve_points(g, 2 * g + 5)
         cfg = PointConfig(tuple(PointCondition(p) for p in pts), prime=P)
         assert rank_exact(evaluation_matrix(cfg, g), P) == 2 * g + 5
+
+
+def _affine_rank_by_elimination(pts, g, prime):
+    cfg = PointConfig(tuple(PointCondition(((x, 1), (y, 1))) for x, y in pts), prime=prime)
+    return rank_exact(evaluation_matrix(cfg, g), prime)
+
+
+@pytest.mark.parametrize("prime", (5, 7, 11, 13, 101, DEFAULT_PRIME))
+def test_interpolation_rank_matches_elimination(prime):
+    """The interpolation-basis rank equals the evaluation matrix's rank on
+    300 point sets per prime: g = 2..11 and n up to 3g+8, past the 3g+6
+    columns.  First coordinates are often repeated (drawn from 3 or n/2
+    residues), and on odd seeds the first g points share their second
+    coordinate, as in check_general_position.  A pivot of largest degree,
+    or the first row with a nonzero value, breaks the reduced basis and the
+    count."""
+    for g in range(2, 12):
+        for seed in range(30):
+            rng = random.Random(f"{prime}:{g}:{seed}")
+            n = rng.randint(1, 3 * g + 8)
+            pool = rng.choice((prime, 3, max(2, n // 2)))
+            line = rng.randrange(prime)
+            pts = [
+                (rng.randrange(pool), line if i < g and seed % 2 else rng.randrange(prime))
+                for i in range(n)
+            ]
+            expected = _affine_rank_by_elimination(pts, g, prime)
+            assert interpolation_rank(pts, g, prime) == expected, (g, seed, pts)
+
+
+@pytest.mark.parametrize("prime", (DEFAULT_PRIME, 2**61 - 1))
+def test_interpolation_rank_at_genus_32(prime):
+    """At g = 32 around the bound 3g+5 = 101: random points with first
+    coordinates negative or >= p (full rank up to the 102 columns), the
+    first g points on one line, and every first coordinate repeated."""
+    g = 32
+    rng = random.Random(f"interpolation:{prime}")
+    for n in (3 * g + 5, 3 * g + 6, 3 * g + 8):
+        line = rng.randrange(prime)
+        xs = [rng.randrange(prime) for _ in range(n // 2)]
+        cases = (
+            [(rng.randrange(-3 * prime, 3 * prime), rng.randrange(prime)) for _ in range(n)],
+            [(rng.randrange(prime), line if i < g else rng.randrange(prime)) for i in range(n)],
+            [(xs[i % len(xs)], rng.randrange(prime)) for i in range(n)],
+        )
+        for pts in cases:
+            assert interpolation_rank(pts, g, prime) == _affine_rank_by_elimination(pts, g, prime)
+        assert interpolation_rank(cases[0], g, prime) == min(n, 3 * g + 6)
+    with pytest.raises(BadGenus):
+        interpolation_rank([(1, 2)], 1, prime)
 
 
 # -- oracles: the entry-by-entry formulas these kernels replaced -------------
@@ -375,9 +428,9 @@ def test_rank_mod_p_matches_oracles(case):
 
 @pytest.mark.parametrize("prime", (DEFAULT_PRIME, 2**61 - 1))
 def test_rank_mod_p_at_the_witness_size(prime):
-    """The 101 x 102 matrices that check_general_position ranks at g = 32,
-    where the packed slots are widest: a random one and a product of rank
-    at most k, with entries negative or >= p."""
+    """101 x 102 matrices, the evaluation-matrix shape of 3g+5 points at
+    g = 32, where the packed slots are widest: a random one and a product of
+    rank at most k, with entries negative or >= p."""
     rng = random.Random(f"rank:{prime}")
 
     def block(r, c):
