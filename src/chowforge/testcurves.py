@@ -1,7 +1,7 @@
 """Test-curve machinery: blowup self-intersection ledgers for the two
 one-parameter families, psi-degree extraction, intersection-matrix assembly,
 the change of basis to block-diagonal form, and full-rank certification
-symbolic in the genus.
+at the genus the matrix was built at.
 
 Ledgers are built from declarative blowup data (which sections pass through
 which exceptional points); derived self-intersections follow from the
@@ -115,16 +115,23 @@ def psi_degree(ledger: BlowupLedger, section: str) -> UniPoly:
 class IntersectionMatrix:
     """Labeled square matrix of integer polynomials in g: rows are the test
     curves (T_i then T_ij), columns the divisor classes (psi_k then delta_kl).
-    entries is a tuple of tuples of UniPoly."""
+    genus is the genus it was built at, "symbolic" or an int >= 2; entries is
+    a tuple of tuples of UniPoly."""
 
-    __slots__ = ("row_labels", "col_labels", "entries")
+    __slots__ = ("genus", "row_labels", "col_labels", "entries")
 
-    def __init__(self, row_labels: tuple, col_labels: tuple, entries: tuple):
+    def __init__(self, genus, row_labels: tuple, col_labels: tuple, entries: tuple):
+        self.genus = genus
         self.row_labels, self.col_labels, self.entries = row_labels, col_labels, entries
 
     @property
     def size(self) -> int:
         return len(self.row_labels)
+
+    @property
+    def n(self) -> int:
+        """Number of marked points: the count of psi columns."""
+        return sum(1 for lbl in self.col_labels if lbl.startswith("psi_"))
 
     def entry(self, r: int, c: int) -> UniPoly:
         return self.entries[r][c]
@@ -171,7 +178,7 @@ def intersection_matrix(genus, n: int) -> IntersectionMatrix:
         row = [roaming if k in (i, j) else fixed for k in range(1, n + 1)]
         row += [boundary[(i in kl) + (j in kl)] for kl in pairs]
         entries.append(tuple(row))
-    return IntersectionMatrix(tuple(rows), tuple(cols), tuple(entries))
+    return IntersectionMatrix(genus, tuple(rows), tuple(cols), tuple(entries))
 
 
 def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
@@ -179,7 +186,7 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
     from each psi_i column, then subtract rows T_i and T_j from row T_ij.
     The result has diagonal blocks (2g-2)*Id and 2g*Id with a zero block
     below the first."""
-    n = sum(1 for lbl in m.col_labels if lbl.startswith("psi_"))
+    n = m.n
     pairs = _pairs(n)
     if m.size != n + len(pairs):
         raise ShapeMismatch("matrix size does not match its labels")
@@ -202,7 +209,7 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
                     row[c] = row[c] - e
     new_rows = tuple(m.row_labels[:n] + tuple(f"{lbl}'" for lbl in m.row_labels[n:]))
     new_cols = tuple(tuple(f"{lbl}'" for lbl in m.col_labels[:n]) + m.col_labels[n:])
-    return IntersectionMatrix(new_rows, new_cols, tuple(tuple(row) for row in entries))
+    return IntersectionMatrix(m.genus, new_rows, new_cols, tuple(tuple(row) for row in entries))
 
 
 def bareiss_determinant(m: IntersectionMatrix, genus: int) -> int:
@@ -264,12 +271,7 @@ class FullRankCertificate:
 
     @property
     def certified(self) -> bool:
-        return (
-            self.sign_matches_expected
-            and self.cross_check_agrees
-            and self.roots_geq_2 == 0
-            and not self.determinant.is_zero
-        )
+        return self.sign_matches_expected and self.cross_check_agrees and self.roots_geq_2 == 0
 
 
 def _block_product(b: IntersectionMatrix, n: int) -> tuple[UniPoly, bool]:
@@ -288,8 +290,9 @@ def _block_product(b: IntersectionMatrix, n: int) -> tuple[UniPoly, bool]:
 
 def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
     """Determinant of m as the diagonal product of its block form, checked by
-    elimination over Z; comparison against +-(2g-2)^n (2g)^(n choose 2), and
-    a real-root count certifying nonvanishing for every genus >= 2.
+    elimination over Z; comparison against +-(2g-2)^n (2g)^(n choose 2) at
+    m's own genus, which a singular m fails, and a real-root count
+    certifying nonvanishing for every genus >= 2.
 
     block_change_of_basis only subtracts columns from columns and rows from
     rows, which keeps the determinant, so when its result has the block form
@@ -300,7 +303,7 @@ def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
     there.  An entry outside Z[g] fails it."""
     if m.size != len(m.col_labels):
         raise NotSquare("intersection matrix must be square")
-    n = sum(1 for lbl in m.col_labels if lbl.startswith("psi"))
+    n = m.n
     b = block_change_of_basis(m)
     det, structured = _block_product(b, n)
     bound = max(sum(max(e.degree for e in row) for row in m.entries), det.degree)
@@ -310,13 +313,8 @@ def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
         and all(bareiss_determinant(m, x) * det.denominator
                 == _homogeneous_value(det.numerators, x, 1) for x in range(bound + 1))
     )
-    gp = UniPoly.g()
+    gp = genus_poly(m.genus)
     expected = (2 * gp - 2) ** n * (2 * gp) ** (m.size - n)
-    # Entries specialized at an integer genus: compare values, not polynomials.
-    if all(e.degree <= 0 for row in m.entries for e in row):
-        sign_ok = not det.is_zero
-        roots = 0
-    else:
-        sign_ok = det == expected or det == -expected
-        roots = sturm_roots_geq(det, Fraction(2))
+    sign_ok = det == expected or det == -expected
+    roots = 0 if det.is_zero else sturm_roots_geq(det, 2)
     return FullRankCertificate(b, det, expected, sign_ok, cross_ok, roots)

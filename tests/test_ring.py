@@ -3,12 +3,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowforge import ring as ring_module
+from chowforge.points import _rank_mod
 from chowforge.rationals import PoleAtPoint, RatFunc, UniPoly
 from chowforge.ring import (
     SLOT_BITS,
@@ -278,9 +280,12 @@ def test_reducers_are_rewrite_rules(name):
 
 
 def _scenario_presentation(scenario, n, genus):
-    from chowforge.scenarios import scenario_I_g0, scenario_I_g1, scenario_R2, scenario_Wn
+    from chowforge.scenarios import (
+        scenario_A1_vanishing, scenario_I_g0, scenario_I_g1, scenario_R2, scenario_Wn,
+    )
 
     report = {
+        "a1_vanishing": lambda: scenario_A1_vanishing(n, genus),
         "i_g0": lambda: scenario_I_g0(genus),
         "i_g1": lambda: scenario_I_g1(genus),
         "w_n": lambda: scenario_Wn(n, genus),
@@ -347,6 +352,55 @@ def test_completion_is_confluent(scenario, n, genus):
             assert pres.is_zero(shifted(f, lf, lcm) - shifted(g, lg, lcm))
         for g in basis[:a] + basis[a + 1 :]:
             assert not any(all(x >= y for x, y in zip(term, lf)) for term in g.terms)
+
+
+def _monomials(weights, d):
+    """Exponent tuples of weighted degree d over generators of these weights."""
+    if not weights:
+        return [()] if d == 0 else []
+    return [(e,) + rest for e in range(d // weights[0] + 1)
+            for rest in _monomials(weights[1:], d - e * weights[0])]
+
+
+def _macaulay_bound(pres, d, g0, p):
+    """The monomial count of degree d less the F_p rank of the degree-d
+    Macaulay matrix (rows m*rel, deg m = d - deg rel) at g = g0.  Specializing
+    and reducing mod p can only lower the rank over Q(g), so this bounds
+    dim_d from above without the engine's basis."""
+    weights = [gen.degree for gen in pres.ring.generators]
+    columns = {m: k for k, m in enumerate(_monomials(weights, d))}
+    rows = []
+    for rel in pres.relations:
+        values = {e: c(g0) for e, c in rel.terms.items()}
+        if any(v.denominator % p == 0 for v in values.values()):
+            pytest.skip(f"{p} divides a denominator at g = {g0}")
+        for m in _monomials(weights, d - rel.degree()):
+            row = [0] * len(columns)
+            for e, v in values.items():
+                row[columns[tuple(map(add, m, e))]] = v.numerator * pow(v.denominator, -1, p) % p
+            rows.append(row)
+    return len(columns) - _rank_mod(rows, p)
+
+
+# Each scenario's dimension claims by degree; r2's degree-2 claim is "at most 1".
+MACAULAY_CLAIMS = {"r2": {2: 1, 3: 0}, "w_n": {1: 0, 2: 0, 3: 0}, "a1_vanishing": {1: 0},
+                   "i_g1": {0: 1, 1: 2, 2: 1, 3: 0}}
+
+
+@pytest.mark.parametrize("scenario,n,g0", [
+    *((scenario, n, g0) for g0 in (2, 3, 5, 101)
+      for scenario, n in (("r2", 2), ("r2", 3), ("r2", 4), ("w_n", 3), ("a1_vanishing", 3),
+                          ("i_g1", None))),
+    # r2 at the paper's bound n = 2g0+6.  At g0 = 5 (n = 16) the degree-3
+    # matrix takes seconds to eliminate; at g0 = 101 it has 10^6 columns.
+    ("r2", 10, 2), ("r2", 12, 3),
+])
+def test_macaulay_bound_mod_p(scenario, n, g0):
+    """Every dimension claim of a symbolic presentation, bounded from above
+    by elimination mod p: the engine's dim <= the bound <= the claim."""
+    pres = _scenario_presentation(scenario, n, "symbolic")
+    for d, claim in MACAULAY_CLAIMS[scenario].items():
+        assert pres.graded_component_dim(d) <= _macaulay_bound(pres, d, g0, 1000003) <= claim
 
 
 @pytest.mark.parametrize("name,size", [

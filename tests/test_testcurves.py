@@ -168,6 +168,14 @@ def test_certify_full_rank_symbolic():
     assert cert.certified
     cert1 = certify_full_rank(intersection_matrix("symbolic", 1))
     assert cert1.determinant == 2 * G - 2
+    # Row T_1 replaced by a copy of T_2: the determinant 0 matches no expected value,
+    # and the root count is not asked of the zero polynomial.
+    m = intersection_matrix("symbolic", 2)
+    singular = IntersectionMatrix(m.genus, m.row_labels, m.col_labels,
+                                  (m.entries[1],) + m.entries[1:])
+    cert = certify_full_rank(singular)
+    assert cert.determinant.is_zero
+    assert not cert.sign_matches_expected and not cert.certified
 
 
 def test_cross_check_rejects_broken_block_structure():
@@ -180,7 +188,7 @@ def test_cross_check_rejects_broken_block_structure():
         rows = [list(row) for row in m.entries]
         for r, c in changes:
             rows[r][c] = rows[r][c] + 1
-        return IntersectionMatrix(m.row_labels, m.col_labels, tuple(map(tuple, rows)))
+        return IntersectionMatrix(m.genus, m.row_labels, m.col_labels, tuple(map(tuple, rows)))
 
     # T_12 against delta_13: the block form gets an entry below the psi block.
     cert = certify_full_rank(tampered((3, 4)))
@@ -207,7 +215,7 @@ def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, scal
         b = unbroken(m)
         rows = list(b.entries)
         rows[3] = tuple(e * scale for e in rows[3])
-        return IntersectionMatrix(b.row_labels, b.col_labels, tuple(rows))
+        return IntersectionMatrix(b.genus, b.row_labels, b.col_labels, tuple(rows))
 
     monkeypatch.setattr(testcurves, "block_change_of_basis", scaled)
     cert = certify_full_rank(intersection_matrix(genus, 3))
@@ -219,7 +227,12 @@ def test_certify_full_rank_numeric():
     cert = certify_full_rank(intersection_matrix(2, 3))
     val = cert.determinant(Fraction(0))
     assert abs(val) == 512
+    assert cert.expected_determinant == UniPoly.const(512)
     assert cert.certified
+    # n = 1 at g = 2 expects +-(2g-2) = +-2: 5 is nonzero but wrong.
+    cert = certify_full_rank(IntersectionMatrix(2, ("T_1",), ("psi_1",), ((UniPoly.const(5),),)))
+    assert cert.cross_check_agrees and cert.roots_geq_2 == 0
+    assert not cert.sign_matches_expected and not cert.certified
 
 
 def test_determinant_cross_checks():
@@ -231,7 +244,7 @@ def test_determinant_cross_checks():
     assert sturm_roots_geq(det, Fraction(2)) == 0
     with pytest.raises(NotSquare):
         certify_full_rank(IntersectionMatrix(
-            ("T_1",), ("psi_1", "delta_12"), ((UniPoly.const(1), UniPoly.const(2)),)
+            "symbolic", ("T_1",), ("psi_1", "delta_12"), ((UniPoly.const(1), UniPoly.const(2)),)
         ))
 
 
