@@ -227,7 +227,12 @@ def interpolation_rank(pts, g: int, prime: int) -> int:
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
     require_odd_prime(prime)
-    p = prime
+    return _interpolation_rank(pts, g, prime)
+
+
+def _interpolation_rank(pts, g: int, p: int) -> int:
+    """interpolation_rank for a genus and an odd prime p already checked, so
+    that a caller with many trials runs the primality test once."""
     xs = [x % p for x, _ in pts]
     ys = [y % p for _, y in pts]
     rows = [[1] * len(ys), ys, [y * y % p for y in ys]]
@@ -297,7 +302,7 @@ def check_general_position(
         xs = _distinct_randranges(rng, target, prime)
         shared_y = rng.randrange(prime)
         pts = [(x, shared_y if i < g else rng.randrange(prime)) for i, x in enumerate(xs)]
-        if interpolation_rank(pts, g, prime) == target:
+        if _interpolation_rank(pts, g, prime) == target:
             return Verdict("PASS", target, t + 1, {"seed": seed, "trial": t, "prime": prime})
     return Verdict("FAIL", target, trials, None)
 

@@ -419,31 +419,50 @@ def _monic(terms: dict) -> tuple:
     return lead, tuple((e, inv * c) for e, c in terms.items() if e != lead)
 
 
-def _subtract(work: dict, shift: int, tail, coeff: RatFunc) -> None:
+def _subtract(work: dict, shift: int, tail, coeff: RatFunc, memo: dict) -> None:
     """work -= coeff * x^shift * (x^lead - sum(tail)) once the term
     coeff * x^(shift + lead) is popped: work += coeff * x^shift * tail,
-    on packed monomials."""
+    on packed monomials.
+
+    memo maps the operands of a multiply-add w + coeff * c, or of coeff * c
+    for a new term, to its result.  A key holds each RatFunc's numerators,
+    common denominator and denominator numerators: RatFuncs are normalized
+    with monic denominators, so equal keys mean equal operands and a hit is
+    the value the arithmetic would give.  r2's relations are one pattern
+    renamed over index pairs, so its reductions repeat the same few."""
+    n = coeff.num
+    ck = n.numerators, n.denominator, coeff.den.numerators
     for e, c in tail:
         e += shift
-        t = work[e] + coeff * c if e in work else coeff * c
+        w, n = work.get(e), c.num
+        if w is None:
+            key = ck, n.numerators, n.denominator, c.den.numerators
+        else:
+            v = w.num
+            key = (ck, n.numerators, n.denominator, c.den.numerators,
+                   v.numerators, v.denominator, w.den.numerators)
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = coeff * c if w is None else w + coeff * c
         if t.is_zero:
             del work[e]
         else:
             work[e] = t
 
 
-def _reduce(terms: dict, reducers, guard: int) -> dict:
+def _reduce(terms: dict, reducers, guard: int, memo: dict) -> dict:
     """Full normal form of a packed term dict modulo rewrite rules (lead,
     tail), each x^lead -> sum(tail); guard holds the guard bits of the
-    ring's exponent slots."""
+    ring's exponent slots, and memo is _subtract's."""
     done: dict = {}
     work = dict(terms)
     while work:
         m = max(work)
         coeff = work.pop(m)
+        mg = m | guard
         for lead, tail in reducers:
-            if ((m | guard) - lead) & guard == guard:
-                _subtract(work, m - lead, tail, coeff)
+            if (mg - lead) & guard == guard:
+                _subtract(work, m - lead, tail, coeff, memo)
                 break
         else:
             done[m] = coeff
@@ -470,6 +489,7 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     An element is live while no other element's leading monomial divides its
     own; the live count may exceed the input count by at most MAX_BASIS."""
     guard, minus_one, pack = ring._guard, RatFunc(-1), ring.pack
+    memo: dict = {}  # _subtract's, for this run
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
     inputs = [r for r in relations if r]
     n = len(inputs)
@@ -485,8 +505,8 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
             # The negated S-polynomial: x^(lcm-li) * ti - x^(lcm-lj) * tj.
             (li, ti), (lj, tj) = basis[i], basis[j]
             s = {lcm - li + e: c for e, c in ti}
-            _subtract(s, lcm - lj, tj, minus_one)
-        s = _reduce(s, reducers, guard)
+            _subtract(s, lcm - lj, tj, minus_one, memo)
+        s = _reduce(s, reducers, guard, memo)
         if not s:
             continue
         k = len(basis)
@@ -512,7 +532,7 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
             raise NonterminatingHint(
                 f"completion grew past its {n} relations by over {MAX_BASIS} live elements")
     # Autoreduce: each live element's tail is reduced by the other live ones.
-    final = [(lead, tuple(_reduce(dict(t), reducers[:i] + reducers[i + 1 :], guard).items()))
+    final = [(lead, tuple(_reduce(dict(t), reducers[:i] + reducers[i + 1 :], guard, memo).items()))
              for i, (lead, t) in enumerate(reducers)]
     return sorted(final, key=itemgetter(0), reverse=True)
 
@@ -546,7 +566,7 @@ class RingPresentation:
     def normal_form(self, e: RingElement) -> RingElement:
         ring = self.ring
         terms = {ring.pack(x): c for x, c in ring.import_element(e).terms.items()}
-        done = _reduce(terms, self._reducers, ring._guard)
+        done = _reduce(terms, self._reducers, ring._guard, {})
         return RingElement(ring, {ring.unpack(m): c for m, c in done.items()})
 
     def is_zero(self, e: RingElement) -> bool:

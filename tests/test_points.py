@@ -258,6 +258,14 @@ def test_composite_modulus_rejected_by_entry_points():
     assert rank_exact([[2, 0], [0, 3]], DEFAULT_PRIME) == 2
 
 
+def test_general_position_tests_the_modulus_once(monkeypatch):
+    """The primality test runs once per call, not once per trial."""
+    calls = []
+    monkeypatch.setattr(points, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    verdict = check_general_position(2, 11, prime=11)  # its first trial fails
+    assert (verdict.status, verdict.trials, calls) == ("PASS", 2, [11])
+
+
 def test_sqrt_mod_non_residue_search_is_bounded():
     for p in (13, 17, 97, DEFAULT_PRIME, 998244353):
         for a in (1, 2, 4, 9):

@@ -441,8 +441,10 @@ BASIS_DIGESTS = [
     )
     for genus in ("symbolic", 2, 3, 5)  # the basis does not depend on the genus
 ] + [
+    ("w_n", 8, "symbolic", "eb52779ac4802ef1a5df9f57358ea1d75a1e5f3ba60691d7a4e5fbcd33894478"),
     ("r2", 3, "symbolic", "3d5f839226f4a3fe88ebd712a2208654192cd30aa5ae6e16e5b2d050de0aaf03"),
     ("r2", 6, "symbolic", "fb10fb560dc35ffd4bc52ae50149f96a96f1817db8c79da9e41c3bf560fba057"),
+    ("r2", 12, "symbolic", "976ac744f867b99ad17b2e475ea01692ea6473ac6a331a5a735efa1df4e3bb4c"),
     ("r2", 8, 2, "8729a6ca2ec0646655549c3c9ed3bd8fb79b1dd7a4c1711db2e20db515a13bf7"),
     ("r2", 10, 3, "538d9a1ecfe7dfade6ed43409a6bb733696fcc72911409a170f6362dff078bf3"),
     ("r2", 16, 5, "8e53f1ef4b526adec8514fdae1077993214c3666d8da3e16e9e8064de092432d"),
@@ -454,6 +456,37 @@ BASIS_DIGESTS = [
 def test_groebner_basis_digest(scenario, n, genus, digest):
     basis = _scenario_presentation(scenario, n, genus).groebner_basis
     assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest
+
+
+def test_completion_does_each_multiply_add_once(monkeypatch):
+    """r2's relations are one pattern renamed over index pairs, so its
+    reductions repeat a few coefficient multiply-adds; completion does each
+    once.  From n = 6 to 12 the relations grow by 63, and the RatFunc
+    products and sums of completion by at most two per relation, the monic
+    scaling of each new element (without the memo they grow by 2752)."""
+    from chowforge.ring import RingPresentation
+
+    calls = []
+
+    def counted(op):
+        def wrapper(a, b):
+            calls.append(op)
+            return op(a, b)
+
+        return wrapper
+
+    counts = {}
+    for n in (6, 12):
+        pres = _scenario_presentation("r2", n, "symbolic")
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RatFunc, "__mul__", counted(RatFunc.__mul__))
+            m.setattr(RatFunc, "__add__", counted(RatFunc.__add__))
+            rebuilt = RingPresentation(pres.ring, pres.relations)
+        assert rebuilt.groebner_basis == pres.groebner_basis
+        counts[n] = len(calls), len(pres.relations)
+    (ops6, rels6), (ops12, rels12) = counts[6], counts[12]
+    assert ops12 - ops6 <= 2 * (rels12 - rels6), counts
 
 
 def _tuples_of_weighted_degree(weights, d):
