@@ -179,23 +179,15 @@ class PolyRing:
         if e.ring is self or e.ring == self:
             return RingElement(self, dict(e.terms))
         src = e.ring
-        mapping: dict[int, int] = {}
-
-        def target_index(i: int) -> int:
-            if i not in mapping:
-                g = src.generators[i]
-                j = self.index(g.name)
-                if self.generators[j].degree != g.degree:
-                    raise UnknownGenerator(f"{g.name}: degree mismatch")
-                mapping[i] = j
-            return mapping[i]
-
         terms = {}
         for exps, c in e.terms.items():
             new = [0] * self.ngens
-            for i, ex in enumerate(exps):
+            for g, ex in zip(src.generators, exps):
                 if ex:
-                    new[target_index(i)] = ex
+                    j = self.index(g.name)
+                    if self.generators[j].degree != g.degree:
+                        raise UnknownGenerator(f"{g.name}: degree mismatch")
+                    new[j] = ex
             terms[tuple(new)] = c
         return RingElement(self, terms)
 

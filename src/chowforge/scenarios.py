@@ -287,7 +287,7 @@ def scenario_I_g1(genus="symbolic") -> Report:
     report.add_dims("final_dims_0_to_3", "1,2,1,0", final, range(4))
     report.add_flag("delta_cubed_zero", final.is_zero(deltaf**3), "delta^3 != 0")
 
-    s, t = (r.coefficient(_exps(pring, delta=2)) for r in (rel_a, rel_b))
+    s, t = one_point_constants(genus)
     report.extras = {
         "z_in_psi1_delta": element_str(z_sub),
         "delta_psi1_coefficient": str(s),

@@ -1,5 +1,5 @@
-"""Test-curve machinery: blowup self-intersection ledgers for the two
-one-parameter families, psi-degree extraction, intersection-matrix assembly,
+"""Test-curve machinery: blowup self-intersection ledgers for the test
+curves T_i and T_ij, psi-degree extraction, intersection-matrix assembly,
 the change of basis to block-diagonal form, and full-rank certification
 at the genus the matrix was built at.
 
@@ -20,7 +20,7 @@ from .rationals import (
 
 
 class BadIndex(ValueError):
-    """Raised for section indices outside 1..n."""
+    """Raised for a test curve that is not (i,) or (i, j) with 1 <= i < j <= n."""
 
 
 class UnknownSection(KeyError):
@@ -63,46 +63,30 @@ class BlowupLedger:
             raise UnknownSection(section) from None
 
 
-def family_one_ledger(gp: UniPoly, n: int, i: int) -> BlowupLedger:
-    """Family with one roaming point: the roaming section starts at the
-    self-intersection -(2g-2) of the diagonal and meets one exceptional per
-    fixed point; each fixed section meets exactly its own exceptional."""
-    if not (1 <= i <= n):
-        raise BadIndex(f"section index {i} outside 1..{n}")
+def family_ledger(gp: UniPoly, n: int, curve: tuple) -> BlowupLedger:
+    """Ledger of the test curve T_S, S = curve = (i,) or (i, j) with i < j.
+    Each roaming section (an index in S) starts at the self-intersection
+    -(2g-2) of the diagonal and meets one crossing exceptional E_k_r per
+    fixed section k; a pair of roaming sections also passes through the
+    2g+2 ramification exceptionals.  Each fixed section meets one crossing
+    exceptional per roaming section."""
+    if not (len(curve) in (1, 2) and 1 <= curve[0] <= curve[-1] <= n
+            and len(set(curve)) == len(curve)):
+        raise BadIndex(f"need (i,) or (i, j) with 1 <= i < j <= {n}, got {curve}")
     roaming, zero = 2 - 2 * gp, UniPoly()
     base = {}
     through = {}
     for k in range(1, n + 1):
         name = f"sigma_{k}"
-        if k == i:
-            base[name] = roaming
-            through[name] = {f"E_{j}": 1 for j in range(1, n + 1) if j != i}
-        else:
-            base[name] = zero
-            through[name] = {f"E_{k}": 1}
-    return BlowupLedger(base, through)
-
-
-def family_two_ledger(gp: UniPoly, n: int, i: int, j: int) -> BlowupLedger:
-    """Family with two conjugate roaming points: each roaming section starts
-    at -(2g-2), passes through the 2g+2 ramification exceptionals and one
-    crossing exceptional per fixed point; each fixed section meets two
-    exceptionals (one crossing with each roaming section)."""
-    if not (1 <= i < j <= n):
-        raise BadIndex(f"need 1 <= i < j <= n, got ({i}, {j}) with n = {n}")
-    roaming, ramification, zero = 2 - 2 * gp, 2 * gp + 2, UniPoly()
-    base = {}
-    through = {}
-    for k in range(1, n + 1):
-        name = f"sigma_{k}"
-        if k in (i, j):
+        if k in curve:
             base[name] = roaming
             # Unit counts first: the ledger sums them as ints before adding 2g+2.
-            through[name] = {f"E_{k2}_{k}": 1 for k2 in range(1, n + 1) if k2 not in (i, j)}
-            through[name]["E_ram"] = ramification
+            through[name] = {f"E_{f}_{k}": 1 for f in range(1, n + 1) if f not in curve}
+            if len(curve) == 2:
+                through[name]["E_ram"] = 2 * gp + 2
         else:
             base[name] = zero
-            through[name] = {f"E_{k}_{i}": 1, f"E_{k}_{j}": 1}
+            through[name] = {f"E_{k}_{r}": 1 for r in curve}
     return BlowupLedger(base, through)
 
 
@@ -149,64 +133,58 @@ def _pairs(n: int):
 
 
 def intersection_matrix(genus, n: int) -> IntersectionMatrix:
-    """Assemble the pairing matrix from the two family ledgers plus the
-    boundary counts: T_i meets delta_jk once iff i is one of (j, k); T_ij
-    meets delta_kl with multiplicity 2g+2, 1, 0 by index overlap 2, 1, 0.
-
-    A family's ledger treats every section index alike, so one ledger per
-    family gives every row: T_i reads its roaming and fixed psi degrees from
-    the ledger of T_1, and T_ij from that of T_12."""
+    """Assemble the pairing matrix of the test curves T_S against psi_k and
+    delta_kl.  An entry depends only on |S|, on whether k is in S, and on
+    the overlap |S & {k, l}|: the psi_k entry is the roaming or fixed psi
+    degree of a ledger of size |S|, and the delta_kl entry is 0, 1 or 2g+2
+    by overlap.  A ledger treats every section index alike, so T_1's and
+    T_12's give every row."""
     if not isinstance(n, int) or n < 1:
         raise BadN(f"need n >= 1, got {n}")
     gp = genus_poly(genus)
     pairs = _pairs(n)
-    rows = [f"T_{i}" for i in range(1, n + 1)] + [f"T_{i}{j}" for i, j in pairs]
+    curves = [(i,) for i in range(1, n + 1)] + pairs
+    rows = ["T_" + "".join(map(str, s)) for s in curves]
     cols = [f"psi_{k}" for k in range(1, n + 1)] + [f"delta_{k}{l}" for k, l in pairs]
-    # sigma_n is a fixed section of each ledger whenever some row has one.
-    one = family_one_ledger(gp, n, 1)
-    roaming, fixed = psi_degree(one, "sigma_1"), psi_degree(one, f"sigma_{n}")
+    # (fixed, roaming) psi degrees by |S|; sigma_n is fixed whenever some row has one.
+    psi = {}
+    for s in curves[:1] + pairs[:1]:
+        ledger = family_ledger(gp, n, s)
+        psi[len(s)] = (psi_degree(ledger, f"sigma_{n}"), psi_degree(ledger, "sigma_1"))
     boundary = (UniPoly(), UniPoly.const(1), 2 * gp + 2)  # by index overlap 0, 1, 2
-    entries = []
-    for i in range(1, n + 1):
-        row = [roaming if k == i else fixed for k in range(1, n + 1)]
-        row += [boundary[i in kl] for kl in pairs]
-        entries.append(tuple(row))
-    if pairs:
-        two = family_two_ledger(gp, n, 1, 2)
-        roaming, fixed = psi_degree(two, "sigma_1"), psi_degree(two, f"sigma_{n}")
-    for i, j in pairs:
-        row = [roaming if k in (i, j) else fixed for k in range(1, n + 1)]
-        row += [boundary[(i in kl) + (j in kl)] for kl in pairs]
-        entries.append(tuple(row))
-    return IntersectionMatrix(genus, tuple(rows), tuple(cols), tuple(entries))
+    entries = tuple(
+        tuple([psi[len(s)][k in s] for k in range(1, n + 1)]
+              + [boundary[(k in s) + (l in s)] for k, l in pairs])
+        for s in curves
+    )
+    return IntersectionMatrix(genus, tuple(rows), tuple(cols), entries)
 
 
 def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
-    """Determinant-preserving basis change: subtract the delta_ij columns
-    from each psi_i column, then subtract rows T_i and T_j from row T_ij.
-    The result has diagonal blocks (2g-2)*Id and 2g*Id with a zero block
-    below the first."""
+    """Determinant-preserving basis change: for each pair (i, j), subtract
+    the delta_ij column from the psi_i and psi_j columns and rows T_i and
+    T_j from row T_ij.  Row operations multiply on the left and column
+    operations on the right, so they commute, and one pass over the pairs
+    gives the matrix that all column operations and then all row operations
+    give.  The result has diagonal blocks (2g-2)*Id and 2g*Id with a zero
+    block below the first."""
     n = m.n
     pairs = _pairs(n)
     if m.size != n + len(pairs):
         raise ShapeMismatch("matrix size does not match its labels")
     entries = [list(row) for row in m.entries]
-    # Column operations: psi_i column -= sum of delta_ij columns over j != i.
-    # Subtracting a zero entry changes nothing, so zero entries are skipped.
-    for i in range(1, n + 1):
-        for pi, (k, l) in enumerate(pairs):
-            if i in (k, l):
-                col = n + pi
-                for row in entries:
-                    if not row[col].is_zero:
-                        row[i - 1] = row[i - 1] - row[col]
-    # Row operations: T_ij row -= T_i row + T_j row.
-    for pi, (i, j) in enumerate(pairs):
-        row = entries[n + pi]
+    # Column delta_ij and row T_ij share the index p.  Subtracting a zero
+    # entry changes nothing, so zero entries are skipped.
+    for p, (i, j) in enumerate(pairs, start=n):
+        for row in entries:
+            if not row[p].is_zero:
+                row[i - 1] = row[i - 1] - row[p]
+                row[j - 1] = row[j - 1] - row[p]
+        target = entries[p]
         for source in (entries[i - 1], entries[j - 1]):
             for c, e in enumerate(source):
                 if not e.is_zero:
-                    row[c] = row[c] - e
+                    target[c] = target[c] - e
     new_rows = tuple(m.row_labels[:n] + tuple(f"{lbl}'" for lbl in m.row_labels[n:]))
     new_cols = tuple(tuple(f"{lbl}'" for lbl in m.col_labels[:n]) + m.col_labels[n:])
     return IntersectionMatrix(m.genus, new_rows, new_cols, tuple(tuple(row) for row in entries))

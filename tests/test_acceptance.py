@@ -40,8 +40,7 @@ from chowforge.scenarios import (
 from chowforge.testcurves import (
     block_change_of_basis,
     certify_full_rank,
-    family_one_ledger,
-    family_two_ledger,
+    family_ledger,
     intersection_matrix,
     rank_numeric,
     _pairs,
@@ -183,13 +182,13 @@ def test_c10_full_rank_certificates():
 def test_c11_blowup_ledgers():
     ok = True
     for n in range(1, 7):
-        led1 = family_one_ledger(G, n, 1)
+        led1 = family_ledger(G, n, (1,))
         ok &= led1.derived("sigma_1") == -(2 * G + n - 3)
         ok &= all(
             led1.derived(f"sigma_{k}") == UniPoly.const(-1) for k in range(2, n + 1)
         )
         if n >= 2:
-            led2 = family_two_ledger(G, n, 1, 2)
+            led2 = family_ledger(G, n, (1, 2))
             ok &= led2.derived("sigma_1") == -(4 * G + n - 2)
             ok &= led2.derived("sigma_2") == -(4 * G + n - 2)
             ok &= all(

@@ -96,6 +96,22 @@ def test_unknown_generator():
         ring.gen("y")
 
 
+def test_import_element_maps_generators_by_name():
+    """a1 imports elements of (z, w, c1, c2, d1, d2) into (zeta, c1, d1): a
+    generator the target lacks raises only when an exponent uses it."""
+    src = PolyRing([Generator("z"), Generator("w"), Generator("c1"), Generator("c2", 2),
+                    Generator("d1"), Generator("d2", 2)])
+    dst = PolyRing([Generator("zeta"), Generator("c1"), Generator("d1")])
+    c1, d1 = src.gen("c1"), src.gen("d1")
+    imported = dst.import_element(c1 * c1 * d1 - d1.scale(G) + src.const(3))
+    assert imported.ring is dst
+    assert imported == dst.gen("c1") ** 2 * dst.gen("d1") - dst.gen("d1").scale(G) + dst.const(3)
+    with pytest.raises(UnknownGenerator):
+        dst.import_element(c1 * src.gen("w"))
+    with pytest.raises(UnknownGenerator):
+        PolyRing([Generator("c1", 2)]).import_element(c1)
+
+
 def test_element_rejects_bad_exponents():
     ring = PolyRing([Generator("x"), Generator("y")])
     for exps in ((-1, 2), (0, -3), (1.0, 2), (Fraction(1), 0), ("1", 0)):

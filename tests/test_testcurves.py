@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from chowforge import testcurves
 from chowforge.rationals import PoleAtPoint, UniPoly, _bareiss, sturm_roots_geq
 from chowforge.testcurves import (
+    BadIndex,
     BadN,
+    BlowupLedger,
     IntersectionMatrix,
     NotSquare,
     bareiss_determinant,
     block_change_of_basis,
     certify_full_rank,
-    family_one_ledger,
-    family_two_ledger,
+    family_ledger,
     gaussian_determinant,
     intersection_matrix,
     psi_degree,
@@ -30,29 +31,29 @@ G = UniPoly.g()
 
 def test_family_one_ledger_values():
     # n=1: the diagonal section is never blown up.
-    assert family_one_ledger(G, 1, 1).derived("sigma_1") == -(2 * G - 2)
-    led = family_one_ledger(G, 3, 2)
+    assert family_ledger(G, 1, (1,)).derived("sigma_1") == -(2 * G - 2)
+    led = family_ledger(G, 3, (2,))
     assert led.derived("sigma_2") == -(2 * G)
     assert led.derived("sigma_1") == UniPoly.const(-1)
     assert led.derived("sigma_3") == UniPoly.const(-1)
-    g2 = family_one_ledger(UniPoly.const(2), 4, 1)
+    g2 = family_ledger(UniPoly.const(2), 4, (1,))
     assert g2.derived("sigma_1") == UniPoly.const(-5)
 
 
 def test_family_two_ledger_values():
-    led2 = family_two_ledger(G, 2, 1, 2)
+    led2 = family_ledger(G, 2, (1, 2))
     assert led2.derived("sigma_1") == -(4 * G)
     assert led2.derived("sigma_2") == -(4 * G)
-    led3 = family_two_ledger(G, 3, 1, 2)
+    led3 = family_ledger(G, 3, (1, 2))
     assert led3.derived("sigma_3") == UniPoly.const(-2)
-    g2 = family_two_ledger(UniPoly.const(2), 3, 1, 2)
+    g2 = family_ledger(UniPoly.const(2), 3, (1, 2))
     assert g2.derived("sigma_1") == UniPoly.const(-9)
 
 
 def test_ledger_values_are_derived_from_declared_exceptionals():
     for n in range(1, 7):
         for i in range(1, n + 1):
-            led = family_one_ledger(G, n, i)
+            led = family_ledger(G, n, (i,))
             for section, base in led.base_self_intersections.items():
                 total = sum(
                     (c if isinstance(c, UniPoly) else UniPoly.const(c))
@@ -61,13 +62,19 @@ def test_ledger_values_are_derived_from_declared_exceptionals():
                 assert led.derived(section) == base - total
 
 
+def test_family_ledger_refuses_other_index_tuples():
+    for curve in ((), (0,), (4,), (1, 1), (2, 1), (1, 2, 3)):
+        with pytest.raises(BadIndex):
+            family_ledger(G, 3, curve)
+
+
 def test_psi_degree_formulas():
     for n in range(1, 7):
-        one = family_one_ledger(G, n, 1)
+        one = family_ledger(G, n, (1,))
         assert psi_degree(one, "sigma_1") == 2 * G + n - 3
         if n >= 2:
             assert psi_degree(one, "sigma_2") == UniPoly.const(1)
-            two = family_two_ledger(G, n, 1, 2)
+            two = family_ledger(G, n, (1, 2))
             assert psi_degree(two, "sigma_1") == 4 * G + n - 2
         if n >= 3:
             assert psi_degree(two, "sigma_3") == UniPoly.const(2)
@@ -94,8 +101,7 @@ def test_every_row_matches_its_own_ledger(genus):
         pairs = _pairs(n)
         curves = [(i,) for i in range(1, n + 1)] + pairs
         for row, curve in zip(m.entries, curves):
-            ledger = (family_one_ledger(gp, n, *curve) if len(curve) == 1
-                      else family_two_ledger(gp, n, *curve))
+            ledger = family_ledger(gp, n, curve)
             assert row[:n] == tuple(psi_degree(ledger, f"sigma_{k}") for k in range(1, n + 1))
             for kl, entry in zip(pairs, row[n:]):
                 overlap = len(set(curve) & set(kl))
@@ -221,6 +227,83 @@ def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, scal
     cert = certify_full_rank(intersection_matrix(genus, 3))
     assert not cert.determinant.is_zero
     assert not cert.cross_check_agrees and not cert.certified
+
+
+def _ramification_2g_plus_1(gp, n, curve, base, through):
+    for r in curve:
+        through[f"sigma_{r}"]["E_ram"] = 2 * gp + 1
+
+
+def _roaming_misses_a_crossing(gp, n, curve, base, through):
+    crossings = through[f"sigma_{curve[0]}"]
+    del crossings[next(iter(crossings))]
+
+
+def _roaming_base_2g_minus_3(gp, n, curve, base, through):
+    base[f"sigma_{curve[0]}"] = 3 - 2 * gp
+
+
+def _fixed_misses_a_crossing(gp, n, curve, base, through):
+    """Every fixed section loses its crossing with the second roaming one."""
+    for k in range(1, n + 1):
+        if k not in curve:
+            del through[f"sigma_{k}"][f"E_{k}_{curve[1]}"]
+
+
+def _ledger_mutation(size, change):
+    """Patch family_ledger so that change edits every ledger of a test curve
+    with size indices."""
+    def patch(monkeypatch):
+        built = testcurves.family_ledger
+
+        def mutant(gp, n, curve):
+            ledger = built(gp, n, curve)
+            if len(curve) != size:
+                return ledger
+            base = dict(ledger.base_self_intersections)
+            through = {s: dict(e) for s, e in ledger.exceptional_multiplicities.items()}
+            change(gp, n, curve, base, through)
+            return BlowupLedger(base, through)
+
+        monkeypatch.setattr(testcurves, "family_ledger", mutant)
+    return patch
+
+
+def _t12_delta12_plus_1(monkeypatch):
+    """Patch intersection_matrix so that T_12 meets delta_12 2g+3 times."""
+    built = testcurves.intersection_matrix
+
+    def mutant(genus, n):
+        m = built(genus, n)
+        rows = [list(row) for row in m.entries]
+        rows[n][n] = rows[n][n] + 1
+        return IntersectionMatrix(m.genus, m.row_labels, m.col_labels, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(testcurves, "intersection_matrix", mutant)
+
+
+TESTCURVE_MUTATIONS = {
+    "none": None,
+    "T_12 ramification 2g+1": _ledger_mutation(2, _ramification_2g_plus_1),
+    "T_1 roaming section misses a crossing": _ledger_mutation(1, _roaming_misses_a_crossing),
+    "T_1 roaming base -(2g-3)": _ledger_mutation(1, _roaming_base_2g_minus_3),
+    "T_12 fixed section misses a crossing": _ledger_mutation(2, _fixed_misses_a_crossing),
+    "T_12 x delta_12 = 2g+3": _t12_delta12_plus_1,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("genus", ["symbolic", 3])
+@pytest.mark.parametrize("mutation", list(TESTCURVE_MUTATIONS))
+def test_certificate_catches_testcurve_mutations(mutation, genus, n, monkeypatch):
+    """Each row changes one multiplicity of the ledgers or one entry of the
+    matrix; the certificate of the mutated matrix must fail, and that of
+    the unmutated one pass."""
+    patch = TESTCURVE_MUTATIONS[mutation]
+    if patch is not None:
+        patch(monkeypatch)
+    cert = certify_full_rank(testcurves.intersection_matrix(genus, n))
+    assert cert.certified == (patch is None)
 
 
 def test_certify_full_rank_numeric():
