@@ -195,15 +195,14 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_golden(report: dict, golden_dir: str) -> tuple[int, str]:
-    """Byte-exact comparison of the canonical JSON against the golden file
-    named after the requested scenario.  Returns (exit_code, summary)."""
-    scenario = report["config"]["scenario"]
+def compare_golden(scenario: str, current: str, golden_dir: str) -> tuple[int, str]:
+    """Byte-exact comparison of a report's canonical JSON, `current`, against
+    the golden file named after the requested scenario.  Returns
+    (exit_code, summary)."""
     path = Path(golden_dir) / f"{scenario}.json"
     if not path.exists():
         raise MissingGolden(str(path))
     golden = path.read_text()
-    current = canonical_json(report)
     if golden == current:
         return 0, "golden comparison: no differences\n"
     g_lines = golden.splitlines()
@@ -257,13 +256,12 @@ def main(argv=None) -> int:
     except (ValueError, BoundViolated, PoleAtPoint, SamplingExhausted, NonterminatingHint) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if cfg.format == "json":
-        sys.stdout.write(canonical_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    rendered = canonical_json(report) if cfg.format == "json" else render_text(report)
+    sys.stdout.write(rendered)
     if cfg.golden_dir is not None:
+        current = rendered if cfg.format == "json" else canonical_json(report)
         try:
-            code, summary = compare_golden(report, cfg.golden_dir)
+            code, summary = compare_golden(cfg.scenario, current, cfg.golden_dir)
         except MissingGolden as exc:
             print(f"configuration error: missing golden file {exc}", file=sys.stderr)
             return 2

@@ -10,6 +10,7 @@ trial achieved full rank.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -48,8 +49,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below 3.3e24."""
+    """Deterministic Miller-Rabin primality test for n below 3.3e24, cached:
+    answers are kept for the process, refusals are raised on every call."""
     if n >= _MR_EXACT_BELOW:
         raise CompositeModulus(f"modulus {n} is too large to prove prime")
     if n < 2:
@@ -124,7 +127,7 @@ def monomial_basis(g: int) -> list[tuple[int, int]]:
 
 
 def _inv(v, p):
-    return pow(v % p, p - 2, p)
+    return pow(v, -1, p)
 
 
 def _slope(coords, prime):
@@ -173,27 +176,36 @@ def rank_exact(matrix, prime: int) -> int:
     return _rank_mod(rows, prime)
 
 
+def _pack(values, size: int) -> int:
+    """Nonnegative ints below 2^(8 size) as one int, value k in slot k."""
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+
+def _reduce_slots(v: int, size: int, p: int) -> int:
+    """v with each slot x of w = 8 size bits cut to x - qp in [0, 2p) by a
+    Barrett step on whole ints: even and odd slots are split into 2w-bit
+    fields, where x times floor(2^w / p) cannot carry into the next field and
+    has a top half q with x - 2p < qp <= x."""
+    w, barrett = 8 * size, (1 << 8 * size) // p
+    fields = v.bit_length() // (2 * w) + 1
+    even = int.from_bytes((b"\xff" * size + bytes(size)) * fields, "little")
+    lo, hi = v & even, v >> w & even
+    return lo - (lo * barrett >> w & even) * p | (hi - (hi * barrett >> w & even) * p) << w
+
+
 def _rank_mod(rows: list, p: int) -> int:
     """Elimination over F_p on rows packed into ints of w-bit slots, column
     j in slot j, with delayed reduction (Dumas, Gautier and Pernet 2002).
 
-    Rows are packed through bytes, so w is a multiple of 8.  Only pivot rows
-    are reduced, below 2p in every slot, by a Barrett step on whole ints:
-    even and odd slots are split into 2w-bit fields, where a slot x times
-    floor(2^w / p) cannot carry into the next field and has a top half q
-    with x - 2p < qp <= x.  Each pivot then adds less than (p-1)(2p-1) to
-    every slot of the other rows, whose eliminated column is shifted out.
-    With at most k = min(rows, cols) pivots every slot stays nonnegative and
-    below p + k(p-1)(2p-1) < 2^w, so slots never carry into each other."""
+    Only pivot rows are reduced, below 2p in every slot, by _reduce_slots.
+    Each pivot then adds less than (p-1)(2p-1) to every slot of the other
+    rows, whose eliminated column is shifted out.  With at most
+    k = min(rows, cols) pivots every slot stays nonnegative and below
+    p + k(p-1)(2p-1) < 2^w, so slots never carry into each other."""
     ncols = len(rows[0]) if rows else 0
     size = ((p + min(len(rows), ncols) * (p - 1) * (2 * p - 1)).bit_length() + 7) // 8
-    w = 8 * size
-    mask, barrett = (1 << w) - 1, (1 << w) // p
-    even = int.from_bytes((b"\xff" * size + bytes(size)) * (ncols // 2 + 1), "little")
-    active = [
-        int.from_bytes(b"".join([(v % p).to_bytes(size, "little") for v in row]), "little")
-        for row in rows
-    ]
+    w, mask = 8 * size, (1 << 8 * size) - 1
+    active = [_pack([v % p for v in row], size) for row in rows]
     rank = 0
     for _ in range(ncols):
         pivot = next((i for i, r in enumerate(active) if (r & mask) % p), None)
@@ -201,9 +213,7 @@ def _rank_mod(rows: list, p: int) -> int:
             active = [r >> w for r in active]
             continue
         head = active.pop(pivot)
-        scale = p - _inv(head & mask, p)
-        lo, hi = head >> w & even, head >> 2 * w & even  # even, odd columns left
-        tail = lo - (lo * barrett >> w & even) * p | (hi - (hi * barrett >> w & even) * p) << w
+        scale, tail = p - _inv(head & mask, p), _reduce_slots(head >> w, size, p)
         active = [(r >> w) + (r & mask) * scale % p * tail for r in active]
         rank += 1
         if not active:
@@ -310,38 +320,52 @@ def check_general_position(
 # -- curve sampling ---------------------------------------------------------
 
 
-def _poly_eval_mod(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+def _discriminant_mod(A, B, C, p: int) -> list[int]:
+    """B^2 - 4AC mod p for lists A, B and C of m residues mod p, constant
+    term first, by Kronecker substitution: one product of ints packed with
+    coefficient k in slot k.  With p - C in place of -C every slot of the
+    product is a sum of at most m terms B_i B_j + 4 A_i (p - C_j) < 5p^2,
+    so slots of (5 m p^2).bit_length() bits never carry."""
+    size = ((5 * len(A) * p * p).bit_length() + 7) // 8
+    product = _pack(B, size) ** 2 + 4 * _pack(A, size) * _pack([p - c for c in C], size)
+    raw = product.to_bytes(size * (2 * len(A) - 1), "little")
+    return [int.from_bytes(raw[i:i + size], "little") % p for i in range(0, len(raw), size)]
 
 
-def _poly_gcd_mod(a, b, p):
-    """A gcd over F_p of two coefficient lists (constant term first), with
-    no trailing zeros: [] when both are zero.  Each remainder is taken in
-    place, cancelling the dividend's top coefficient against b's."""
+def _square_free_mod(d: list, p: int) -> bool:
+    """Whether gcd(d, d') over F_p is a nonzero constant, for a list d of
+    residues mod p, constant term first, by Euclid on polynomials packed as
+    in _rank_mod.  A quotient step a += f (b << kw) with f < p leaves the top
+    slot of a divisible by p and masks it off; top slots divisible by p are
+    stripped, so the degree is read from bit_length.  Each remainder is cut
+    below 2p in every slot by _reduce_slots.  Between cuts a slot starts
+    below 2p and each of at most n = len(d) steps adds less than
+    (p-1)(2p-1) < 2p^2, so with 2p + 2np^2 < 2^w slots never carry."""
+    size = ((2 * p + 2 * len(d) * p * p).bit_length() + 7) // 8
+    w = 8 * size
 
-    def strip(u):
-        while u and not u[-1]:
-            u.pop()
-        return u
+    def strip(v):
+        k = (v.bit_length() - 1) // w
+        while k >= 0 and not (v >> k * w) % p:
+            v &= (1 << k * w) - 1
+            k = (v.bit_length() - 1) // w
+        return v, k
 
-    a, b = strip([c % p for c in a]), strip([c % p for c in b])
-    while b:
-        inv, nb = pow(b[-1], p - 2, p), len(b) - 1
-        while len(a) > nb:
-            f = a.pop() * inv % p
-            shift = len(a) - nb
-            for i in range(nb):
-                a[shift + i] = (a[shift + i] - f * b[i]) % p
-            strip(a)
-        a, b = b, a
-    return a
+    a, da = strip(_pack(d, size))
+    b, db = strip(_pack([k * c % p for k, c in enumerate(d)][1:], size))
+    while db > 0:
+        scale = p - _inv(b >> db * w, p)
+        while da >= db:
+            f = (a >> da * w) * scale % p
+            a, da = strip((a + (f * b << (da - db) * w)) & ((1 << da * w) - 1))
+        (a, da), (b, db) = (b, db), (_reduce_slots(a, size, p), da)
+    return db == 0 or da == 0
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """Square root modulo an odd prime (Tonelli-Shanks).
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime, or None when a is not a
+    square.  For p = 3 (mod 4) it is a^((p+1)/4) when that squares to a;
+    otherwise Euler's criterion, then Tonelli-Shanks.
 
     The search for a quadratic non-residue stops at 2 ln^2 p, below which
     one exists for every odd prime under GRH (Bach 1990); running past it
@@ -349,10 +373,11 @@ def _sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError("not a quadratic residue")
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -398,18 +423,15 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
     rng = random.Random(f"{seed}:curve")
     p = prime
     for _attempt in range(SAMPLING_ATTEMPTS):
-        coeffs = {mono: rng.randrange(p) for mono in basis}
-        # y-quadratic coefficients as polynomials in the first coordinate.
-        A = [coeffs[(a, 2)] for a in range(g + 2)]
-        B = [coeffs[(a, 1)] for a in range(g + 2)]
-        C = [coeffs[(a, 0)] for a in range(g + 2)]
-        disc = [0] * (2 * g + 3)
-        for i in range(g + 2):
-            for j in range(g + 2):
-                disc[i + j] += B[i] * B[j] - 4 * A[i] * C[j]
-        if not (disc[-1] % p or disc[-2] % p):  # a double root at x = infinity
+        form = [rng.randrange(p) for _ in basis]
+        # The coefficients of y^2, y and 1 for x^(g+1) down to x^0, and as
+        # polynomials A, B and C in x, constant term first.
+        rows = list(zip(form[0::3], form[1::3], form[2::3]))
+        A, B, C = (form[k::3][::-1] for k in range(3))
+        disc = _discriminant_mod(A, B, C, p)
+        if not (disc[-1] or disc[-2]):  # a double root at x = infinity
             continue
-        if len(_poly_gcd_mod(disc, [k * c for k, c in enumerate(disc)][1:], p)) != 1:
+        if not _square_free_mod(disc, p):
             continue
         points = []
         tried: set[int] = set()
@@ -420,18 +442,17 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
             if x in tried:
                 continue
             tried.add(x)
-            a = _poly_eval_mod(A, x, p)
-            if a == 0:
-                continue
-            b = _poly_eval_mod(B, x, p)
-            c = _poly_eval_mod(C, x, p)
+            a = b = c = 0
+            for ca, cb, cc in rows:
+                a = (a * x + ca) % p
+                b = (b * x + cb) % p
+                c = (c * x + cc) % p
             d = (b * b - 4 * a * c) % p
-            if d == 0 or pow(d, (p - 1) // 2, p) != 1:
-                continue
-            y = ((-b + _sqrt_mod(d, p)) * pow(2 * a, p - 2, p)) % p
-            points.append(((x, 1), (y, 1)))
+            r = _sqrt_mod(d, p) if a and d else None
+            if r is not None:
+                points.append(((x, 1), ((r - b) * _inv(2 * a, p) % p, 1)))
         if len(points) == count:
-            return [coeffs[m] for m in basis], points
+            return form, points
     raise SamplingExhausted(f"no valid curve/points after {SAMPLING_ATTEMPTS} attempts")
 
 

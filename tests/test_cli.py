@@ -190,19 +190,35 @@ def test_schema_version_and_config_echo():
 def test_golden_comparison_roundtrip(tmp_path):
     cfg = RunConfig(scenario="i_g0", format="json")
     report = build_report(cfg)
-    (tmp_path / "i_g0.json").write_text(canonical_json(report))
-    code, summary = compare_golden(report, str(tmp_path))
+    current = canonical_json(report)
+    (tmp_path / "i_g0.json").write_text(current)
+    code, summary = compare_golden("i_g0", current, str(tmp_path))
     assert code == 0 and "no differences" in summary
     # A tampered golden produces a named diff, not a silent pass.
-    tampered = canonical_json(report).replace("(8*g^3", "(9*g^3", 1)
+    tampered = current.replace("(8*g^3", "(9*g^3", 1)
     (tmp_path / "i_g0.json").write_text(tampered)
-    code, summary = compare_golden(report, str(tmp_path))
+    code, summary = compare_golden("i_g0", current, str(tmp_path))
     assert code == 1 and "differences" in summary
+
+
+def test_golden_run_renders_canonical_json_once(monkeypatch, capsys):
+    """With --format json and --golden-dir the printed JSON is the text that
+    is compared against the golden."""
+    rendered = []
+
+    def recording(report):
+        rendered.append(canonical_json(report))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    assert main(["--scenario", "i_g0", "--format", "json", "--golden-dir", str(GOLDEN_DIR)]) == 0
+    assert len(rendered) == 1
+    assert capsys.readouterr().out == rendered[0] + "golden comparison: no differences\n"
 
 
 def test_missing_golden_raises_and_exits_two(tmp_path, capsys):
     with pytest.raises(MissingGolden):
-        compare_golden(build_report(RunConfig(scenario="i_g0")), str(tmp_path))
+        compare_golden("i_g0", "", str(tmp_path))
     assert main(["--scenario", "i_g0", "--golden-dir", str(tmp_path)]) == 2
     capsys.readouterr()
 

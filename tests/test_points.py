@@ -1,5 +1,6 @@
 """Point conditions on bidegree-(g+1, 2) forms over F_p: matrices, ranks, sampling."""
 
+import hashlib
 import random
 import types
 from fractions import Fraction
@@ -19,8 +20,10 @@ from chowforge.points import (
     PointCondition,
     PointConfig,
     SamplingExhausted,
+    _discriminant_mod,
     _distinct_randranges,
     _sqrt_mod,
+    _square_free_mod,
     check_general_position,
     evaluation_matrix,
     interpolation_rank,
@@ -210,6 +213,76 @@ def test_sampler_budget_grows_with_count(monkeypatch):
     assert sample_curve_points(8, 21) == expected
 
 
+# sha256 of repr(sample_curve_points(g, 2g+5, prime=p, seed=s)), or the name
+# of the exception it raises, keyed by (g, p, s).  The values were computed
+# with the schoolbook discriminant and the list Euclid (_poly_gcd_mod below),
+# so they pin the draws, the forms kept and the points taken.
+SAMPLE_DIGESTS = {
+    (2, 7, 0): "ValueError",
+    (2, 7, 1): "ValueError",
+    (2, 11, 0): "c76036492fc230cb30ad2a90cfb6e0cbb0f511a8b6f79ae7d21a820a32ffaf8e",
+    (2, 11, 1): "f5d751888a06024e6e62ee15b820168b2690d7bd2b86abe03931aaccb5f42d8f",
+    (2, 13, 0): "9dcdb210413f8766f776367c92936ea6fb4d41f258a2386c963f4c9aeb96b8d7",
+    (2, 13, 1): "2f5e04c2278c955a7f81c4a8f01d3585ed8411b730b08b5ce814d45b34cb3779",
+    (2, 101, 0): "9b0625d8e05451505ca00d187014b63a7e7bd1e5f1208e99e14017b9dd908a7b",
+    (2, 101, 1): "aac623b8d45da6f0215b9ef1b576f1a3819ca404667efb7d5c80608068b72821",
+    (2, 1000003, 0): "9a02fdb4b8f2a3e875b7c0359888193cc2ab7c15237466101e794cdf69ee916f",
+    (2, 1000003, 1): "c6d08d21f0a6a9c88e1b0630a439ecb78452f02e1ffa7641b8aca5934bde28b6",
+    (3, 7, 0): "ValueError",
+    (3, 7, 1): "ValueError",
+    (3, 11, 0): "SamplingExhausted",
+    (3, 11, 1): "SamplingExhausted",
+    (3, 13, 0): "fd987dce21eb7cc0309a5d9491513c9fa6b15f5519ca19a74b574bef891d82ba",
+    (3, 13, 1): "17ec91063ba68fdd0e27d965caa4b0e3109b8832e4fca56e854650d6814d0e08",
+    (3, 101, 0): "a38f37cdaa6ea53b4d3554b5f2c21fbb9fa95440a244c7dac07804d7456d1bbd",
+    (3, 101, 1): "c1e15f20e69866e9a7e5f89f10e9a9bf49cc9c428b1cc6337995e7cc6758a096",
+    (3, 1000003, 0): "598d43081a8220c7d8bdbfa91f7e024695f1f447809c30d32618dd11fdc6068f",
+    (3, 1000003, 1): "68293d3795c2f63f9640eba7a38e359e0266e63e5f3e81d63cf0e58dd3c1c8ba",
+    (8, 7, 0): "ValueError",
+    (8, 7, 1): "ValueError",
+    (8, 11, 0): "ValueError",
+    (8, 11, 1): "ValueError",
+    (8, 13, 0): "ValueError",
+    (8, 13, 1): "ValueError",
+    (8, 101, 0): "96eeee768b1a465b468de6728b9656ee2e54b6fda430efa83f8f64f02bfda5fb",
+    (8, 101, 1): "6666a02b1740f3cee0a36b96d18f379d60fb888b2221dd609a28e5dcecc6ded0",
+    (8, 1000003, 0): "5696fa41105c7558dd549ff75d36351bf30f7b93912937400159d49e57c4ec09",
+    (8, 1000003, 1): "1eeb7d870e237201ad1826f36f952201f9a9bcaadf5be195b3f8666badc68181",
+    (32, 7, 0): "ValueError",
+    (32, 7, 1): "ValueError",
+    (32, 11, 0): "ValueError",
+    (32, 11, 1): "ValueError",
+    (32, 13, 0): "ValueError",
+    (32, 13, 1): "ValueError",
+    (32, 101, 0): "SamplingExhausted",
+    (32, 101, 1): "SamplingExhausted",
+    (32, 1000003, 0): "07b160b694792ae2264fba732925eda279eac9894fa21fdf7d302951b0e08b8b",
+    (32, 1000003, 1): "09c02344494f60928acb11030e48cf0ddf1b941ad9952fe1ebccab2fd1046aab",
+    (400, 7, 0): "ValueError",
+    (400, 7, 1): "ValueError",
+    (400, 11, 0): "ValueError",
+    (400, 11, 1): "ValueError",
+    (400, 13, 0): "ValueError",
+    (400, 13, 1): "ValueError",
+    (400, 101, 0): "ValueError",
+    (400, 101, 1): "ValueError",
+    (400, 1000003, 0): "1e5d113cf7fa4bb04862f5158c448614f6801d90441547f357374556b8b77aca",
+    (400, 1000003, 1): "109d6d643cb788b039ad8849f75b391a0124d69214589ff75f43ef5be9cdc551",
+}
+
+
+@pytest.mark.parametrize("key", SAMPLE_DIGESTS, ids="g{0[0]}-p{0[1]}-s{0[2]}".format)
+def test_sampler_output_is_pinned(key):
+    g, p, seed = key
+    try:
+        result = sample_curve_points(g, 2 * g + 5, prime=p, seed=seed)
+    except (ValueError, SamplingExhausted) as exc:
+        digest = type(exc).__name__
+    else:
+        digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[key]
+
+
 def test_riemann_roch_counts():
     assert riemann_roch_counts(2) == {
         "h0_ambient": 12,
@@ -266,11 +339,30 @@ def test_general_position_tests_the_modulus_once(monkeypatch):
     assert (verdict.status, verdict.trials, calls) == ("PASS", 2, [11])
 
 
+def test_primality_is_cached_and_refusals_are_not():
+    """A prime is tested once per process; a composite and a modulus past the
+    test's bound are refused on every call."""
+    for _ in range(2):
+        with pytest.raises(CompositeModulus):
+            sample_curve_points(2, 9, prime=1_000_001)
+        with pytest.raises(CompositeModulus):
+            rank_exact([[1]], 10**25)
+    sample_curve_points(2, 9, prime=101)
+    hits = is_prime.cache_info().hits
+    sample_curve_points(2, 9, prime=101)
+    assert is_prime.cache_info().hits == hits + 1
+
+
 def test_sqrt_mod_non_residue_search_is_bounded():
-    for p in (13, 17, 97, DEFAULT_PRIME, 998244353):
-        for a in (1, 2, 4, 9):
+    """Squares get a root and non-residues None, by one exponentiation when
+    p = 3 (mod 4) (7, 11, 1000003) and by Tonelli-Shanks otherwise."""
+    for p in (7, 11, 13, 17, 97, DEFAULT_PRIME, 998244353):
+        for a in (1, 2, 3, 4, 5, 6, 9):
             if pow(a, (p - 1) // 2, p) == 1:
-                assert _sqrt_mod(a, p) ** 2 % p == a
+                assert _sqrt_mod(a, p) ** 2 % p == a % p
+            else:
+                assert _sqrt_mod(a, p) is None
+    assert _sqrt_mod(0, 7) == 0
     with pytest.raises(CompositeModulus):
         _sqrt_mod(1, 9)
 
@@ -497,6 +589,81 @@ def test_evaluation_matrix_matches_entrywise_formula(case):
     rows = evaluation_matrix(cfg, g)
     assert rows == _evaluation_oracle(cfg, g)
     assert all(type(v) is int for row in rows for v in row)
+
+
+def _poly_gcd_mod(a, b, p):
+    """A gcd over F_p of two coefficient lists (constant term first), with
+    no trailing zeros: [] when both are zero.  Each remainder is taken in
+    place, cancelling the dividend's top coefficient against b's."""
+
+    def strip(u):
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    a, b = strip([c % p for c in a]), strip([c % p for c in b])
+    while b:
+        inv, nb = pow(b[-1], p - 2, p), len(b) - 1
+        while len(a) > nb:
+            f = a.pop() * inv % p
+            shift = len(a) - nb
+            for i in range(nb):
+                a[shift + i] = (a[shift + i] - f * b[i]) % p
+            strip(a)
+        a, b = b, a
+    return a
+
+
+def _poly_mul_mod(u, v, p):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] = (out[i + j] + ui * vj) % p
+    return out
+
+
+@pytest.mark.parametrize("prime", (7, 11, 13, 101, DEFAULT_PRIME, 2**61 - 1))
+def test_square_free_mod_matches_reference_euclid(prime):
+    """_square_free_mod(d) holds exactly when the list Euclid's gcd(d, d') is
+    a nonzero constant: on random d, on f h^2 and h^2 with random f and h,
+    on constants, and at the small primes on polynomials in x^p (d' = 0)
+    and on those plus a cubic, where d' is a quadratic and the first
+    division takes up to 4p steps without reducing a slot."""
+    rng = random.Random(f"square-free:{prime}")
+
+    def poly(deg):
+        return [rng.randrange(prime) for _ in range(deg + 1)]
+
+    cases = [[c] for c in (0, 1, prime - 1)]
+    for _ in range(60):
+        h = poly(rng.randint(1, 6))
+        square = _poly_mul_mod(h, h, prime)
+        cases.append(poly(rng.randint(0, 40)))
+        cases += [_poly_mul_mod(poly(rng.randint(0, 30)), square, prime), square]
+        if prime <= 13:
+            spread = [0] * (prime * rng.randint(1, 4) + 1)
+            spread[::prime] = poly(len(spread) // prime)
+            cubic = poly(3) + [0] * (len(spread) - 4)
+            cases += [spread, [(u + v) % prime for u, v in zip(spread, cubic)]]
+    for d in cases:
+        gcd = _poly_gcd_mod(d, [k * c for k, c in enumerate(d)][1:], prime)
+        assert _square_free_mod(d, prime) == (len(gcd) == 1), d
+
+
+@pytest.mark.parametrize("g", (2, 3, 8, 400))
+def test_kronecker_discriminant_matches_schoolbook(g):
+    """The packed product B^2 - 4AC equals the convolution mod p, also with
+    every coefficient p - 1, where the slots are fullest."""
+    for p in (7, 101, DEFAULT_PRIME, 2**61 - 1):
+        rng = random.Random(f"disc:{g}:{p}")
+        for A, B, C in (
+            [[rng.randrange(p) for _ in range(g + 2)] for _ in range(3)],
+            [[p - 1] * (g + 2), [p - 1] * (g + 2), [0] * (g + 2)],
+            [[p - 1] * (g + 2), [p - 1] * (g + 2), [1] * (g + 2)],
+        ):
+            square, product = _poly_mul_mod(B, B, p), _poly_mul_mod(A, C, p)
+            expected = [(s - 4 * t) % p for s, t in zip(square, product)]
+            assert _discriminant_mod(A, B, C, p) == expected
 
 
 def _form_oracle(coeffs, g, x, y, prime):
