@@ -193,7 +193,7 @@ class PolyRing:
 
 
 class RingElement:
-    """Sparse polynomial: map from exponent tuples to RatFunc coefficients.
+    """Sparse polynomial: map from exponent tuples to nonzero RatFunc coefficients.
 
     Mixed-degree elements are allowed; degree() reports the top weighted degree.
     """
@@ -241,9 +241,11 @@ class RingElement:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            s = terms.get(e, RatFunc(0)) + c
-            if s.is_zero:
-                terms.pop(e, None)
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+            elif (s := s + c).is_zero:
+                del terms[e]
             else:
                 terms[e] = s
         return RingElement(self.ring, terms)
@@ -270,9 +272,11 @@ class RingElement:
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, RatFunc(0)) + c1 * c2
-                if s.is_zero:
-                    terms.pop(e, None)
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c1 * c2
+                elif (s := s + c1 * c2).is_zero:
+                    del terms[e]
                 else:
                     terms[e] = s
         return RingElement(self.ring, terms)
@@ -537,11 +541,12 @@ class RingPresentation:
     the test suite).
     """
 
-    __slots__ = ("ring", "relations", "groebner_basis", "_reducers")
+    __slots__ = ("ring", "relations", "groebner_basis", "_reducers", "_inhomogeneous")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
-        reducers = _buchberger(ring, [{ring.pack(e): c for e, c in r.terms.items()} for r in rels])
+        packed = [{ring.pack(e): c for e, c in r.terms.items()} for r in rels]
+        reducers = _buchberger(ring, packed)
         basis = tuple(
             RingElement(ring, {ring.unpack(m): c for m, c in ((lead, RatFunc(1)),)
                                + tuple((m, -c) for m, c in tail)})
@@ -551,6 +556,9 @@ class RingPresentation:
         object.__setattr__(self, "relations", tuple(rels))
         object.__setattr__(self, "groebner_basis", basis)
         object.__setattr__(self, "_reducers", reducers)
+        # The first relation with terms of two weighted degrees (a packed monomial's top slot).
+        object.__setattr__(self, "_inhomogeneous", next(
+            (r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None))
 
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
@@ -571,9 +579,8 @@ class RingPresentation:
         They are built degree by degree.  A divisor of a standard monomial
         is standard, so each standard monomial of degree k is one of degree
         k - w_i times generator i, and a packed product is a sum."""
-        for r in self.relations:
-            if not r.is_homogeneous():
-                raise InhomogeneousRelations(str(r))
+        if self._inhomogeneous is not None:
+            raise InhomogeneousRelations(str(self._inhomogeneous))
         if d < 0:
             return 0
         if d >= 1 << SLOT_BITS - 2:

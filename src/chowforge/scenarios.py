@@ -10,6 +10,7 @@ numeric scenarios of the command line build the same Report.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 
 from .chern import (
     JetSpec,
@@ -23,6 +24,7 @@ from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly, genus_poly
 from .ring import (
     Generator,
     PolyRing,
+    RingElement,
     element_str,
     ring_define,
 )
@@ -47,13 +49,14 @@ class Report:
     (tables shown in text output) is not serialised."""
 
     __slots__ = ("scenario_id", "input_genus", "payload", "raw_relations", "derived_relations",
-                 "final_presentation", "checks", "notes", "extras", "text")
+                 "final_presentation", "final_relations", "checks", "notes", "extras", "text")
 
     def __init__(self, scenario_id: str, input_genus, payload: dict | None = None,
                  notes: list | None = None, text: str = ""):
         self.scenario_id, self.input_genus, self.payload = scenario_id, input_genus, payload
         self.raw_relations, self.derived_relations, self.checks, self.extras = [], [], [], {}
         self.final_presentation, self.text = None, text  # a RingPresentation once set
+        self.final_relations = None  # printed in place of final_presentation's relations once set
         self.notes = [] if notes is None else notes
 
     def all_pass(self) -> bool:
@@ -74,16 +77,14 @@ class Report:
         self.add_check(claim_id, expected, dims, source="derived")
 
     def to_dict(self) -> dict:
-        payload = self.payload
+        payload, finals = self.payload, self.final_relations
         if payload is None:
+            if finals is None:
+                finals = self.final_presentation.relations if self.final_presentation else []
             payload = {
                 "raw_relations": [element_str(r) for r in self.raw_relations],
                 "derived_relations": [element_str(r) for r in self.derived_relations],
-                "final_relations": (
-                    [element_str(r) for r in self.final_presentation.relations]
-                    if self.final_presentation
-                    else []
-                ),
+                "final_relations": [element_str(r) for r in finals],
             }
         return {
             "scenario": self.scenario_id,
@@ -298,7 +299,8 @@ def scenario_I_g1(genus="symbolic") -> Report:
 
 def scenario_Wn(n: int, genus="symbolic") -> Report:
     """Stratum of configurations supported on a single fiber: certifies that
-    every positive-degree component of the quotient vanishes."""
+    every positive-degree component of the quotient vanishes, from the
+    presentation at min(n, 3) points when it shows dims 1..3 are 0."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
@@ -309,20 +311,22 @@ def scenario_Wn(n: int, genus="symbolic") -> Report:
     else:
         report.notes.append("bound n <= 2g+2 recorded")
 
-    gens = [Generator(f"z{i}", 1) for i in range(1, n + 1)]
-    gens += [Generator("c1", 1), Generator("c2", 2)]
-    ring = PolyRing(gens)
-    c1, c2 = ring.gen("c1"), ring.gen("c2")
-    zs = [ring.gen(f"z{i}") for i in range(1, n + 1)]
-    rels = [zi * zi + c1 * zi + c2 for zi in zs]
-    rels += [zs[i] + zs[j] + c1 for i in range(n) for j in range(i + 1, n)]
-    rels += [zi.scale(2 * gp) for zi in zs]
-    rels += [ring.import_element(r) for r in _core_classes(gp)[1:3]]  # firstp, secondp
-    pres = ring_define(ring, rels)
+    shared = [Generator("c1", 1), Generator("c2", 2)]
+    pring = _indexed_ring("z", 2, shared)
+    z1, z2, c1, c2 = (pring.gen(x) for x in ("z1", "z2", "c1", "c2"))
+    groups = [(1, [z1 * z1 + c1 * z1 + c2]), (2, [z1 + z2 + c1]), (1, [z1.scale(2 * gp)]),
+              (0, [pring.import_element(r) for r in _core_classes(gp)[1:3]])]  # firstp, secondp
+    ring = _indexed_ring("z", n, shared)
+    rels = renamed_patterns(ring, n, groups)
+    for pres in _presentations(ring, n, groups, rels):
+        dims = ",".join(str(pres.graded_component_dim(d)) for d in (1, 2, 3))
+        if dims == "0,0,0":
+            break
     report.final_presentation = pres
-    report.derived_relations = list(rels)
+    report.derived_relations = report.final_relations = rels
 
-    report.add_dims("positive_degree_dims_1_to_3", "0,0,0", pres, (1, 2, 3))
+    report.add_check("positive_degree_dims_1_to_3", "0,0,0", dims, source="derived")
+    zs = [pres.ring.gen(x.name) for x in pres.ring.generators[:-2]]
     report.add_flag("all_z_vanish", all(pres.is_zero(zi) for zi in zs), "some z_i != 0")
     report.add_flag("c1_vanishes", pres.is_zero(c1), "c1 != 0")
     report.add_flag("c2_vanishes", pres.is_zero(c2), "c2 != 0")
@@ -389,6 +393,47 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     return report
 
 
+def _indexed_ring(name: str, n: int, shared) -> PolyRing:
+    """The ring on name1 ... name<n>, all of degree 1, then the shared generators."""
+    return PolyRing([Generator(f"{name}{i}", 1) for i in range(1, n + 1)] + shared)
+
+
+def renamed_patterns(ring: PolyRing, n: int, groups) -> list:
+    """The relations of ring, whose first n generators are indexed and the
+    rest shared, from groups of (k, patterns): each pattern, an element of
+    a ring of the same shape that uses indexed generators 1..k only, is
+    renamed along each order-preserving injection [k] -> [n], these in
+    lexicographic order, group after group.
+
+    So the ideal at m points renames into the one at n >= m.  Indexed
+    generators have degree 1, so a monomial of degree d uses at most d
+    indices, and the presentation at 3 points decides whether those of
+    degree <= 3 vanish at every n >= 3."""
+    shared, rels = ring.ngens - n, []
+    for k, patterns in groups:
+        for image in combinations(range(n), k):
+            for pattern in patterns:
+                top = pattern.ring.ngens - shared  # the pattern ring's indexed generators
+                terms = {}
+                for exps, c in pattern.terms.items():
+                    new = [0] * n + list(exps[top:])
+                    for a, i in enumerate(image):
+                        new[i] = exps[a]
+                    terms[tuple(new)] = c
+                rels.append(RingElement(ring, terms))
+    return rels
+
+
+def _presentations(ring: PolyRing, n: int, groups, rels):
+    """For n > 3, the presentation at 3 points of groups' patterns, then the
+    one of rels at n points.  A claim of degree <= 3 the first certifies
+    holds at every n (renamed_patterns); only the second can refute one."""
+    if n > 3:
+        small = PolyRing(ring.generators[:3] + ring.generators[n:])
+        yield ring_define(small, renamed_patterns(small, 3, groups))
+    yield ring_define(ring, rels)
+
+
 def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
     """The boundary-divisor classes (d_ii, d_ij) in psi/delta coordinates:
     d_ii = (g+1)/(g-1) psi_i - delta/(2(2g+1)(g-1));
@@ -404,20 +449,20 @@ def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
 def scenario_R2(n: int, genus="symbolic") -> Report:
     """Degree-2 tautological component: expands the product of the two
     boundary classes, pins its psi_i*psi_j coefficient, and certifies the
-    degree-2 component has dimension <= 1 (spanned by delta^2)."""
+    degree-2 component has dimension <= 1 (spanned by delta^2), from the
+    presentation at min(n, 3) points when it certifies every claim."""
     if not isinstance(n, int) or n < 2:
         raise BadN(f"need n >= 2, got {n}")
     gp = genus_poly(genus)
     report = Report("r2", genus)
     report.extras["n"] = n
 
-    gens = [Generator(f"psi{i}", 1) for i in range(1, n + 1)] + [Generator("delta", 1)]
-    ring = PolyRing(gens)
-    delta = ring.gen("delta")
-
-    d_ii, d_ij = edidin_hu_classes(ring, 1, 2, gp)
+    shared = [Generator("delta", 1)]
+    pring = _indexed_ring("psi", 2, shared)
+    psi1, psi2, delta = (pring.gen(x) for x in ("psi1", "psi2", "delta"))
+    d_ii, d_ij = edidin_hu_classes(pring, 1, 2, gp)
     product = d_ii * d_ij
-    coeff = product.coefficient(_exps(ring, psi1=1, psi2=1))
+    coeff = product.coefficient((1, 1, 0))
     report.add_check(
         "psi_i_psi_j_coefficient",
         str(RatFunc(gp + 1, (gp - 1) ** 2)),
@@ -425,33 +470,33 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
     )
 
     # Relations: pulled-back one-pointed relations per marked point, the
-    # boundary-product vanishing per pair, and the cubic vanishing of delta.
+    # boundary-product vanishing per pair (d_ii * d_ij is d_11 * d_12
+    # renamed), and the cubic vanishing of delta.
     s, t = one_point_constants(genus)
-    rels = []
-    for i in range(1, n + 1):
-        psi = ring.gen(f"psi{i}")
-        rels.append(delta * psi + (delta * delta).scale(s))
-        rels.append(psi * psi + (delta * delta).scale(t))
-    # d_ii * d_ij is d_11 * d_12 with psi1 and psi2 renamed psi_i and psi_j.
-    for i in range(n):
-        for j in range(i + 1, n):
-            renamed = {}
-            for (e1, e2, *_, ed), c in product.terms.items():
-                exps = [0] * (n + 1)
-                exps[i], exps[j], exps[n] = e1, e2, ed
-                renamed[tuple(exps)] = c
-            rels.append(ring.element(renamed))
-    rels.append(delta**3)
-    pres = ring_define(ring, rels)
+    groups = [(1, [delta * psi1 + (delta * delta).scale(s), psi1 * psi1 + (delta * delta).scale(t)]),
+              (2, [product]), (0, [delta**3])]
+    ring = _indexed_ring("psi", n, shared)
+    rels = renamed_patterns(ring, n, groups)
+    for pres in _presentations(ring, n, groups, rels):
+        dim2, dim3 = pres.graded_component_dim(2), pres.graded_component_dim(3)
+        psi12 = pres.normal_form(psi1 * psi2)
+        mult = psi12.coefficient(_exps(pres.ring, delta=2))
+        # The symmetric functional phi on degree 2 with phi(delta^2) = 1,
+        # phi(delta*psi_i) = -s, phi(psi_i^2) = -t, phi(psi_i*psi_j) = mult
+        # kills the first two relations, and each d_ii * d_ij iff it kills
+        # d_11 * d_12.  Then delta^2, the least monomial of degree 2, stays
+        # standard at every n; with dim_2 <= 1 here, every degree-2
+        # monomial is a multiple of it, psi_i*psi_j = mult * delta^2.
+        phi = {(0, 0, 2): RatFunc(1), (1, 0, 1): -s, (0, 1, 1): -s,
+               (2, 0, 0): -t, (0, 2, 0): -t, (1, 1, 0): mult}
+        if (dim2 <= 1 and dim3 == 0
+                and sum((c * phi[e] for e, c in product.terms.items()), RatFunc(0)).is_zero):
+            break
     report.final_presentation = pres
-    report.derived_relations = list(rels)
+    report.derived_relations = report.final_relations = rels
 
-    dim2 = pres.graded_component_dim(2)
     report.add_flag("degree2_dim_at_most_1", dim2 <= 1, f"dim = {dim2}")
-    report.add_dims("degree3_dim", "0", pres, (3,))
-
-    psi12 = pres.normal_form(ring.gen("psi1") * ring.gen("psi2"))
-    mult = psi12.coefficient(_exps(ring, delta=2))
+    report.add_check("degree3_dim", "0", dim3, source="derived")
     is_multiple = psi12 == (delta * delta).scale(mult)
     report.add_flag("psi1_psi2_proportional_to_delta_squared", is_multiple, element_str(psi12))
     report.extras["psi1_psi2_over_delta_squared"] = str(mult)

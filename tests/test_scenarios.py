@@ -19,7 +19,7 @@ from chowforge.scenarios import (
     scenario_R2,
     scenario_Wn,
 )
-from chowforge.ring import Generator, PolyRing
+from chowforge.ring import Generator, PolyRing, ring_define
 
 G = UniPoly.g()
 
@@ -230,7 +230,7 @@ def test_groebner_basis_matches_sympy(build):
     so the weighted order is sympy's plain grevlex."""
     sympy = pytest.importorskip("sympy")
     report = build()
-    pres = report.final_presentation
+    pres = ring_define(report.derived_relations[0].ring, report.derived_relations)
     assert all(gen.degree == 1 for gen in pres.ring.generators)
     g = sympy.Symbol("g")
     domain = sympy.QQ.frac_field(g) if report.input_genus == "symbolic" else sympy.QQ
@@ -242,3 +242,59 @@ def test_groebner_basis_matches_sympy(build):
     ours = [sympy.Poly(_sympy_expr(b, gens, g, sympy), *gens, domain=domain)
             for b in pres.groebner_basis]
     assert {p.monic() for p in ours} == {p.monic() for p in theirs.polys}
+
+
+def _at_n_points(monkeypatch, build, n, genus):
+    """The report with every claim decided by completion at n points."""
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "_presentations", lambda ring, n, groups, rels: [ring_define(ring, rels)])
+        return build(n, genus)
+
+
+@pytest.mark.parametrize("build", [scenario_R2, scenario_Wn], ids=["r2", "w_n"])
+@pytest.mark.parametrize("genus", ["symbolic", 2, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_three_point_relations_rename_into_n_points(build, genus, n):
+    """Every order-preserving injection [3] -> [n] maps each relation at 3
+    points onto a relation at n points: the ideal at 3 points lies in the
+    one at n after renaming."""
+    from itertools import combinations
+
+    small, full = build(3, genus).derived_relations, build(n, genus).derived_relations
+    ring = full[0].ring
+    targets = {frozenset(r.terms.items()) for r in full}
+    for image in combinations(range(n), 3):
+        for r in small:
+            terms = {}
+            for exps, c in r.terms.items():
+                new = [0] * ring.ngens
+                new[n:] = exps[3:]
+                for a, i in enumerate(image):
+                    new[i] = exps[a]
+                terms[tuple(new)] = c
+            assert frozenset(terms.items()) in targets, (image, str(r))
+
+
+@pytest.mark.parametrize("build", [scenario_R2, scenario_Wn], ids=["r2", "w_n"])
+@pytest.mark.parametrize("genus", ["symbolic", 2, 3, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_three_point_presentation_decides_every_claim(monkeypatch, build, genus, n):
+    """The checks, details and extras read from the presentation at 3
+    points equal those of the presentation completed at n points."""
+    report = build(n, genus)
+    assert report.final_presentation.ring.ngens < report.derived_relations[0].ring.ngens
+    assert report.to_dict() == _at_n_points(monkeypatch, build, n, genus).to_dict()
+
+
+def test_r2_falls_back_to_n_points_when_three_do_not_certify(monkeypatch):
+    """Without the boundary-product relation psi1*psi2*psi3 survives at 3
+    points, so the claims are decided, and fail, at n points."""
+    one_point_constants("symbolic")  # cached before the patch
+    original = scenarios.edidin_hu_classes
+    monkeypatch.setattr(scenarios, "edidin_hu_classes",
+                        lambda ring, i, j, gp: (original(ring, i, j, gp)[0], ring.zero()))
+    assert scenario_R2(3).final_presentation.graded_component_dim(3) > 0
+    report = scenario_R2(6)
+    assert report.final_presentation.ring.ngens == 7
+    assert failing_ids(report) >= {"degree2_dim_at_most_1", "degree3_dim"}
+    assert report.to_dict() == _at_n_points(monkeypatch, scenario_R2, 6, "symbolic").to_dict()
