@@ -4,7 +4,8 @@ component dimension queries.
 
 Monomial order: graded-reverse-lexicographic, weighted by generator degrees,
 over the declared generator order.  Presentations compute their basis eagerly
-and are immutable afterwards; all queries are pure.
+and are immutable afterwards; all queries are pure (normal_form keeps a table
+of the monomial normal forms it has computed, which no query can observe).
 
 Completion and reduction run on packed monomials (Monagan and Pearce 2007):
 x^e in n generators is one int of 2n SLOT_BITS-bit slots.  The high slots
@@ -49,6 +50,7 @@ class MonomialOverflow(OverflowError):
 
 MAX_BASIS = 200  # live elements completion may add to its input; past that it looks pathological
 SLOT_BITS = 16  # width of one slot of a packed monomial
+_UNIT = RatFunc(1)  # the coefficient normal_form reduces a monomial with
 
 
 # Records are plain classes: generating their methods at import added ~13 ms to each CLI run.
@@ -541,7 +543,7 @@ class RingPresentation:
     the test suite).
     """
 
-    __slots__ = ("ring", "relations", "groebner_basis", "_reducers", "_inhomogeneous")
+    __slots__ = ("ring", "relations", "groebner_basis", "_reducers", "_inhomogeneous", "_nf")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
@@ -559,15 +561,38 @@ class RingPresentation:
         # The first relation with terms of two weighted degrees (a packed monomial's top slot).
         object.__setattr__(self, "_inhomogeneous", next(
             (r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None))
+        object.__setattr__(self, "_nf", {})  # normal_form's table
 
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
 
     def normal_form(self, e: RingElement) -> RingElement:
-        ring = self.ring
-        terms = {ring.pack(x): c for x, c in ring.import_element(e).terms.items()}
-        done = _reduce(terms, self._reducers, ring._guard, {})
-        return RingElement(ring, {ring.unpack(m): c for m, c in done.items()})
+        """The reduced representative of e modulo the relations.
+
+        The normal form is Q(g)-linear, NF(sum c*m) = sum c*NF(m), and the
+        presentation is immutable, so each monomial is reduced once, with
+        coefficient 1 and a fresh memo, and its normal form's terms kept in a
+        table keyed by the packed monomial.  A query then multiplies c into
+        the terms of each NF(m), and keeps c itself where NF(m) is m; the
+        table holds one entry per distinct monomial queried."""
+        ring, table = self.ring, self._nf
+        out: dict = {}
+        for x, c in ring.import_element(e).terms.items():
+            m = ring.pack(x)
+            nf = table.get(m)
+            if nf is None:
+                done = _reduce({m: _UNIT}, self._reducers, ring._guard, {})
+                nf = table[m] = tuple((ring.unpack(k), v) for k, v in done.items())
+            for y, v in nf:
+                t = c if v is _UNIT else c * v
+                s = out.get(y)
+                if s is None:
+                    out[y] = t
+                elif (s := s + t).is_zero:
+                    del out[y]
+                else:
+                    out[y] = s
+        return RingElement(ring, out)
 
     def is_zero(self, e: RingElement) -> bool:
         return self.normal_form(e).is_zero

@@ -607,3 +607,129 @@ def test_specialize_commutes_with_normal_form(g0, case_seed):
     except (ZeroDivisionError, PoleAtPoint):
         return
     assert lhs == num.normal_form(e_num)
+
+
+NF_TABLE_CASES = ["ctx", "i_g1", "w_n", "r2", "r2(3) at g=2", "r2(3) at g=3",
+                  "i_g1 at g=2", "i_g1 at g=3"]
+
+
+def _nf_table_presentation(name):
+    """The four c15 presentations, then r2 at 3 points and i_g1 at g = 2, 3."""
+    from chowforge.chern import standard_context
+    from chowforge.scenarios import scenario_I_g1, scenario_R2, scenario_Wn
+
+    return {
+        "ctx": lambda: standard_context().presentation,
+        "i_g1": lambda: scenario_I_g1().final_presentation,
+        "w_n": lambda: scenario_Wn(2).final_presentation,
+        "r2": lambda: scenario_R2(2).final_presentation,
+        "r2(3) at g=2": lambda: scenario_R2(3, 2).final_presentation,
+        "r2(3) at g=3": lambda: scenario_R2(3, 3).final_presentation,
+        "i_g1 at g=2": lambda: scenario_I_g1(2).final_presentation,
+        "i_g1 at g=3": lambda: scenario_I_g1(3).final_presentation,
+    }[name]()
+
+
+# Coefficient denominators: sums over g+2 and g+3 meet a common factor or none.
+NF_TABLE_DENOMINATORS = [UniPoly([1]), UniPoly([2, 1]), UniPoly([3, 1]),
+                         UniPoly([6, 5, 1]), UniPoly([4, 4, 1])]
+
+
+def _element_over_g_plus_2_and_3(rng, ring):
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = tuple(rng.randint(0, 3) for _ in range(ring.ngens))
+        num = UniPoly([rng.randint(-5, 5), rng.randint(-2, 2), rng.randint(-1, 1)])
+        terms[exps] = RatFunc(num, rng.choice(NF_TABLE_DENOMINATORS))
+    return ring.element(terms)
+
+
+def _whole_reduction(pres, e, reduce=ring_module._reduce):
+    """The normal form as completion reduces: the whole packed element at
+    once, its coefficients carried along every rewrite.  reduce is bound
+    here, so a test that wraps ring._reduce does not count these calls."""
+    ring = pres.ring
+    packed = {ring.pack(x): c for x, c in e.terms.items()}
+    done = reduce(packed, pres._reducers, ring._guard, {})
+    return ring.element({ring.unpack(m): c for m, c in done.items()})
+
+
+@pytest.mark.parametrize("table", ["cold", "warm"])
+@pytest.mark.parametrize("name", NF_TABLE_CASES)
+def test_normal_form_matches_whole_element_reduction(name, table):
+    """normal_form sums c * NF(m) over the table of monomial normal forms;
+    reducing the whole element is an independent path to the same form.
+    A cold case queries a fresh presentation for each element; a warm one
+    queries one presentation whose table 300 other elements have filled."""
+    from chowforge.ring import RingPresentation
+
+    pres = _nf_table_presentation(name)
+    ring = pres.ring
+    rng = random.Random(f"nf-table:{name}")
+    if table == "warm":
+        for _ in range(300):
+            pres.normal_form(_element_over_g_plus_2_and_3(rng, ring))
+        assert pres._nf
+    for _ in range(300):
+        e = _element_over_g_plus_2_and_3(rng, ring)
+        queried = RingPresentation(ring, pres.relations) if table == "cold" else pres
+        assert queried.normal_form(e) == _whole_reduction(pres, e)
+
+
+def test_normal_form_reduces_each_monomial_once(monkeypatch):
+    """normal_form calls _reduce once per monomial it has not seen, with
+    coefficient 1, and multiplies no coefficient of a standard monomial."""
+    ring, pres = pv_presentation()  # z^2 -> -c1*z - c2
+    z, c1, c2 = ring.gen("z"), ring.gen("c1"), ring.gen("c2")
+    calls, products = [], []
+    reduce, mul = ring_module._reduce, RatFunc.__mul__
+
+    def counted_reduce(terms, *rest):
+        calls.append(dict(terms))
+        return reduce(terms, *rest)
+
+    def counted_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ring_module, "_reduce", counted_reduce)
+    monkeypatch.setattr(RatFunc, "__mul__", counted_mul)
+    a = RatFunc(UniPoly([1, 1]), UniPoly([2, 1]))  # (g+1)/(g+2)
+    b = RatFunc(UniPoly([5]), UniPoly([3, 1]))  # 5/(g+3)
+
+    assert pres.normal_form(ring.zero()).is_zero
+    assert not calls and not pres._nf
+
+    e = (z * z * c1).scale(a) + c2.scale(b)
+    nf = pres.normal_form(e)
+    assert calls == [{ring.pack(x): RatFunc(1)} for x in e.terms]
+    assert nf == _whole_reduction(pres, e)
+
+    standard = c2.scale(b)
+    calls.clear()
+    products.clear()
+    assert pres.normal_form(standard) == standard
+    assert not calls and not products  # c2 is standard: its coefficient passes through
+
+    seen = (z * z * c1).scale(b) - c2.scale(a)
+    assert pres.normal_form(seen) == _whole_reduction(pres, seen)
+    assert not calls
+
+    one_new = seen + (z * c1 * c1).scale(a)
+    assert pres.normal_form(one_new) == _whole_reduction(pres, one_new)
+    assert calls == [{ring.pack((1, 2, 0)): RatFunc(1)}]
+
+    # The same generator names in another order: the element imports, then reduces.
+    other = PolyRing([Generator("c2", 2), Generator("z"), Generator("c1")])
+    foreign = (other.gen("z") ** 3).scale(b) + other.gen("c1").scale(a)
+    native = ring.import_element(foreign)
+    calls.clear()
+    imported = pres.normal_form(foreign)
+    assert imported.ring is ring
+    assert imported == _whole_reduction(pres, native)
+    assert calls == [{ring.pack(x): RatFunc(1)} for x in native.terms]
+    with pytest.raises(UnknownGenerator):
+        pres.normal_form(PolyRing([Generator("w")]).gen("w"))
+
+    queried = [e, standard, seen, one_new, native]
+    assert set(pres._nf) == {ring.pack(x) for q in queried for x in q.terms}
