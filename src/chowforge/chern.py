@@ -12,7 +12,7 @@ element.
 from __future__ import annotations
 
 from .rationals import UniPoly
-from .ring import Generator, PolyRing, RingElement, RingPresentation, ring_define
+from .ring import Generator, PolyRing, RingElement, RingPresentation
 
 
 class NotReduced(ValueError):
@@ -48,9 +48,6 @@ class ProjBundleCtx:
     def ring(self) -> PolyRing:
         return self.presentation.ring
 
-    def gen(self, name: str) -> RingElement:
-        return self.ring.gen(name)
-
     def fiber(self) -> RingElement:
         return self.ring.gen(self.fiber_class)
 
@@ -63,7 +60,7 @@ def standard_context() -> ProjBundleCtx:
     ring = PolyRing([Generator("z", 1), Generator("c1", 1), Generator("c2", 2)])
     z = ring.gen("z")
     rel = z * z + ring.gen("c1") * z + ring.gen("c2")
-    pres = ring_define(ring, [rel])
+    pres = RingPresentation(ring, [rel])
     cot = -2 * z - ring.gen("c1")
     return ProjBundleCtx(pres, "z", pres.normal_form(cot))
 
@@ -90,7 +87,7 @@ def two_factor_context() -> tuple[ProjBundleCtx, ProjBundleCtx]:
         z * z + ring.gen("c1") * z + ring.gen("c2"),
         w * w + ring.gen("d1") * w + ring.gen("d2"),
     ]
-    pres = ring_define(ring, rels)
+    pres = RingPresentation(ring, rels)
     horizontal = ProjBundleCtx(pres, "z", pres.normal_form(-2 * z))
     vertical = ProjBundleCtx(pres, "w", pres.normal_form(-2 * w))
     return horizontal, vertical

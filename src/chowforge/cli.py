@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .points import (
-    BoundViolated,
     DEFAULT_PRIME,
     SamplingExhausted,
     Verdict,
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = build_report(cfg)
-    except (ValueError, BoundViolated, PoleAtPoint, SamplingExhausted, NonterminatingHint) as exc:
+    except (ValueError, PoleAtPoint, SamplingExhausted, NonterminatingHint) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     rendered = canonical_json(report) if cfg.format == "json" else render_text(report)

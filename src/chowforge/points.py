@@ -237,12 +237,7 @@ def interpolation_rank(pts, g: int, prime: int) -> int:
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
     require_odd_prime(prime)
-    return _interpolation_rank(pts, g, prime)
-
-
-def _interpolation_rank(pts, g: int, p: int) -> int:
-    """interpolation_rank for a genus and an odd prime p already checked, so
-    that a caller with many trials runs the primality test once."""
+    p = prime
     xs = [x % p for x, _ in pts]
     ys = [y % p for _, y in pts]
     rows = [[1] * len(ys), ys, [y * y % p for y in ys]]
@@ -312,7 +307,7 @@ def check_general_position(
         xs = _distinct_randranges(rng, target, prime)
         shared_y = rng.randrange(prime)
         pts = [(x, shared_y if i < g else rng.randrange(prime)) for i, x in enumerate(xs)]
-        if _interpolation_rank(pts, g, prime) == target:
+        if interpolation_rank(pts, g, prime) == target:
             return Verdict("PASS", target, t + 1, {"seed": seed, "trial": t, "prime": prime})
     return Verdict("FAIL", target, trials, None)
 
@@ -401,8 +396,8 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
     """Sample a random smooth bidegree-(g+1, 2) form over F_prime and
     `count` points on its vanishing locus with distinct first coordinates,
     trying at most SAMPLING_ATTEMPTS forms.  Each form draws at most
-    max(SAMPLING_ATTEMPTS, 4 * count) first coordinates, and none once
-    every residue has been tried.
+    max(SAMPLING_ATTEMPTS, 4 * count) first coordinates, and none once the
+    points it still needs outnumber the residues it has not tried.
 
     In the affine chart the form is f = A(x) y^2 + B(x) y + C(x), a double
     cover of the x-line branched where d = B^2 - 4AC vanishes.  The curve is
@@ -436,7 +431,7 @@ def sample_curve_points(g: int, count: int, prime: int = DEFAULT_PRIME, seed: in
         points = []
         tried: set[int] = set()
         budget = max(SAMPLING_ATTEMPTS, 4 * count)
-        while len(points) < count and len(tried) < p and budget > 0:
+        while len(points) < count and count - len(points) <= p - len(tried) and budget > 0:
             budget -= 1
             x = rng.randrange(p)
             if x in tried:

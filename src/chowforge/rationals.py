@@ -181,10 +181,6 @@ class UniPoly:
     def __pow__(self, k: int):
         return power(self, k, _ONE)
 
-    def scale(self, c) -> "UniPoly":
-        c = _rational(c)
-        return _poly([x * c.numerator for x in self.numerators], self.denominator * c.denominator)
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self

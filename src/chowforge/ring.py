@@ -126,9 +126,6 @@ class PolyRing:
         except KeyError:
             raise UnknownGenerator(name) from None
 
-    def weighted_degree(self, exps) -> int:
-        return sum(e * w for e, w in zip(exps, self._weights))
-
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "RingElement":
@@ -195,10 +192,8 @@ class PolyRing:
 
 
 class RingElement:
-    """Sparse polynomial: map from exponent tuples to nonzero RatFunc coefficients.
-
-    Mixed-degree elements are allowed; degree() reports the top weighted degree.
-    """
+    """Sparse polynomial: map from exponent tuples to nonzero RatFunc
+    coefficients; mixed-degree elements are allowed."""
 
     __slots__ = ("ring", "terms")
 
@@ -212,16 +207,6 @@ class RingElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Top weighted degree; -1 for the zero element."""
-        if self.is_zero:
-            return -1
-        return max(self.ring.weighted_degree(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
-        return len(degs) <= 1
 
     def coefficient(self, exps) -> RatFunc:
         return self.terms.get(tuple(exps), RatFunc(0))
@@ -349,13 +334,10 @@ class RingElement:
             raise ValueError("zero element has no leading term")
         return max(self.terms, key=self.ring.pack)
 
-    def leading_coefficient(self) -> RatFunc:
-        return self.terms[self.leading_exponent()]
-
     def monic(self) -> "RingElement":
         if self.is_zero:
             return self
-        return self.scale(self.leading_coefficient().invert())
+        return self.scale(self.terms[self.leading_exponent()].invert())
 
     # -- printing ---------------------------------------------------------------
 
@@ -621,8 +603,3 @@ class RingPresentation:
             levels.append(standard({m + unit for w, unit in zip(ring._weights, ring._units)
                                     if w <= k for m in levels[k - w]}))
         return len(levels[d])
-
-
-def ring_define(ring: PolyRing, rels) -> RingPresentation:
-    """Build a presentation from a ring and relation elements."""
-    return RingPresentation(ring, rels)

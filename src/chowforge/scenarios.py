@@ -25,8 +25,8 @@ from .ring import (
     Generator,
     PolyRing,
     RingElement,
+    RingPresentation,
     element_str,
-    ring_define,
 )
 
 
@@ -163,7 +163,7 @@ def scenario_I_g0(genus="symbolic") -> Report:
 
     # Intermediate presentation in (c1, c2): delta^2 survives iff c1^2 does.
     base_ring = PolyRing([Generator("c1", 1), Generator("c2", 2)])
-    inter = ring_define(
+    inter = RingPresentation(
         base_ring,
         [
             base_ring.gen("c2") - (base_ring.gen("c1") ** 2).scale(ratio),
@@ -174,7 +174,7 @@ def scenario_I_g0(genus="symbolic") -> Report:
 
     delta_ring = PolyRing([Generator("delta", 1)])
     delta = delta_ring.gen("delta")
-    final = ring_define(delta_ring, [delta**3])
+    final = RingPresentation(delta_ring, [delta**3])
     report.derived_relations = [delta**3]
     report.final_presentation = final
     report.add_dims("final_dims_0_to_3", "1,1,1,0", final, range(4))
@@ -220,7 +220,7 @@ def _one_point_relations(gp: UniPoly):
 
     pring = PolyRing([Generator("psi1", 1), Generator("delta", 1)])
     rel_a = rel1.substitute({"z": z_sub}, target=pring).monic()
-    elim = ring_define(pring, [rel_a])
+    elim = RingPresentation(pring, [rel_a])
     rel_b = elim.normal_form(pbtrel.substitute({"z": z_sub}, target=pring)).monic()
     return pbtrel, rel1, z_sub, rel_a, rel_b
 
@@ -280,7 +280,7 @@ def scenario_I_g1(genus="symbolic") -> Report:
 
     rel_c = deltaf**3
     report.derived_relations.append(rel_c)
-    final = ring_define(pring, [rel_a, rel_b, rel_c])
+    final = RingPresentation(pring, [rel_a, rel_b, rel_c])
     report.final_presentation = final
     survivor = next((r for r in (rel_a, rel_b, rel_c) if not final.is_zero(r)), None)
     report.add_flag("derived_relations_vanish", survivor is None,
@@ -297,6 +297,16 @@ def scenario_I_g1(genus="symbolic") -> Report:
     return report
 
 
+def _past_bound_note(n: int, genus, k: int) -> str | None:
+    """The note of a report past the paper's bound n <= 2g+k at an integer
+    genus, else None.  The bound is an input from the geometry the
+    presentation models; the algebra and its checks run the same past it."""
+    if genus != "symbolic" and n > 2 * genus + k:
+        return (f"bound n <= 2g+{k} exceeded: n={n}, g={genus}; the bound is a geometric "
+                "input of the model, not a limit of the algebra")
+    return None
+
+
 def scenario_Wn(n: int, genus="symbolic") -> Report:
     """Stratum of configurations supported on a single fiber: certifies that
     every positive-degree component of the quotient vanishes, from the
@@ -306,10 +316,7 @@ def scenario_Wn(n: int, genus="symbolic") -> Report:
     gp = genus_poly(genus)
     report = Report("w_n", genus)
     report.extras["n"] = n
-    if genus != "symbolic" and n > 2 * genus + 2:
-        report.notes.append(f"bound n <= 2g+2 violated: n={n}, g={genus} (exploratory)")
-    else:
-        report.notes.append("bound n <= 2g+2 recorded")
+    report.notes.append(_past_bound_note(n, genus, 2) or "bound n <= 2g+2 recorded")
 
     shared = [Generator("c1", 1), Generator("c2", 2)]
     pring = _indexed_ring("z", 2, shared)
@@ -345,10 +352,7 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
     gp = genus_poly(genus)
     report = Report("a1_vanishing", genus)
     report.extras["n"] = n
-    if genus != "symbolic" and n > 2 * genus + 6:
-        report.notes.append(f"bound n <= 2g+6 violated: n={n}, g={genus} (exploratory)")
-    else:
-        report.notes.append("bound n <= 2g+6 recorded")
+    report.notes.append(_past_bound_note(n, genus, 6) or "bound n <= 2g+6 recorded")
 
     if branch not in (None, "small_n", "large_n"):
         raise ValueError("branch must be small_n or large_n")
@@ -380,7 +384,7 @@ def scenario_A1_vanishing(n: int, genus="symbolic", branch: str | None = None) -
         report.add_check(f"pf_prime[{br}]", exp_pf1, pf1)
         report.add_check(f"pf_doubleprime[{br}]", zeta - c1.scale(gp + 1), pf2)
 
-        pres = ring_define(out_ring, [c1, pf1, pf2])
+        pres = RingPresentation(out_ring, [c1, pf1, pf2])
         report.add_dims(f"degree1_dim[{br}]", "0", pres, (1,))
         report.add_flag(
             f"all_degree1_classes_vanish[{br}]",
@@ -430,8 +434,8 @@ def _presentations(ring: PolyRing, n: int, groups, rels):
     holds at every n (renamed_patterns); only the second can refute one."""
     if n > 3:
         small = PolyRing(ring.generators[:3] + ring.generators[n:])
-        yield ring_define(small, renamed_patterns(small, 3, groups))
-    yield ring_define(ring, rels)
+        yield RingPresentation(small, renamed_patterns(small, 3, groups))
+    yield RingPresentation(ring, rels)
 
 
 def edidin_hu_classes(ring: PolyRing, i: int, j: int, gp: UniPoly):
@@ -456,6 +460,8 @@ def scenario_R2(n: int, genus="symbolic") -> Report:
     gp = genus_poly(genus)
     report = Report("r2", genus)
     report.extras["n"] = n
+    if note := _past_bound_note(n, genus, 6):
+        report.notes.append(note)
 
     shared = [Generator("delta", 1)]
     pring = _indexed_ring("psi", 2, shared)

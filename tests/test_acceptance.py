@@ -29,7 +29,6 @@ from chowforge.points import (
     sample_curve_points,
 )
 from chowforge.rationals import RatFunc, UniPoly, sturm_roots_geq
-from chowforge.ring import ring_define
 from chowforge.scenarios import (
     scenario_A1_vanishing,
     scenario_I_g0,
@@ -65,7 +64,7 @@ def test_c01_first_pushforward_relation():
     ctx, c3 = _core()
     firstp = pushforward_p1(c3, ctx)
     elapsed = time.monotonic() - start
-    c1, c2 = ctx.gen("c1"), ctx.gen("c2")
+    c1, c2 = ctx.ring.gen("c1"), ctx.ring.gen("c2")
     expected = (c1 * c1).scale(8 * G**3 + 12 * G**2 + 4 * G) + c2.scale(-8 * G**3 + 8 * G)
     verdict(1, "pushforward of the top jet class, under 1 s",
             firstp == expected and elapsed < 1.0)
@@ -73,7 +72,7 @@ def test_c01_first_pushforward_relation():
 
 def test_c02_second_pushforward_relation():
     ctx, c3 = _core()
-    z, c1, c2 = ctx.fiber(), ctx.gen("c1"), ctx.gen("c2")
+    z, c1, c2 = ctx.fiber(), ctx.ring.gen("c1"), ctx.ring.gen("c2")
     secondp = pushforward_p1(ctx.presentation.normal_form(c3 * z), ctx)
     expected = (c1**3).scale(-8 * G**3 - 12 * G**2 - 4 * G) + (c1 * c2).scale(
         16 * G**3 + 12 * G**2 - 8 * G - 4
@@ -85,7 +84,7 @@ def test_c03_delta_class():
     ctx = standard_context()
     dclass = pushforward_p1(jet_top_chern(JetSpec(2 * G + 2, 1), ctx), ctx)
     verdict(3, "boundary class as a multiple of c1",
-            dclass == ctx.gen("c1").scale(-4 * G**2 - 6 * G - 2))
+            dclass == ctx.ring.gen("c1").scale(-4 * G**2 - 6 * G - 2))
 
 
 def test_c04_unpointed_presentation():

@@ -178,15 +178,29 @@ def test_sample_curve_points_beyond_bound_exploratory():
     assert 2 * g + 5 <= rank <= 2 * g + 6
 
 
-def test_sampler_stops_a_form_once_every_residue_is_tried(monkeypatch):
+def _has_point(coeffs, g, x, p):
+    """Whether the sampler takes a point at first coordinate x on a form in
+    monomial_basis order: A(x) != 0 and d(x) = B(x)^2 - 4A(x)C(x) is a
+    nonzero square mod p."""
+    terms = list(zip(monomial_basis(g), coeffs))
+    a, b, c = (sum(k * x**alpha for (alpha, beta), k in terms if beta == e) % p for e in (2, 1, 0))
+    d = (b * b - 4 * a * c) % p
+    return a != 0 and d != 0 and pow(d, (p - 1) // 2, p) == 1
+
+
+def test_sampler_stops_a_form_that_cannot_supply_its_points(monkeypatch):
     """The random stream is replaced by one that counts its draws and
-    replays a smooth genus-3 form's 3g+6 coefficients mod 11 and then the
-    residues 0..10, over and over.  That form has fewer than 11 usable first
-    coordinates, so 11 points never exist, and each form must stop after
-    the p distinct draws instead of spending its budget on repeats."""
+    replays a smooth genus-3 form's 3g+6 coefficients mod 11, then its u
+    usable first coordinates, then one unusable one, over and over.  With
+    u < 11 the 11 points never exist: after the unusable draw the 11 - u
+    points still needed outnumber the 10 - u untried residues, so each form
+    must stop there instead of drawing the rest."""
     g, p, attempts = 3, 11, 50
     coeffs, _ = sample_curve_points(g, 1, prime=p)
-    script = coeffs + list(range(p))
+    usable = [x for x in range(p) if _has_point(coeffs, g, x, p)]
+    unusable = [x for x in range(p) if x not in usable]
+    assert unusable
+    script = coeffs + usable + unusable[:1]
     draws = []
 
     class Replay:
@@ -214,16 +228,20 @@ def test_sampler_budget_grows_with_count(monkeypatch):
 
 
 # sha256 of repr(sample_curve_points(g, 2g+5, prime=p, seed=s)), or the name
-# of the exception it raises, keyed by (g, p, s).  The values were computed
-# with the schoolbook discriminant and the list Euclid (_poly_gcd_mod below),
-# so they pin the draws, the forms kept and the points taken.
+# of the exception it raises, keyed by (g, p, s).  They pin the draws, the
+# forms kept and the points taken.  The values were computed with the
+# schoolbook discriminant and the list Euclid (_poly_gcd_mod below).  The six
+# at (2, 11), (2, 13) and (3, 13) were recomputed when a form began to stop
+# once the points it still needs outnumber its untried residues, which moves
+# the draws of the forms after it; each new output was checked to have
+# distinct first coordinates on a smooth form (_form_oracle, form_is_smooth).
 SAMPLE_DIGESTS = {
     (2, 7, 0): "ValueError",
     (2, 7, 1): "ValueError",
-    (2, 11, 0): "c76036492fc230cb30ad2a90cfb6e0cbb0f511a8b6f79ae7d21a820a32ffaf8e",
-    (2, 11, 1): "f5d751888a06024e6e62ee15b820168b2690d7bd2b86abe03931aaccb5f42d8f",
-    (2, 13, 0): "9dcdb210413f8766f776367c92936ea6fb4d41f258a2386c963f4c9aeb96b8d7",
-    (2, 13, 1): "2f5e04c2278c955a7f81c4a8f01d3585ed8411b730b08b5ce814d45b34cb3779",
+    (2, 11, 0): "21c2bd97130eb7d046529e5e768d498352b5a35f742c01e4ec9d91d2188ba510",
+    (2, 11, 1): "d0a65580c18256da31be2953dd55fef31687eaf3588e6b863c4762fc6dbe38c7",
+    (2, 13, 0): "7ca30640522d90e150909c61ad566fe21534486c069fa663d97bc453a2a3c58c",
+    (2, 13, 1): "30b46a5ebd7d415c84ec5a6edeffdd0f6fa96a5ca0e54a6553ef940fae0f34f3",
     (2, 101, 0): "9b0625d8e05451505ca00d187014b63a7e7bd1e5f1208e99e14017b9dd908a7b",
     (2, 101, 1): "aac623b8d45da6f0215b9ef1b576f1a3819ca404667efb7d5c80608068b72821",
     (2, 1000003, 0): "9a02fdb4b8f2a3e875b7c0359888193cc2ab7c15237466101e794cdf69ee916f",
@@ -232,8 +250,8 @@ SAMPLE_DIGESTS = {
     (3, 7, 1): "ValueError",
     (3, 11, 0): "SamplingExhausted",
     (3, 11, 1): "SamplingExhausted",
-    (3, 13, 0): "fd987dce21eb7cc0309a5d9491513c9fa6b15f5519ca19a74b574bef891d82ba",
-    (3, 13, 1): "17ec91063ba68fdd0e27d965caa4b0e3109b8832e4fca56e854650d6814d0e08",
+    (3, 13, 0): "686b427b94632add99901da96e5e72526d5d1e82a466d1c19fd49419e4a12653",
+    (3, 13, 1): "2207ac964db07eb0a553da546b3d2b0fa7b7519357163cae76468c471152d75f",
     (3, 101, 0): "a38f37cdaa6ea53b4d3554b5f2c21fbb9fa95440a244c7dac07804d7456d1bbd",
     (3, 101, 1): "c1e15f20e69866e9a7e5f89f10e9a9bf49cc9c428b1cc6337995e7cc6758a096",
     (3, 1000003, 0): "598d43081a8220c7d8bdbfa91f7e024695f1f447809c30d32618dd11fdc6068f",
@@ -331,12 +349,11 @@ def test_composite_modulus_rejected_by_entry_points():
     assert rank_exact([[2, 0], [0, 3]], DEFAULT_PRIME) == 2
 
 
-def test_general_position_tests_the_modulus_once(monkeypatch):
+def test_general_position_tests_the_modulus_once():
     """The primality test runs once per call, not once per trial."""
-    calls = []
-    monkeypatch.setattr(points, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    is_prime.cache_clear()
     verdict = check_general_position(2, 11, prime=11)  # its first trial fails
-    assert (verdict.status, verdict.trials, calls) == ("PASS", 2, [11])
+    assert (verdict.status, verdict.trials, is_prime.cache_info().misses) == ("PASS", 2, 1)
 
 
 def test_primality_is_cached_and_refusals_are_not():
@@ -648,6 +665,30 @@ def test_square_free_mod_matches_reference_euclid(prime):
     for d in cases:
         gcd = _poly_gcd_mod(d, [k * c for k, c in enumerate(d)][1:], prime)
         assert _square_free_mod(d, prime) == (len(gcd) == 1), d
+
+
+@pytest.mark.parametrize("prime", (101, 127))
+def test_square_free_mod_keeps_full_slots_apart(prime):
+    """A long first division with full slots.  Each d has a double root at
+    x = 1, so it is never square-free.  Its derivative d' is p - 1 in every
+    slot from 1 to e - 1, and above degree e the rest of d sits at exponents
+    divisible by p, where d' vanishes.  So d / d' takes about deg d - e
+    quotient steps, each adding f (p - 1) with f < p to up to e slots, and
+    no slot is cut in between: slots climb far past 4p^2.  A width below
+    the bound 2p + 2 len(d) p^2 lets them carry into their neighbours, and
+    the double root is lost."""
+    p = prime
+    rng = random.Random(f"full-slots:{p}")
+    for _ in range(20):
+        e = rng.randrange(2, 3 * p)
+        d = [0] * (p * (e // p + rng.randint(1, 3)) + 1)
+        for j in range(2, e + 1):
+            d[j] = (p - 1) * pow(j, -1, p) % p if j % p else rng.randrange(1, p)
+        for m in range(p * (e // p + 1), len(d), p):
+            d[m] = rng.randrange(1, p)
+        d[1] = -sum(j * c for j, c in enumerate(d)) % p  # d'(1) = 0
+        d[0] = -sum(d) % p  # d(1) = 0
+        assert not _square_free_mod(d, p), d
 
 
 @pytest.mark.parametrize("g", (2, 3, 8, 400))

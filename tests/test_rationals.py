@@ -35,7 +35,7 @@ def test_poly_str_canonical_forms():
     assert poly_str(-8 * G**3 + 8 * G) == "-8*g^3+8*g"
     assert poly_str(UniPoly()) == "0"
     assert poly_str(-(G**2)) == "-g^2"
-    assert poly_str(G.scale(Fraction(1, 2))) == "1/2*g"
+    assert poly_str(G * Fraction(1, 2)) == "1/2*g"
 
 
 def _poly_str_via_fractions(p):
@@ -102,8 +102,8 @@ def test_gcd_with_a_linear_argument():
     cases = [
         (2 * G + 1, 4 * G**2 - 1, G + Fraction(1, 2)),
         # Root -2, from numerators (6, 3) over the denominator 5.
-        ((3 * G + 6).scale(Fraction(1, 5)), (G + 2) * (G**2 + 1), G + 2),
-        ((3 * G + 6).scale(Fraction(1, 5)), (G - 2) * (G**2 + 1), UniPoly.const(1)),
+        ((3 * G + 6) * Fraction(1, 5), (G + 2) * (G**2 + 1), G + 2),
+        ((3 * G + 6) * Fraction(1, 5), (G - 2) * (G**2 + 1), UniPoly.const(1)),
         (2 * G + 1, 3 * G - 1, UniPoly.const(1)),
         (2 * G + 2, 3 * G + 3, G + 1),
         (2 * G + 1, quartic, G + Fraction(1, 2)),
@@ -113,14 +113,14 @@ def test_gcd_with_a_linear_argument():
     ]
     big = UniPoly([-(2**70 + 1), 2**71 + 3])
     cases += [(big, big * (G**2 + 5), big.monic()), (big, G**2 + 5, UniPoly.const(1)),
-              (big, big.scale(Fraction(7, 2**72)), big.monic())]
+              (big, big * Fraction(7, 2**72), big.monic())]
     for line, other, expected in cases:
         for got in (poly_gcd(line, other), poly_gcd(other, line)):
             assert got == expected
             # Primitive numerators, as _exact_quotient needs of a divisor.
             assert math.gcd(*got.numerators) == 1 and got.numerators[-1] == got.denominator
     assert RatFunc(4 * G**2 - 1, 2 * G + 1) == RatFunc(2 * G - 1)
-    assert RatFunc(quartic, 6 * G + 3) == RatFunc(((G + 1) ** 2 * (2 * G + 1)).scale(Fraction(4, 3)))
+    assert RatFunc(quartic, 6 * G + 3) == RatFunc((G + 1) ** 2 * (2 * G + 1) * Fraction(4, 3))
 
 
 def test_sum_with_a_polynomial_needs_no_cancelling():
@@ -130,7 +130,7 @@ def test_sum_with_a_polynomial_needs_no_cancelling():
              (RatFunc(Fraction(-1, 2)), UniPoly.const(Fraction(-1, 2)))]
     for c, num in cases:
         for got in (x + c, c + x):
-            assert (got.num, got.den) == (num.scale(Fraction(1, 2)), G + Fraction(1, 2))
+            assert (got.num, got.den) == (num * Fraction(1, 2), G + Fraction(1, 2))
             assert got == RatFunc(num, 2 * G + 1) and _is_normalized(got)
     zero = RatFunc(G**2 - 3) + RatFunc(3 - G**2)
     assert zero.is_zero and zero.den.is_one() and zero == RatFunc(0)
@@ -172,7 +172,7 @@ def test_normalize_quartic_constant():
     f = RatFunc(num, den)
     # Denominator becomes monic: (g+1/2)^2 (g+1)^2; numerator scaled by 1/16.
     assert f.den == ((G + Fraction(1, 2)) ** 2 * (G + 1) ** 2)
-    assert f.num == num.scale(Fraction(1, 16))
+    assert f.num == num * Fraction(1, 16)
     assert f(2) == Fraction(47, 300)
 
 
@@ -288,8 +288,8 @@ def test_constants_hash_as_their_values():
 
 
 def test_exact_quotient_rejects_a_remainder():
-    assert _exact_quotient(G**2 - 1, 2 * G - 2) == G.scale(Fraction(1, 2)) + Fraction(1, 2)
-    for a, b in ((G**2 + 1, G + 1), (G + 1, G.scale(2)), (UniPoly.const(5), G + 1)):
+    assert _exact_quotient(G**2 - 1, 2 * G - 2) == G * Fraction(1, 2) + Fraction(1, 2)
+    for a, b in ((G**2 + 1, G + 1), (G + 1, G * 2), (UniPoly.const(5), G + 1)):
         with pytest.raises(ArithmeticError):
             _exact_quotient(a, b)
 
@@ -395,12 +395,12 @@ kernel_polys = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_fraction_oracle(a, b, c, k):
     A, B = list(a.coeffs), list(b.coeffs)
-    results = (a + b, a - b, -a, a * b, a.scale(k), a.monic(), a.derivative(), a * c, b * c)
+    results = (a + b, a - b, -a, a * b, a * k, a.monic(), a.derivative(), a * c, b * c)
     for p in (a, b, c) + results:
         _assert_canonical(p)
     assert list((a + b).coeffs) == _oracle_add(A, B)
     assert list((a * b).coeffs) == _oracle_mul(A, B)
-    assert list(a.scale(k).coeffs) == _oracle_mul(A, [Fraction(k)])
+    assert list((a * k).coeffs) == _oracle_mul(A, [Fraction(k)])
     assert list(a.monic().coeffs) == _oracle_monic(A)
     assert a(Fraction(-3, 7)) == sum(x * Fraction(-3, 7) ** i for i, x in enumerate(A))
     if not b.is_zero:
@@ -451,7 +451,7 @@ kernel_lines = st.builds(lambda r0, r1: UniPoly([r0, r1]), kernel_coeffs,
 def test_linear_gcds_and_polynomial_sums_match_fraction_oracle(line, p, a, b, k):
     """The root test against the Fraction Euclid, and sums over a
     denominator 1 against the gcd-normalized sum."""
-    assert poly_gcd(line * p, line) == poly_gcd(line, (line * p).scale(k)) == line.monic()
+    assert poly_gcd(line * p, line) == poly_gcd(line, line * p * k) == line.monic()
     L, P = list(line.coeffs), list(p.coeffs)
     assert list(poly_gcd(line, p).coeffs) == _oracle_gcd(L, P) == list(poly_gcd(p, line).coeffs)
     x, y = RatFunc(a, b), RatFunc(p)

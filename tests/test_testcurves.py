@@ -354,9 +354,9 @@ def poly_matrices(draw):
     x0 = draw(st.integers(min_value=0, max_value=3))
     if shape == "singular" and size >= 2:
         factor = draw(small_fracs)
-        rows[1] = [e.scale(factor) for e in rows[0]]
+        rows[1] = [e * factor for e in rows[0]]
     elif shape == "vanishing":
-        rows[0] = [(G - x0).scale(draw(small_fracs)) for _ in range(size)]
+        rows[0] = [(G - x0) * draw(small_fracs) for _ in range(size)]
     return rows, x0
 
 
