@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from .rationals import (
     BadN, RatFunc, UniPoly, _bareiss, _homogeneous_value, genus_poly, poly_str,
@@ -160,31 +161,35 @@ def intersection_matrix(genus, n: int) -> IntersectionMatrix:
     return IntersectionMatrix(genus, tuple(rows), tuple(cols), entries)
 
 
-def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
-    """Determinant-preserving basis change: for each pair (i, j), subtract
-    the delta_ij column from the psi_i and psi_j columns and rows T_i and
-    T_j from row T_ij.  Row operations multiply on the left and column
-    operations on the right, so they commute, and one pass over the pairs
-    gives the matrix that all column operations and then all row operations
-    give.  The result has diagonal blocks (2g-2)*Id and 2g*Id with a zero
-    block below the first."""
-    n = m.n
-    pairs = _pairs(n)
-    if m.size != n + len(pairs):
-        raise ShapeMismatch("matrix size does not match its labels")
-    entries = [list(row) for row in m.entries]
-    # Column delta_ij and row T_ij share the index p.  Subtracting a zero
-    # entry changes nothing, so zero entries are skipped.
-    for p, (i, j) in enumerate(pairs, start=n):
+def _pair_operations(entries: list, n: int, op) -> None:
+    """For each pair (i, j), set columns psi_i and psi_j to op(them, delta_ij)
+    and row T_ij to op(op(T_ij, T_i), T_j), in place.  Row operations act on
+    the left and column operations on the right, and none writes a line that
+    one of its kind reads (a singleton row, a delta column), so one pass
+    gives what every column and then every row operation give, in any order."""
+    # Column delta_ij and row T_ij share the index p; zero entries are skipped.
+    for p, (i, j) in enumerate(_pairs(n), start=n):
         for row in entries:
             if not row[p].is_zero:
-                row[i - 1] = row[i - 1] - row[p]
-                row[j - 1] = row[j - 1] - row[p]
+                row[i - 1] = op(row[i - 1], row[p])
+                row[j - 1] = op(row[j - 1], row[p])
         target = entries[p]
         for source in (entries[i - 1], entries[j - 1]):
             for c, e in enumerate(source):
                 if not e.is_zero:
-                    target[c] = target[c] - e
+                    target[c] = op(target[c], e)
+
+
+def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
+    """Determinant-preserving basis change: for each pair (i, j), subtract
+    the delta_ij column from the psi_i and psi_j columns and rows T_i and
+    T_j from row T_ij.  The result has diagonal blocks (2g-2)*Id and 2g*Id
+    with a zero block below the first."""
+    n = m.n
+    if m.size != n + len(_pairs(n)):
+        raise ShapeMismatch("matrix size does not match its labels")
+    entries = [list(row) for row in m.entries]
+    _pair_operations(entries, n, sub)
     new_rows = tuple(m.row_labels[:n] + tuple(f"{lbl}'" for lbl in m.row_labels[n:]))
     new_cols = tuple(tuple(f"{lbl}'" for lbl in m.col_labels[:n]) + m.col_labels[n:])
     return IntersectionMatrix(m.genus, new_rows, new_cols, tuple(tuple(row) for row in entries))
@@ -267,30 +272,24 @@ def _block_product(b: IntersectionMatrix, n: int) -> tuple[UniPoly, bool]:
 
 
 def certify_full_rank(m: IntersectionMatrix) -> FullRankCertificate:
-    """Determinant of m as the diagonal product of its block form, checked by
-    elimination over Z; comparison against +-(2g-2)^n (2g)^(n choose 2) at
-    m's own genus, which a singular m fails, and a real-root count
-    certifying nonvanishing for every genus >= 2.
+    """Determinant of m as the diagonal product of its block form b, checked
+    by undoing the basis change; comparison against +-(2g-2)^n (2g)^(n
+    choose 2) at m's own genus, which a singular m fails, and a real-root
+    count certifying nonvanishing for every genus >= 2.
 
-    block_change_of_basis only subtracts columns from columns and rows from
-    rows, which keeps the determinant, so when its result has the block form
-    the diagonal product is det m.  The cross-check does not rest on that
-    argument: det m and the product have degree at most D = max(sum over rows
-    of the largest entry degree, degree of the product), so they are equal
-    when bareiss_determinant at each genus g = 0..D gives the product's value
-    there.  An entry outside Z[g] fails it."""
+    The cross-check adds rows T_i and T_j back to each row T_ij' of b and
+    column delta_ij back to columns psi_i' and psi_j'.  It holds when b has
+    the block structure and the result is m entry for entry: each addition
+    adds one line to another, in any order (see _pair_operations), so
+    det m = det b, which the block structure makes b's diagonal product."""
     if m.size != len(m.col_labels):
         raise NotSquare("intersection matrix must be square")
     n = m.n
     b = block_change_of_basis(m)
     det, structured = _block_product(b, n)
-    bound = max(sum(max(e.degree for e in row) for row in m.entries), det.degree)
-    cross_ok = (
-        structured
-        and all(e.denominator == 1 for row in m.entries for e in row)
-        and all(bareiss_determinant(m, x) * det.denominator
-                == _homogeneous_value(det.numerators, x, 1) for x in range(bound + 1))
-    )
+    undone = [list(row) for row in b.entries]
+    _pair_operations(undone, n, add)
+    cross_ok = structured and undone == [list(row) for row in m.entries]
     gp = genus_poly(m.genus)
     expected = (2 * gp - 2) ** n * (2 * gp) ** (m.size - n)
     sign_ok = det == expected or det == -expected

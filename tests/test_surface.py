@@ -42,6 +42,7 @@ ALLOWED = {
     "points._slope": "evaluation_matrix, a benchmark boundary, takes the chart with it",
     "points._monomials": "evaluation_matrix, a benchmark boundary, builds its rows with it",
     "points._rank_mod": "rank_exact, a benchmark boundary, eliminates with it",
+    "rationals._bareiss": "bareiss_determinant and rank_numeric, benchmark boundaries, eliminate with it",
     "ring.PolyRing.element": "perfbench's nf_queries and CI's n = 40 step build elements from terms",
     "ring.RingElement.specialize": "perfbench's cli_report_sweep specializes the derived relations",
     "rationals.RatFunc.__call__": "RingElement.specialize evaluates each coefficient with it",

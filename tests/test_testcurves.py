@@ -212,8 +212,8 @@ def test_cross_check_rejects_broken_block_structure():
 @pytest.mark.parametrize("genus", ["symbolic", 2])
 def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, scale, monkeypatch):
     """A basis change that keeps the block shape but scales the row T_12'
-    scales the diagonal product; elimination over Z at the evaluation
-    genera must disagree with it.  Dividing by 3 leaves the product's
+    scales the diagonal product; undoing the unit operations on that block
+    form must not give back m.  Dividing by 3 leaves the product's
     numerators equal to det m, so the product's denominator must count."""
     unbroken = block_change_of_basis
 
@@ -226,6 +226,26 @@ def test_cross_check_rejects_non_determinant_preserving_basis_change(genus, scal
     monkeypatch.setattr(testcurves, "block_change_of_basis", scaled)
     cert = certify_full_rank(intersection_matrix(genus, 3))
     assert not cert.determinant.is_zero
+    assert not cert.cross_check_agrees and not cert.certified
+
+
+@pytest.mark.parametrize("genus", ["symbolic", 2])
+def test_cross_check_rejects_wrong_upper_right_entry(genus, monkeypatch):
+    """A block form whose T_1 x delta_12 entry, in the upper-right block, is
+    off by one keeps its structure and diagonal product, so it still has
+    det m as its determinant; it is not the block form of m, and undoing the
+    basis change on it must say so."""
+    unbroken = block_change_of_basis
+
+    def shifted(m):
+        b = unbroken(m)
+        rows = [list(row) for row in b.entries]
+        rows[0][m.n] = rows[0][m.n] + 1
+        return IntersectionMatrix(b.genus, b.row_labels, b.col_labels, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(testcurves, "block_change_of_basis", shifted)
+    cert = certify_full_rank(intersection_matrix(genus, 3))
+    assert cert.determinant in (cert.expected_determinant, -cert.expected_determinant)
     assert not cert.cross_check_agrees and not cert.certified
 
 
@@ -329,6 +349,18 @@ def test_determinant_cross_checks():
         certify_full_rank(IntersectionMatrix(
             "symbolic", ("T_1",), ("psi_1", "delta_12"), ((UniPoly.const(1), UniPoly.const(2)),)
         ))
+
+
+@pytest.mark.parametrize("genus", ["symbolic", 2, 3, 9])
+def test_certificate_determinant_matches_bareiss(genus):
+    """The certificate's determinant, the block form's diagonal product, is
+    det m by elimination over Z at g = 0..size.  An entry of m has degree at
+    most 1 in g, so det m has degree at most size, and these size + 1 genera
+    fix it.  This is also the check of _block_product's structure test."""
+    for n in range(1, 9):
+        m = intersection_matrix(genus, n)
+        det = certify_full_rank(m).determinant
+        assert all(bareiss_determinant(m, x) == det(x) for x in range(m.size + 1)), n
 
 
 def test_numeric_rank_spot_checks():
