@@ -11,7 +11,8 @@ anywhere.  Modules:
 - scenarios: the named presentation computations and the one Report type.
 - testcurves: blow-up ledgers, intersection matrices, full-rank certificates,
   and the one exact rank over Q.
-- points: F_p point-condition evaluation matrices and probabilistic rank checks.
+- points: F_p curve sampling and point-condition ranks by interpolation bases;
+  evaluation matrices and elimination serve only the benchmark and c13.
 - cli: the `chowforge` command-line entry point and its scenario table.
 """
 

@@ -66,23 +66,23 @@ class RunConfig:
         self.trials, self.prime, self.format, self.golden_dir = trials, prime, format, golden_dir
 
 
-def _matrix_text(m) -> str:
-    """Space-separated table: one header line naming rows and columns, then
-    one line of entries per test curve."""
-    header = f"# rows: {' '.join(m.row_labels)} | cols: {' '.join(m.col_labels)}"
-    body = [" ".join(poly_str(e) for e in row) for row in m.entries]
-    return "\n".join([header] + body) + "\n"
+def _matrix_text(d: dict) -> str:
+    """Space-separated table of a matrix's to_dict() form: one header line
+    naming rows and columns, then one line of entries per test curve."""
+    header = f"# rows: {' '.join(d['rows'])} | cols: {' '.join(d['cols'])}"
+    return "\n".join([header] + [" ".join(row) for row in d["entries"]]) + "\n"
 
 
 def _matrix_scenario(cfg: RunConfig) -> Report:
     m = intersection_matrix(cfg.genus, cfg.n)
     cert = certify_full_rank(m)
+    matrix, block_form = m.to_dict(), cert.block_form.to_dict()
     report = Report("test_matrix", cfg.genus, payload={
         "n": cfg.n,
-        "matrix": m.to_dict(),
-        "block_form": cert.block_form.to_dict(),
+        "matrix": matrix,
+        "block_form": block_form,
         "determinant": poly_str(cert.determinant),
-    }, text=_matrix_text(m) + "\n" + _matrix_text(cert.block_form))
+    }, text=_matrix_text(matrix) + "\n" + _matrix_text(block_form))
     det = cert.determinant
     det_abs = det if det.is_zero or det.leading > 0 else -det
     report.add_check("determinant_matches_block_product", cert.expected_determinant, det_abs,
@@ -181,10 +181,10 @@ def render_text(report: dict) -> str:
         if out.text:
             lines.append(out.text.rstrip())
         for c in out.checks:
-            mark = "ok  " if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.claim_id}: expected {c.expected}")
-            if not c.passed:
-                lines.append(f"         actual   {c.actual}")
+            mark = "ok  " if c["pass"] else "FAIL"
+            lines.append(f"  [{mark}] {c['claim_id']}: expected {c['expected']}")
+            if not c["pass"]:
+                lines.append(f"         actual   {c['actual']}")
         for note in out.notes:
             lines.append(f"  note: {note}")
     for sk in report.get("skipped", []):

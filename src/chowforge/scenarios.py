@@ -30,23 +30,11 @@ from .ring import (
 )
 
 
-class Check:
-    """One verifiable claim: an expected value against the derived value;
-    source is "pinned" (a reference constant) or "derived" (an oracle)."""
-
-    __slots__ = ("claim_id", "expected", "actual", "passed", "source")
-
-    def __init__(self, claim_id: str, expected: str, actual: str, passed: bool,
-                 source: str = "pinned"):
-        self.claim_id, self.expected, self.actual = claim_id, expected, actual
-        self.passed, self.source = passed, source
-
-
 class Report:
     """One scenario's result (input_genus "symbolic" or an integer >= 2).
     Its JSON form holds the scenario and genus, the payload (by default the
-    presentation's relations), then checks, notes and extras; `text`
-    (tables shown in text output) is not serialised."""
+    presentation's relations), then checks (each kept as the JSON object it
+    prints), notes and extras; `text` (text output's tables) is not serialised."""
 
     __slots__ = ("scenario_id", "input_genus", "payload", "raw_relations", "derived_relations",
                  "final_presentation", "final_relations", "checks", "notes", "extras", "text")
@@ -60,15 +48,19 @@ class Report:
         self.notes = [] if notes is None else notes
 
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def add_check(self, claim_id, expected, actual, source="pinned"):
-        """Compare the printed forms of an expected and a derived value."""
+        """Compare the printed forms of an expected and a derived value; source
+        is "pinned" (a reference constant) or "derived" (an oracle)."""
         exp_s, act_s = str(expected), str(actual)
-        self.checks.append(Check(claim_id, exp_s, act_s, exp_s == act_s, source))
+        self.checks.append({"claim_id": claim_id, "expected": exp_s, "actual": act_s,
+                            "pass": exp_s == act_s, "source": source})
 
-    def add_flag(self, claim_id, passed: bool, detail: str, source="derived"):
-        self.checks.append(Check(claim_id, "pass", "pass" if passed else detail, passed, source))
+    def add_flag(self, claim_id, passed: bool, detail: str):
+        self.checks.append({"claim_id": claim_id, "expected": "pass",
+                            "actual": "pass" if passed else detail, "pass": passed,
+                            "source": "derived"})
 
     def add_dims(self, claim_id, expected, presentation, degrees):
         """Compare the graded dimensions of a presentation in the given
@@ -90,16 +82,7 @@ class Report:
             "scenario": self.scenario_id,
             "genus": self.input_genus,
             **payload,
-            "checks": [
-                {
-                    "claim_id": c.claim_id,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "pass": c.passed,
-                    "source": c.source,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(c) for c in self.checks],
             "notes": list(self.notes),
             "extras": self.extras,
         }

@@ -90,8 +90,8 @@ def test_c03_delta_class():
 def test_c04_unpointed_presentation():
     report = scenario_I_g0()
     dims_ok = all(
-        c.passed for c in report.checks
-        if c.claim_id in ("intermediate_dims_0_to_3", "final_dims_0_to_3")
+        c["pass"] for c in report.checks
+        if c["claim_id"] in ("intermediate_dims_0_to_3", "final_dims_0_to_3")
     )
     verdict(4, "unpointed quotient is Q[delta]/(delta^3) with dims 1,1,1,0",
             dims_ok and report.all_pass())
@@ -100,7 +100,7 @@ def test_c04_unpointed_presentation():
 def test_c05_one_pointed_pinned_relations():
     report = scenario_I_g1()
     pinned = {"pbtrel", "rel1", "final_relation_delta_psi1", "final_relation_psi1_squared"}
-    results = {c.claim_id: c.passed for c in report.checks if c.claim_id in pinned}
+    results = {c["claim_id"]: c["pass"] for c in report.checks if c["claim_id"] in pinned}
     verdict(5, "one-pointed relations match the shipped reference displays",
             len(results) == 4 and all(results.values()))
 
@@ -119,13 +119,13 @@ def test_c07_degree_one_vanishing_both_branches():
 
 def test_c08_degree_two_component():
     report = scenario_R2(2)
-    coeff = next(c for c in report.checks if c.claim_id == "psi_i_psi_j_coefficient")
+    coeff = next(c for c in report.checks if c["claim_id"] == "psi_i_psi_j_coefficient")
     dims = all(
-        c.passed for c in report.checks
-        if c.claim_id in ("degree2_dim_at_most_1", "degree3_dim")
+        c["pass"] for c in report.checks
+        if c["claim_id"] in ("degree2_dim_at_most_1", "degree3_dim")
     )
     verdict(8, "psi_i psi_j coefficient (g+1)/(g-1)^2; dim_2 <= 1; dim_3 = 0",
-            coeff.passed and dims and report.all_pass())
+            coeff["pass"] and dims and report.all_pass())
 
 
 def test_c09_three_point_table_and_block_form():

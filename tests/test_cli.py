@@ -173,6 +173,40 @@ def test_test_matrix_text_table(capsys):
     assert sum(1 for l in lines if l and l[0].isdigit()) >= 12  # two 6x6 tables
 
 
+@pytest.mark.parametrize("genus", ["symbolic", 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_test_matrix_text_tables_match_the_json_payload(genus, n):
+    """The two tables of the text report are the printed matrix and block
+    form: a header naming the payload's rows and cols, then one line per
+    row of its entries, and a blank line between the tables."""
+    report = build_report(RunConfig(scenario="test_matrix", genus=genus, n=n))
+    payload = json.loads(canonical_json(report))["scenarios"][0]
+
+    def table(d):
+        header = f"# rows: {' '.join(d['rows'])} | cols: {' '.join(d['cols'])}"
+        return [header] + [" ".join(row) for row in d["entries"]]
+
+    lines = render_text(report).splitlines()
+    start = lines.index("== test_matrix ==") + 1
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("  ["))
+    assert lines[start:stop] == table(payload["matrix"]) + [""] + table(payload["block_form"])
+    assert len(payload["matrix"]["entries"]) == n + n * (n - 1) // 2
+
+
+def test_report_checks_are_the_json_objects_they_print():
+    """Each check is kept as its printed object, keys in printed order, and
+    the JSON form holds copies, so editing it leaves the report alone."""
+    report = build_report(RunConfig(scenario="all", genus=2))
+    for out in report["scenarios"]:
+        printed = out.to_dict()["checks"]
+        assert printed == out.checks
+        assert all(list(c) == ["claim_id", "expected", "actual", "pass", "source"]
+                   for c in out.checks)
+        for c in printed:
+            c["pass"] = not c["pass"]
+        assert printed != out.checks
+
+
 def test_json_reports_are_deterministic():
     cfg = RunConfig(scenario="all", genus=2, format="json")
     assert canonical_json(build_report(cfg)) == canonical_json(build_report(cfg))

@@ -326,6 +326,78 @@ def test_certificate_catches_testcurve_mutations(mutation, genus, n, monkeypatch
     assert cert.certified == (patch is None)
 
 
+def _image(m, v: dict) -> dict:
+    """M v for v a map from column label to int, keyed by the column label
+    with the row's index set: row T_i gives psi_i and row T_ij delta_ij
+    (indices are single digits, so n <= 9)."""
+    col = {lbl: c for c, lbl in enumerate(m.col_labels)}
+    return {
+        ("psi_" if len(lbl) == 3 else "delta_") + lbl[2:]:
+            sum((m.entry(r, col[k]) * x for k, x in v.items()), UniPoly())
+        for r, lbl in enumerate(m.row_labels)
+    }
+
+
+def _block(m, u: dict, w: dict, ku: str, kw: str):
+    """The 2 x 2 block by which M acts on span(u, w), where u is 1 at ku and
+    w 0 there, and w 1 at kw and u 0 there; M u and M w must lie in the span."""
+    block = []
+    for v in (u, w):
+        image = _image(m, v)
+        alpha, beta = image[ku], image[kw]
+        assert image == {k: alpha * u.get(k, 0) + beta * w.get(k, 0) for k in image}, v
+        block.append((alpha, beta))
+    return [[block[0][0], block[1][0]], [block[0][1], block[1][1]]]
+
+
+def _prove_determinant_for_every_n():
+    """det M = (2g-2)^n (2g)^C(n,2) for every n >= 4, at symbolic genus.
+
+    M commutes with S_n, which acts on the singletons as triv + std and on
+    the pairs as triv + std + (n-2, 2).  The trivial part is spanned by
+    sum psi_k and sum delta_kl, the standard part (n-1 copies) by psi_1 -
+    psi_2 and sum_{j>2} (delta_1j - delta_2j), and delta_12 - delta_13 -
+    delta_24 + delta_34 lies in the (n-2, 2) part, of dimension n(n-3)/2.
+    By Schur's lemma det M = det(triv)^1 det(std)^(n-1) lam^(n(n-3)/2).
+    Each block entry is a count of index sets times a ledger degree, affine
+    in n, so its values at n = 4, 5, 6 fix it; each 2 x 2 determinant is
+    then quadratic in n, and three values fix it too."""
+    g = UniPoly.g()
+    blocks = {}
+    for n in (4, 5, 6):
+        m = testcurves.intersection_matrix("symbolic", n)
+        pairs = [f"delta_{k}{l}" for k, l in _pairs(n)]
+        triv = _block(m, {f"psi_{k}": 1 for k in range(1, n + 1)}, dict.fromkeys(pairs, 1),
+                      "psi_1", "delta_12")
+        std_pairs = {f"delta_1{j}": 1 for j in range(3, n + 1)}
+        std_pairs.update({f"delta_2{j}": -1 for j in range(3, n + 1)})
+        std = _block(m, {"psi_1": 1, "psi_2": -1}, std_pairs, "psi_1", "delta_13")
+        h = {"delta_12": 1, "delta_13": -1, "delta_24": -1, "delta_34": 1}
+        lam = _image(m, h)["delta_12"]
+        assert _image(m, h) == {k: lam * h.get(k, 0) for k in m.col_labels}, n
+        blocks[n] = [e for b in (triv, std) for row in b for e in row] + [lam]
+        for b in (triv, std):
+            assert b[0][0] * b[1][1] - b[0][1] * b[1][0] == 4 * g * (g - 1), (n, b)
+        assert lam == 2 * g, n
+    assert all(e6 - e5 == e5 - e4 for e4, e5, e6 in zip(blocks[4], blocks[5], blocks[6]))
+    for n in range(4, 9):
+        det = certify_full_rank(testcurves.intersection_matrix("symbolic", n)).determinant
+        product = (4 * g * (g - 1)) ** n * (2 * g) ** (n * (n - 3) // 2)
+        assert product == (2 * g - 2) ** n * (2 * g) ** (n * (n - 1) // 2)
+        assert det in (product, -product), n
+
+
+def test_determinant_for_every_n_from_the_isotypic_blocks():
+    _prove_determinant_for_every_n()
+
+
+@pytest.mark.parametrize("mutation", [k for k, v in TESTCURVE_MUTATIONS.items() if v])
+def test_every_n_proof_catches_testcurve_mutations(mutation, monkeypatch):
+    TESTCURVE_MUTATIONS[mutation](monkeypatch)
+    with pytest.raises(AssertionError):
+        _prove_determinant_for_every_n()
+
+
 def test_certify_full_rank_numeric():
     cert = certify_full_rank(intersection_matrix(2, 3))
     val = cert.determinant(Fraction(0))
