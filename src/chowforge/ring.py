@@ -12,11 +12,11 @@ x^e in n generators is one int of 2n SLOT_BITS-bit slots.  The high slots
 hold (wdeg, wdeg - e_n, wdeg - e_n - e_(n-1), ..., wdeg - e_n - ... - e_2),
 so int order is weighted grevlex and a product is a sum; the low ones hold
 e_1 ... e_n under zero guard bits G, so a | b iff ((b | G) - a) & G == G.
-Tuples appear only in relations, groebner_basis and normal_form's input and
-output.  No slot overflows: every slot is at most the weighted degree;
-every packed value comes from PolyRing.pack (inputs, and each S-pair's lcm),
-which raises MonomialOverflow once a weighted degree reaches
-2^(SLOT_BITS - 2), a spare bit below G; reduction never raises the degree.
+Tuples appear only in relations, groebner_basis and normal_form's input,
+output and table keys.  No slot overflows: every slot is at most the
+weighted degree; every packed value comes from PolyRing.pack (inputs, and
+each S-pair's lcm), which raises MonomialOverflow once a weighted degree
+reaches 2^(SLOT_BITS - 2), a spare bit below G; reduction never raises it.
 
 A basis element is stored as a rewrite rule lead -> tail: the monic element
 is x^lead - sum(tail), so a reduction step adds coeff * x^shift * tail and
@@ -175,8 +175,10 @@ class PolyRing:
 
     def import_element(self, e: "RingElement") -> "RingElement":
         """Re-express an element of a name-compatible ring in this ring."""
-        if e.ring is self or e.ring == self:
-            return RingElement(self, dict(e.terms))
+        if e.ring is self:
+            return e  # elements are immutable
+        if e.ring == self:
+            return RingElement(self, e.terms)
         src = e.ring
         terms = {}
         for exps, c in e.terms.items():
@@ -348,13 +350,6 @@ class RingElement:
         return f"RingElement({element_str(self)})"
 
 
-def _coeff_str(c: RatFunc) -> tuple[str, bool]:
-    """Render a coefficient; second value says whether it is a bare rational."""
-    s = ratfunc_str(c)
-    bare = c.is_polynomial() and c.num.degree <= 0
-    return s, bare
-
-
 def element_str(e: RingElement) -> str:
     """Canonical serialization, e.g. "(8*g^3+12*g^2+4*g)*c1^2+(-8*g^3+8*g)*c2".
 
@@ -372,7 +367,7 @@ def element_str(e: RingElement) -> str:
             for g, ex in zip(ring.generators, exps)
             if ex > 0
         )
-        s, bare = _coeff_str(c)
+        s, bare = ratfunc_str(c), c.is_polynomial() and c.num.degree <= 0
         if not mono:
             term = s if bare else f"({s})"
         elif bare and s == "1":
@@ -511,35 +506,28 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
         if len(live) - n > MAX_BASIS:
             raise NonterminatingHint(
                 f"completion grew past its {n} relations by over {MAX_BASIS} live elements")
-    # Autoreduce: each live element's tail is reduced by the other live ones.
-    final = [(lead, tuple(_reduce(dict(t), reducers[:i] + reducers[i + 1 :], guard, memo).items()))
-             for i, (lead, t) in enumerate(reducers)]
+    # Autoreduce each live tail by all live rules: a rule's own lead divides no
+    # monomial below it, and reduction only lowers monomials, so it never fires.
+    final = [(lead, tuple(_reduce(dict(t), reducers, guard, memo).items())) for lead, t in reducers]
     return sorted(final, key=itemgetter(0), reverse=True)
 
 
 class RingPresentation:
-    """Quotient-ring description: generators, relations, cached reduced basis.
+    """Quotient-ring description: generators, relations, reduced basis.
 
     The basis is computed eagerly; normal forms are unique (confluence is
     certified by S-polynomial reduction during completion and re-checked by
     the test suite).
     """
 
-    __slots__ = ("ring", "relations", "groebner_basis", "_reducers", "_inhomogeneous", "_nf")
+    __slots__ = ("ring", "relations", "_reducers", "_inhomogeneous", "_nf")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
         packed = [{ring.pack(e): c for e, c in r.terms.items()} for r in rels]
-        reducers = _buchberger(ring, packed)
-        basis = tuple(
-            RingElement(ring, {ring.unpack(m): c for m, c in ((lead, RatFunc(1)),)
-                               + tuple((m, -c) for m, c in tail)})
-            for lead, tail in reducers
-        )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "groebner_basis", basis)
-        object.__setattr__(self, "_reducers", reducers)
+        object.__setattr__(self, "_reducers", _buchberger(ring, packed))
         # The first relation with terms of two weighted degrees (a packed monomial's top slot).
         object.__setattr__(self, "_inhomogeneous", next(
             (r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None))
@@ -548,23 +536,29 @@ class RingPresentation:
     def __setattr__(self, name, value):
         raise AttributeError("RingPresentation is immutable")
 
+    @property
+    def groebner_basis(self) -> tuple:
+        """The reduced basis, each rewrite rule spelled out as its monic element."""
+        unpack = self.ring.unpack
+        return tuple(RingElement(self.ring, {unpack(lead): _UNIT, **{unpack(m): -c for m, c in tail}})
+                     for lead, tail in self._reducers)
+
     def normal_form(self, e: RingElement) -> RingElement:
         """The reduced representative of e modulo the relations.
 
         The normal form is Q(g)-linear, NF(sum c*m) = sum c*NF(m), and the
         presentation is immutable, so each monomial is reduced once, with
         coefficient 1 and a fresh memo, and its normal form's terms kept in a
-        table keyed by the packed monomial.  A query then multiplies c into
-        the terms of each NF(m), and keeps c itself where NF(m) is m; the
-        table holds one entry per distinct monomial queried."""
+        table keyed by its exponent tuple (a miss packs it).  A query then
+        multiplies c into the terms of each NF(m), and keeps c itself where
+        NF(m) is m; the table holds one entry per distinct monomial queried."""
         ring, table = self.ring, self._nf
         out: dict = {}
         for x, c in ring.import_element(e).terms.items():
-            m = ring.pack(x)
-            nf = table.get(m)
+            nf = table.get(x)
             if nf is None:
-                done = _reduce({m: _UNIT}, self._reducers, ring._guard, {})
-                nf = table[m] = tuple((ring.unpack(k), v) for k, v in done.items())
+                done = _reduce({ring.pack(x): _UNIT}, self._reducers, ring._guard, {})
+                nf = table[x] = tuple((ring.unpack(k), v) for k, v in done.items())
             for y, v in nf:
                 t = c if v is _UNIT else c * v
                 s = out.get(y)

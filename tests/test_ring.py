@@ -732,4 +732,34 @@ def test_normal_form_reduces_each_monomial_once(monkeypatch):
         pres.normal_form(PolyRing([Generator("w")]).gen("w"))
 
     queried = [e, standard, seen, one_new, native]
-    assert set(pres._nf) == {ring.pack(x) for q in queried for x in q.terms}
+    assert set(pres._nf) == {x for q in queried for x in q.terms}
+
+
+def test_normal_form_table_hit_packs_and_copies_nothing(monkeypatch):
+    """Once its monomials are in normal_form's table, a query packs none of
+    them.  An element of the presentation's ring imports as itself, and one
+    of an equal but distinct ring is re-homed with equal terms."""
+    ring, pres = pv_presentation()  # z^2 -> -c1*z - c2
+    z, c1, c2 = ring.gen("z"), ring.gen("c1"), ring.gen("c2")
+    a = RatFunc(UniPoly([1, 1]), UniPoly([2, 1]))  # (g+1)/(g+2)
+    pres.normal_form((z * z * c1).scale(a) + z * c1 - c2)  # fills the table
+    hit = (z * c1).scale(a) - z * z * c1 + c2.scale(3)
+    expected = _whole_reduction(pres, hit)
+    twin = PolyRing(ring.generators)
+    assert twin == ring and twin is not ring
+    foreign = twin.element(hit.terms)
+
+    packs, pack = [], PolyRing.pack
+
+    def counted_pack(self, exps):
+        packs.append(exps)
+        return pack(self, exps)
+
+    monkeypatch.setattr(PolyRing, "pack", counted_pack)
+    assert pres.normal_form(hit) == expected
+    assert pres.normal_form(foreign) == expected
+    assert not packs
+
+    assert ring.import_element(hit) is hit
+    rehomed = ring.import_element(foreign)
+    assert rehomed.ring is ring and rehomed.terms == foreign.terms

@@ -45,6 +45,8 @@ ALLOWED = {
     "rationals._bareiss": "bareiss_determinant and rank_numeric, benchmark boundaries, eliminate with it",
     "ring.PolyRing.element": "perfbench's nf_queries and CI's n = 40 step build elements from terms",
     "ring.RingElement.specialize": "perfbench's cli_report_sweep specializes the derived relations",
+    "ring.RingPresentation.groebner_basis": ("perfbench's NfQueries.expect reads its leads, "
+                                             "tracing._count_basis counts it, and tests compare it"),
     "rationals.RatFunc.__call__": "RingElement.specialize evaluates each coefficient with it",
     "rationals.UniPoly.coeffs": "perfbench reads coefficients as Fractions (nf_queries, testcurve_certify)",
     **dict.fromkeys([f"{cls}.__setattr__" for cls in (
