@@ -21,6 +21,7 @@ reaches 2^(SLOT_BITS - 2), a spare bit below G; reduction never raises it.
 A basis element is stored as a rewrite rule lead -> tail: the monic element
 is x^lead - sum(tail), so a reduction step adds coeff * x^shift * tail and
 never negates.  groebner_basis spells each rule out as the monic element.
+Homogeneous completion stops where the quotient vanishes (see _buchberger).
 """
 
 from __future__ import annotations
@@ -444,7 +445,20 @@ def _reduce(terms: dict, reducers, guard: int, memo: dict) -> dict:
     return done
 
 
-def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
+def _standard_level(ring: PolyRing, levels: list, leads: set, budget=float("inf")):
+    """The standard monomials of weighted degree len(levels) > 0 under leads,
+    given those below in levels, or None past budget candidates: m is standard
+    iff it is no lead and each m / x_i is (a lead properly dividing m divides one)."""
+    k, guard = len(levels), ring._guard
+    below = [(unit, levels[k - w]) for w, unit in zip(ring._weights, ring._units) if w <= k]
+    candidates = {m + unit for unit, ms in below for m in ms} - leads
+    if len(candidates) > budget:
+        return None
+    return {m for m in candidates
+            if all(m - unit in ms for unit, ms in below if ((m | guard) - unit) & guard == guard)}
+
+
+def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> list[tuple]:
     """The reduced Groebner basis of packed term dicts, as rewrite rules
     (lead, tail) in descending order of leading monomial.
 
@@ -462,7 +476,19 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     pair, and a criterion left out only adds pairs to reduce.
 
     An element is live while no other element's leading monomial divides its
-    own; the live count may exceed the input count by at most MAX_BASIS."""
+    own; the live count may exceed the input count by at most MAX_BASIS.
+
+    Homogeneous input stops once the quotient vanishes from the heap's least
+    degree d on (Traverso 1996): each queued item then reduces to 0.  It does
+    if degrees d, ..., d + w_max - 1 hold no standard monomial (w_max the
+    largest weight), as dropping factors one at a time brings a monomial of
+    degree >= d into that window; with weights 1, 2 and leads x, y^3, degree 3
+    alone is empty.  It is checked once per change of d or of the basis, once
+    each x_i has a lead x_i^a_i (else every window holds a power): past degree
+    sum((a_i - 1) * w_i) at once, else on the standard monomials kept by degree
+    (_standard_level; a new lead of degree k leaves level k and drops those
+    above), building a level only while its candidates do not outnumber the
+    queued items."""
     guard, minus_one, pack = ring._guard, RatFunc(-1), ring.pack
     memo: dict = {}  # _subtract's, for this run
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
@@ -472,7 +498,19 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
     heapq.heapify(heap)
     basis, exps = [], []  # rules (lead, tail), and each lead's exponent tuple
     live, reducers = [], []  # indices into basis and their rules, oldest first
+    # powers: the degree of a pure-power lead by its exponent slot; gate -1: never stop.
+    gate, powers, levels, seen = ring.ngens if homogeneous else -1, {}, [{0}], None
     while heap:
+        if len(powers) == gate and (d := heap[0][0] >> ring._top, len(basis)) != seen:
+            seen, w_max = (d, len(basis)), max(ring._weights, default=1)
+            if d > sum(powers.values()) - sum(ring._weights):
+                break  # each monomial of degree d has a pure-power lead x_i^a_i as a factor
+            leads = {lead for lead, _ in reducers}
+            while len(levels) < d + w_max and not any(levels[d:]) and (
+                    level := _standard_level(ring, levels, leads, len(heap))) is not None:
+                levels.append(level)
+            if len(levels) >= d + w_max and not any(levels[d : d + w_max]):
+                break  # every queued item reduces to 0
         lcm, i, j = heapq.heappop(heap)
         if i < 0:
             s = inputs[j]
@@ -489,12 +527,17 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> list[tuple]:
         lk = basis[k][0]
         ek = ring.unpack(lk)
         exps.append(ek)
-        lkg = (lk | guard) - low  # the guard bit of each exponent slot nonzero in lk
+        if (dk := lk >> ring._top) < len(levels):
+            levels[dk].discard(lk)
+            del levels[dk + 1 :]
+        lkg = ((lk | guard) - low) & guard  # the guard bit of each exponent slot nonzero in lk
+        if lkg and not lkg & lkg - 1:
+            powers.setdefault(lkg, dk)  # lk is a pure power
         # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
         # coprime leads the lcm is the product, never reduced, only compared;
         # its slots stay below 2^(SLOT_BITS - 1), so none carries.
         new = sorted((pack(map(max, exps[i2], ek)), True, i2)
-                     if ((basis[i2][0] | guard) - low) & lkg & guard
+                     if ((basis[i2][0] | guard) - low) & lkg
                      else (basis[i2][0] + lk, False, i2) for i2 in live)
         for pos, (m, shares, i2) in enumerate(new):
             # Criterion F: the first pair of an lcm speaks for all; it is
@@ -525,12 +568,12 @@ class RingPresentation:
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
         packed = [{ring.pack(e): c for e, c in r.terms.items()} for r in rels]
+        # The first relation with terms of two weighted degrees (a packed monomial's top slot).
+        inhomogeneous = next((r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "_reducers", _buchberger(ring, packed))
-        # The first relation with terms of two weighted degrees (a packed monomial's top slot).
-        object.__setattr__(self, "_inhomogeneous", next(
-            (r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None))
+        object.__setattr__(self, "_reducers", _buchberger(ring, packed, inhomogeneous is None))
+        object.__setattr__(self, "_inhomogeneous", inhomogeneous)
         object.__setattr__(self, "_nf", {})  # normal_form's table
 
     def __setattr__(self, name, value):
@@ -575,25 +618,16 @@ class RingPresentation:
 
     def graded_component_dim(self, d: int) -> int:
         """Dimension over the coefficient field of the degree-d component:
-        the count of standard monomials of weighted degree d.
-
-        They are built degree by degree.  A divisor of a standard monomial
-        is standard, so each standard monomial of degree k is one of degree
-        k - w_i times generator i, and a packed product is a sum."""
+        the count of standard monomials of weighted degree d, built degree
+        by degree (_standard_level)."""
         if self._inhomogeneous is not None:
             raise InhomogeneousRelations(str(self._inhomogeneous))
         if d < 0:
             return 0
         if d >= 1 << SLOT_BITS - 2:
             raise MonomialOverflow(f"a weighted degree reached 2^{SLOT_BITS - 2}")
-        ring, guard = self.ring, self.ring._guard
-        leads = [lead for lead, _ in self._reducers]
-
-        def standard(ms):
-            return [m for m in ms if not any(((m | guard) - lead) & guard == guard for lead in leads)]
-
-        levels = [standard([0])]
-        for k in range(1, d + 1):
-            levels.append(standard({m + unit for w, unit in zip(ring._weights, ring._units)
-                                    if w <= k for m in levels[k - w]}))
+        leads = {lead for lead, _ in self._reducers}
+        levels = [{0} - leads]
+        while len(levels) <= d:
+            levels.append(_standard_level(self.ring, levels, leads))
         return len(levels[d])

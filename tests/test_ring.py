@@ -442,6 +442,109 @@ def test_completion_matches_sympy(name, size):
     assert {poly(b) for b in pres.groebner_basis} == {p.monic() for p in theirs.polys}
 
 
+def _completion_reduce_degrees(monkeypatch, ring, relations):
+    """The weighted degree of each item completing relations reduces."""
+    degrees, reduce = [], ring_module._reduce
+
+    def counted(terms, *rest):
+        degrees.append(max(terms, default=0) >> ring._top)
+        return reduce(terms, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(ring_module, "_reduce", counted)
+        RingPresentation(ring, relations)
+    return degrees
+
+
+@pytest.mark.parametrize("n,genus,calls", [(3, "symbolic", 20), (24, 9, 650)])
+def test_completion_stops_where_the_quotient_vanishes(monkeypatch, n, genus, calls):
+    """r2's quotient is 0 from degree 3 on.  Once delta^3 and each psi_i^2
+    are leads, every queued S-pair reduces to 0, so completion reduces its
+    inputs and autoreduces its basis and nothing more (40 and 5850 calls
+    when every S-pair is reduced)."""
+    from chowforge.scenarios import scenario_R2
+
+    rels = scenario_R2(n, genus).derived_relations
+    degrees = _completion_reduce_degrees(monkeypatch, rels[0].ring, rels)
+    assert len(degrees) == calls and max(degrees) == 3
+
+
+def test_completion_stop_needs_w_max_empty_degrees():
+    """With weights, one empty degree does not make the quotient vanish
+    above it: in x (1) and y (2), the leads y^2 and x leave degree 3 empty
+    and degree 2 not.  In y (2) and z (3), once z^2 and y^3 are leads degree
+    6 is empty, but degree 7 holds y^2*z: the third degree-6 input is still
+    queued, so a one-degree check would stop before the input y^2*z."""
+    ring = PolyRing([Generator("x"), Generator("y", 2)])
+    x, y = ring.gen("x"), ring.gen("y")
+    pres = RingPresentation(ring, [x, x * y, y**2])
+    assert set(pres.groebner_basis) == {y**2, x}
+    assert [pres.graded_component_dim(d) for d in range(6)] == [1, 0, 1, 0, 0, 0]
+    ring = PolyRing([Generator("y", 2), Generator("z", 3)])
+    y, z = ring.gen("y"), ring.gen("z")
+    pres = RingPresentation(ring, [z**2, y**3, y**3 + z**2, y**2 * z])
+    assert set(pres.groebner_basis) == {z**2, y**3, y**2 * z}
+    assert [pres.graded_component_dim(d) for d in range(10)] == [1, 0, 1, 1, 1, 1, 0, 0, 0, 0]
+
+
+def test_completion_stops_past_the_pure_power_bound(monkeypatch):
+    """Leads x^2 and y^2 leave x*y standard, of degree (2 - 1) + (2 - 1) = 2,
+    and every monomial of a higher degree has x^2 or y^2 as a factor.  So
+    completion stops before x^3 + y^3 and builds no level to see it; it does
+    not stop at degree 2, where x^2 + x*y adds the lead x*y."""
+    ring = PolyRing([Generator("x"), Generator("y")])
+    x, y = ring.gen("x"), ring.gen("y")
+    pres = RingPresentation(ring, [y**2, x**2, x**2 + x * y])
+    assert set(pres.groebner_basis) == {x**2, x * y, y**2}
+    built, level = [], ring_module._standard_level
+    monkeypatch.setattr(ring_module, "_standard_level", lambda *args: built.append(args) or level(*args))
+    assert _completion_reduce_degrees(monkeypatch, ring, [x**2, y**2, x**3 + y**3]) == [2, 2, 0, 0]
+    assert not built
+
+
+def test_inhomogeneous_completion_is_never_stopped(monkeypatch):
+    """2x^3 - 1, 2y^3 - 1 and x^2 + y^2 + y generate the unit ideal, as
+    sympy's basis says.  Their leads are pure powers and no monomial of
+    degree 4 or 5 is standard, yet the S-pairs reduce to remainders of lower
+    degree: stopped as if homogeneous, completion keeps three elements."""
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing([Generator("x"), Generator("y")])
+    x, y = ring.gen("x"), ring.gen("y")
+    rels = [(x**3).scale(2) - 1, (y**3).scale(2) - 1, x * x + y * y + y]
+    sx, sy = sympy.symbols("x y")
+    theirs = sympy.groebner([2 * sx**3 - 1, 2 * sy**3 - 1, sx**2 + sy**2 + sy], sx, sy, order="grevlex")
+    assert list(theirs.exprs) == [1]
+    assert RingPresentation(ring, rels).groebner_basis == (ring.one(),)
+    buchberger = ring_module._buchberger
+    monkeypatch.setattr(ring_module, "_buchberger", lambda r, packed, _: buchberger(r, packed, True))
+    assert len(RingPresentation(ring, rels).groebner_basis) == 3
+
+
+def test_completion_stop_check_builds_few_levels(monkeypatch):
+    """The stop check builds a level only while its candidates number no
+    more than the queued items.  x^8000, z^8000 and x^7999*z are queued at
+    degree 8000: unbudgeted, the check would build 8000 levels of up to
+    8000 monomials each.  Leads with no pure power of some generator build
+    none, past the slot bound too."""
+    built, level = [], ring_module._standard_level
+
+    def counted(ring, levels, *rest):
+        built.append(len(levels))
+        return level(ring, levels, *rest)
+
+    monkeypatch.setattr(ring_module, "_standard_level", counted)
+    ring = PolyRing([Generator("x"), Generator("z")])
+    x, z = ring.gen("x"), ring.gen("z")
+    assert len(RingPresentation(ring, [x**8000, z**8000, x**7999 * z]).groebner_basis) == 3
+    assert len(built) <= 4, built
+    built.clear()
+    half = (1 << SLOT_BITS - 2) // 2
+    RingPresentation(ring, [x ** (half - 1) * z, x * z ** (half - 1)])
+    weighted = PolyRing([Generator("x"), Generator("y", 3)])
+    RingPresentation(weighted, [weighted.gen("x") ** 3])
+    assert not built
+
+
 # sha256 of repr(groebner_basis).  A reduced Groebner basis is unique, so a
 # change to how completion selects or prunes pairs leaves every digest as it is.
 BASIS_DIGESTS = [
