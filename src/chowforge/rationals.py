@@ -386,9 +386,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.is_zero:
-        raise ZeroPolynomial("square-free part of zero")
+    """p divided by gcd(p, p'), for a nonzero p: same roots, all simple."""
     d = poly_gcd(p, p.derivative())
     if d.is_one():
         return p.monic()
@@ -417,8 +415,6 @@ class RatFunc:
             num = UniPoly.const(num)
         if den is None:
             den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = UniPoly.const(den)
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero:
@@ -487,9 +483,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         # Henrici: cancel gcd(a, d) and gcd(c, b) before multiplying a/b by c/d.
@@ -573,13 +566,12 @@ def _sign_changes(values) -> int:
 
 
 def _sturm_chain(p: UniPoly) -> list[UniPoly]:
+    """The Sturm sequence of a square-free p of degree >= 1.  No remainder
+    is zero, as gcd(p, p') is constant, so it ends in a nonzero constant."""
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if rem.is_zero:
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero]
+    while chain[-1].degree > 0:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    return chain
 
 
 def sturm_roots_geq(p: UniPoly, bound) -> int:

@@ -251,9 +251,6 @@ class RingElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -313,9 +310,7 @@ class RingElement:
                 name = self.ring.generators[i].name
                 if name in mapping:
                     rep = mapping[name]
-                    if not isinstance(rep, RingElement):
-                        rep = target.const(rep)
-                    elif rep.ring is not target and rep.ring != target:
+                    if rep.ring is not target and rep.ring != target:
                         rep = target.import_element(rep)
                 else:
                     rep = target.gen(name)
@@ -338,8 +333,6 @@ class RingElement:
         return max(self.terms, key=self.ring.pack)
 
     def monic(self) -> "RingElement":
-        if self.is_zero:
-            return self
         return self.scale(self.terms[self.leading_exponent()].invert())
 
     # -- printing ---------------------------------------------------------------

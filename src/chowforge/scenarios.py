@@ -20,7 +20,7 @@ from .chern import (
     standard_context,
     two_factor_context,
 )
-from .rationals import BadN, PoleAtPoint, RatFunc, UniPoly, genus_poly
+from .rationals import BadN, RatFunc, UniPoly, genus_poly
 from .ring import (
     Generator,
     PolyRing,
@@ -107,12 +107,8 @@ def _core_classes(gp: UniPoly):
     exp_c2 = _exps(ring, c2=1)
     a = firstp.coefficient(exp_c1sq)
     b = firstp.coefficient(exp_c2)
-    if b.is_zero:
-        raise PoleAtPoint("first pushforward relation degenerates at this genus")
     ratio = -a / b  # c2 = ratio * c1^2
     lam = dclass.coefficient(_exps(ring, c1=1))  # delta = lam * c1
-    if lam.is_zero:
-        raise PoleAtPoint("delta-class multiplier vanishes at this genus")
     return ctx, firstp, secondp, rel1_line, dclass, ratio, lam
 
 

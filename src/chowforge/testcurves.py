@@ -24,10 +24,6 @@ class BadIndex(ValueError):
     """Raised for a test curve that is not (i,) or (i, j) with 1 <= i < j <= n."""
 
 
-class UnknownSection(KeyError):
-    """Raised when a ledger is queried for a section it does not contain."""
-
-
 class NotSquare(ValueError):
     """Raised when a determinant is requested for a non-square matrix."""
 
@@ -58,10 +54,7 @@ class BlowupLedger:
         }
 
     def derived(self, section: str) -> UniPoly:
-        try:
-            return self.derived_self_intersections[section]
-        except KeyError:
-            raise UnknownSection(section) from None
+        return self.derived_self_intersections[section]
 
 
 def family_ledger(gp: UniPoly, n: int, curve: tuple) -> BlowupLedger:

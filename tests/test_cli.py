@@ -79,6 +79,24 @@ def test_run_config_rejects_unknown_scenario():
         RunConfig(scenario="nope")
 
 
+def test_run_config_rejects_unknown_format():
+    with pytest.raises(ValueError, match="format must be text or json"):
+        RunConfig(scenario="i_g0", format="xml")
+
+
+def test_general_position_fail_verdict_exits_one(capsys, monkeypatch):
+    """A FAIL verdict is a failed check: with every trial's rank one short
+    of the target, the report says so and the run exits 1."""
+    monkeypatch.setattr(points, "interpolation_rank", lambda pts, g, prime: len(pts) - 1)
+    assert main(["--scenario", "general_position", "--genus", "2", "--n", "5", "--trials", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("SOME CHECKS FAILED\n")
+    assert main(["--scenario", "general_position", "--genus", "2", "--n", "5", "--trials", "3",
+                 "--format", "json"]) == 1
+    verdict = json.loads(capsys.readouterr().out)["scenarios"][0]["verdict"]
+    assert (verdict["status"], verdict["trials"], verdict["witness"]) == ("FAIL", 3, None)
+
+
 def test_completion_cap_exits_two_with_one_line(capsys, monkeypatch):
     """A completion stopped by the basis cap is not a failed check.  The
     shared classes are derived first, so the cap must fire in a completion

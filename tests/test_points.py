@@ -331,6 +331,14 @@ def test_is_prime_matches_trial_division():
         is_prime(10**25)
 
 
+def test_genus_one_rejected_by_entry_points():
+    cfg = PointConfig((PointCondition(((2, 1), (3, 1))),), prime=P)
+    for call in (lambda: evaluation_matrix(cfg, 1), lambda: check_general_position(1, 5),
+                 lambda: sample_curve_points(1, 7)):
+        with pytest.raises(BadGenus, match="genus 1 < 2"):
+            call()
+
+
 def test_composite_modulus_rejected_by_entry_points():
     # diag(2, 3) is singular mod 2 and mod 3, so a rank of 2 mod 6 would be
     # a false full-rank certificate.  Mod 9 a point config would get a wrong

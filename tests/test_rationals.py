@@ -161,6 +161,18 @@ def test_normalize_cancellation():
     assert RatFunc(2 * G + 2, UniPoly.const(2)) == RatFunc(G + 1)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: UniPoly(["1"]), TypeError),
+    (lambda: UniPoly().leading, ZeroPolynomial),
+    (lambda: power(G, -1, UniPoly.const(1)), ValueError),
+    (lambda: poly_divmod(G, UniPoly()), ZeroPolynomial),
+    (lambda: RatFunc(0).invert(), ZeroDivisionError),
+], ids=["str coefficient", "leading of zero", "negative power", "divmod by zero", "invert zero"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_normalize_zero_denominator():
     with pytest.raises(ZeroDenominator):
         RatFunc(G, UniPoly())

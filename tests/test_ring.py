@@ -114,7 +114,7 @@ def test_import_element_maps_generators_by_name():
 
 def test_element_rejects_bad_exponents():
     ring = PolyRing([Generator("x"), Generator("y")])
-    for exps in ((-1, 2), (0, -3), (1.0, 2), (Fraction(1), 0), ("1", 0)):
+    for exps in ((-1, 2), (0, -3), (1.0, 2), (Fraction(1), 0), ("1", 0), (1,), (1, 2, 0)):
         with pytest.raises(ValueError):
             ring.element({exps: 1})
     assert ring.element({(1, 2): 1}) == ring.gen("x") * ring.gen("y") ** 2
@@ -162,6 +162,37 @@ def test_element_str_canonical():
     assert element_str(e) == "(8*g^3+12*g^2+4*g)*c1^2+(-8*g^3+8*g)*c2"
     assert element_str(c1 - c1) == "0"
     assert element_str(-c1 + c2.scale(Fraction(1, 2))) == "1/2*c2-c1"
+    # A product whose middle terms cancel, and constant terms.
+    assert element_str((c1 + 1) * (c1 - 1)) == "c1^2-1"
+    assert element_str(c1 + ring.const(G)) == "c1+(g)"
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda ring: ring.const("1"), TypeError),
+    (lambda ring: PolyRing([Generator("x"), Generator("x", 2)]), ValueError),
+    (lambda ring: ring.zero().leading_exponent(), ValueError),
+], ids=["str coefficient", "duplicate generator names", "leading exponent of zero"])
+def test_ring_refusals(call, error):
+    with pytest.raises(error):
+        call(PolyRing([Generator("x")]))
+
+
+def test_foreign_operands_and_assignment_are_refused():
+    """Arithmetic and comparison with a foreign operand return NotImplemented,
+    so Python tries the operand's own method; the records are immutable."""
+    ring = PolyRing([Generator("x")])
+    x = ring.gen("x")
+    pres = RingPresentation(ring, [x**2])
+    foreign = object()
+    for value in (G + 1, RatFunc(G, G + 1), x + 1):
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__eq__"):
+            if hasattr(value, name):
+                assert getattr(value, name)(foreign) is NotImplemented, (value, name)
+    for record, field in ((G, "numerators"), (RatFunc(G), "num"), (ring, "generators"),
+                          (x, "terms"), (pres, "relations")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, field, None)
+    assert repr(RatFunc(G, G + 1)) == "RatFunc((g)/(g+1))"
 
 
 def test_grevlex_order_fiber_first():

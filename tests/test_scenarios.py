@@ -6,7 +6,7 @@ import pytest
 
 from chowforge import scenarios
 from chowforge.cli import RunConfig, build_report
-from chowforge.rationals import PoleAtPoint, UniPoly
+from chowforge.rationals import PoleAtPoint, UniPoly, sturm_roots_geq
 from chowforge.scenarios import (
     BadN,
     Report,
@@ -44,6 +44,20 @@ def test_genus_poly_validation():
         genus_poly(1)
     with pytest.raises(ValueError):
         genus_poly("three")
+
+
+def test_core_class_divisors_vanish_at_no_genus():
+    """_core_classes divides by firstp's c2 coefficient, -8g(g-1)(g+1), and
+    uses dclass's c1 coefficient, -2(2g+1)(g+1), as the delta multiplier.
+    Neither has a root g >= 2, and genus_poly refuses every smaller genus,
+    so neither vanishes at a genus a run can ask for."""
+    ctx, firstp, _, _, dclass, _, _ = scenarios._core_classes(G)
+    ring = ctx.ring
+    b = firstp.coefficient(scenarios._exps(ring, c2=1))
+    lam = dclass.coefficient(scenarios._exps(ring, c1=1))
+    assert (b, lam) == (-8 * G * (G - 1) * (G + 1), -2 * (2 * G + 1) * (G + 1))
+    for c in (b, lam):
+        assert c.is_polynomial() and sturm_roots_geq(c.num, 2) == 0
 
 
 def test_reports_do_not_share_containers():
@@ -167,6 +181,10 @@ def test_a1_vanishing_numeric_branch_selection():
     large = scenario_A1_vanishing(5, genus=4)
     assert large.extras["branches"] == ["large_n"]
     assert large.all_pass(), failing_ids(large)
+    with pytest.raises(ValueError, match="branch must be small_n or large_n"):
+        scenario_A1_vanishing(3, branch="medium_n")
+    with pytest.raises(BadN):
+        scenario_A1_vanishing(0)
 
 
 def test_r2_coefficient_and_dims():

@@ -31,7 +31,6 @@ _EXPRESSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 _IMMUTABLE = "refuses assignment, as the value is immutable"
 _HASH = "hashes as __eq__ compares, so equal values key one dict entry"
 _REPR = "the interpreter's representation, for debugging"
-_ARITHMETIC = "completes the arithmetic protocol (a - b, and 1 - e)"
 
 # Functions no run enters, each with the reason it stays.  The functions
 # that perfbench/tracing.py's BOUNDARIES names are allowed too: the
@@ -56,8 +55,7 @@ ALLOWED = {
         "rationals.RatFunc", "ring.Generator", "ring.PolyRing", "ring.RingElement")], _HASH),
     **dict.fromkeys([f"{cls}.__repr__" for cls in (
         "rationals.UniPoly", "rationals.RatFunc", "ring.RingElement")], _REPR),
-    **dict.fromkeys(["rationals.RatFunc.__sub__", "rationals.RatFunc.__rsub__",
-                     "ring.RingElement.__rsub__"], _ARITHMETIC),
+    "rationals.RatFunc.__sub__": "completes the arithmetic protocol (a - b)",
 }
 
 

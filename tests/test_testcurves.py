@@ -15,6 +15,7 @@ from chowforge.testcurves import (
     BlowupLedger,
     IntersectionMatrix,
     NotSquare,
+    ShapeMismatch,
     bareiss_determinant,
     block_change_of_basis,
     certify_full_rank,
@@ -156,6 +157,11 @@ def test_block_change_of_basis_structure():
     b43 = block_change_of_basis(intersection_matrix(3, 4))
     assert all(b43.entry(i, i) == UniPoly.const(4) for i in range(4))
     assert all(b43.entry(i, i) == UniPoly.const(6) for i in range(4, 10))
+    # Five rows for n = 3, whose labels ask for 3 + 3.
+    m3 = intersection_matrix("symbolic", 3)
+    with pytest.raises(ShapeMismatch):
+        block_change_of_basis(IntersectionMatrix("symbolic", m3.row_labels[:5], m3.col_labels,
+                                                 m3.entries[:5]))
 
 
 def test_basis_change_preserves_determinant():
