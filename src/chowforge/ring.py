@@ -21,7 +21,8 @@ reaches 2^(SLOT_BITS - 2), a spare bit below G; reduction never raises it.
 A basis element is stored as a rewrite rule lead -> tail: the monic element
 is x^lead - sum(tail), so a reduction step adds coeff * x^shift * tail and
 never negates.  groebner_basis spells each rule out as the monic element.
-Homogeneous completion stops where the quotient vanishes (see _buchberger).
+Homogeneous completion builds a degree's S-pairs only when it reaches that
+degree, and stops where the quotient vanishes (see _buchberger).
 """
 
 from __future__ import annotations
@@ -451,9 +452,10 @@ def _standard_level(ring: PolyRing, levels: list, leads: set, budget=float("inf"
             if all(m - unit in ms for unit, ms in below if ((m | guard) - unit) & guard == guard)}
 
 
-def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> list[tuple]:
+def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> tuple[list, list]:
     """The reduced Groebner basis of packed term dicts, as rewrite rules
-    (lead, tail) in descending order of leading monomial.
+    (lead, tail) in descending order of leading monomial, and the standard
+    monomials of degrees 0, 1, ... as far as the stop check built them.
 
     Normal selection strategy (Giovini et al. 1991): a heap hands out the
     pair of smallest lcm first, and each input as a pair keyed by its
@@ -461,28 +463,33 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> lis
     completes degree by degree.  Each popped input or S-polynomial is
     reduced by the live elements; a nonzero remainder becomes a new element.
 
-    A new element k is paired with each live element once, and two deletion
-    criteria of Gebauer and Moeller (1988) prune these pairs: criterion F
-    keeps one pair per lcm, and the product criterion drops every pair of an
-    lcm some pair of coprime leading monomials has.  Their criteria B and M
-    are left out: on every presentation the scenarios build they prune no
-    pair, and a criterion left out only adds pairs to reduce.
+    A new element k is paired with each element live on its arrival once,
+    and two deletion criteria of Gebauer and Moeller (1988) prune its pairs:
+    criterion F keeps one pair per lcm, and the product criterion drops every
+    pair of an lcm some pair of coprime leading monomials has.  Their
+    criteria B and M are left out: on every presentation the scenarios build
+    they prune no pair, and a criterion left out only adds pairs to reduce.
+    Inhomogeneous input builds k's pairs at once.  Homogeneous input keeps k
+    pending, as no live lead divides lk, so each pair has degree > deg(lk):
+    with p the least pending lead degree, pending pairs are built once the
+    heap is empty or its least item is a pair of degree > p or an input of
+    degree > p + 1 (a degree's inputs first).
 
     An element is live while no other element's leading monomial divides its
     own; the live count may exceed the input count by at most MAX_BASIS.
 
-    Homogeneous input stops once the quotient vanishes from the heap's least
-    degree d on (Traverso 1996): each queued item then reduces to 0.  It does
-    if degrees d, ..., d + w_max - 1 hold no standard monomial (w_max the
-    largest weight), as dropping factors one at a time brings a monomial of
-    degree >= d into that window; with weights 1, 2 and leads x, y^3, degree 3
-    alone is empty.  It is checked once per change of d or of the basis, once
-    each x_i has a lead x_i^a_i (else every window holds a power): past degree
-    sum((a_i - 1) * w_i) at once, else on the standard monomials kept by degree
-    (_standard_level; a new lead of degree k leaves level k and drops those
-    above), building a level only while its candidates do not outnumber the
-    queued items."""
-    guard, minus_one, pack = ring._guard, RatFunc(-1), ring.pack
+    Homogeneous input stops once the quotient vanishes from degree d = min(the
+    heap's least, p + 1) on (Traverso 1996): each queued item, built or
+    pending, then reduces to 0.  It does if degrees d, ..., d + w_max - 1 hold
+    no standard monomial (w_max the largest weight), as dropping factors one at
+    a time brings a monomial of degree >= d into that window; with weights 1, 2
+    and leads x, y^3, degree 3 alone is empty.  It is checked once per change
+    of d or of the basis, once each x_i has a lead x_i^a_i (else every window
+    holds a power): past degree sum((a_i - 1) * w_i) at once, else on the
+    standard monomials kept by degree (_standard_level; a new lead of degree k
+    leaves level k and drops those above), building a level only while its
+    candidates do not outnumber the queued items, pending partners counted."""
+    guard, minus_one, pack, never = ring._guard, RatFunc(-1), ring.pack, float("inf")
     memo: dict = {}  # _subtract's, for this run
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
     inputs = [r for r in relations if r]
@@ -493,17 +500,34 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> lis
     live, reducers = [], []  # indices into basis and their rules, oldest first
     # powers: the degree of a pure-power lead by its exponent slot; gate -1: never stop.
     gate, powers, levels, seen = ring.ngens if homogeneous else -1, {}, [{0}], None
-    while heap:
-        if len(powers) == gate and (d := heap[0][0] >> ring._top, len(basis)) != seen:
+    pending, waiting, soon = [], 0, never  # (k, lk, lk's guard bits, live partners), partner count, p + 1
+    while heap or pending:
+        least = heap[0][0] >> ring._top if heap else never
+        if len(powers) == gate and (d := min(least, soon), len(basis)) != seen:
             seen, w_max = (d, len(basis)), max(ring._weights, default=1)
             if d > sum(powers.values()) - sum(ring._weights):
                 break  # each monomial of degree d has a pure-power lead x_i^a_i as a factor
             leads = {lead for lead, _ in reducers}
             while len(levels) < d + w_max and not any(levels[d:]) and (
-                    level := _standard_level(ring, levels, leads, len(heap))) is not None:
+                    level := _standard_level(ring, levels, leads, len(heap) + waiting)) is not None:
                 levels.append(level)
             if len(levels) >= d + w_max and not any(levels[d : d + w_max]):
                 break  # every queued item reduces to 0
+        if not heap or least - (heap[0][1] < 0) >= soon:  # a pending pair may come next
+            for k, lk, lkg, partners in pending:
+                # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
+                # coprime leads the lcm is the product, never reduced, only compared;
+                # its slots stay below 2^(SLOT_BITS - 1), so none carries.
+                new = sorted((pack(map(max, exps[i2], exps[k])), True, i2)
+                             if ((basis[i2][0] | guard) - low) & lkg
+                             else (basis[i2][0] + lk, False, i2) for i2 in partners)
+                for pos, (m, shares, i2) in enumerate(new):
+                    # Criterion F: the first pair of an lcm speaks for all; it is
+                    # dropped by the product criterion when its leads are coprime.
+                    if shares and not (pos and new[pos - 1][0] == m):
+                        heapq.heappush(heap, (m, i2, k))
+            pending, waiting, soon = [], 0, never
+            continue
         lcm, i, j = heapq.heappop(heap)
         if i < 0:
             s = inputs[j]
@@ -518,25 +542,15 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> lis
         k = len(basis)
         basis.append(_monic(s))
         lk = basis[k][0]
-        ek = ring.unpack(lk)
-        exps.append(ek)
+        exps.append(ring.unpack(lk))
         if (dk := lk >> ring._top) < len(levels):
             levels[dk].discard(lk)
             del levels[dk + 1 :]
         lkg = ((lk | guard) - low) & guard  # the guard bit of each exponent slot nonzero in lk
         if lkg and not lkg & lkg - 1:
             powers.setdefault(lkg, dk)  # lk is a pure power
-        # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
-        # coprime leads the lcm is the product, never reduced, only compared;
-        # its slots stay below 2^(SLOT_BITS - 1), so none carries.
-        new = sorted((pack(map(max, exps[i2], ek)), True, i2)
-                     if ((basis[i2][0] | guard) - low) & lkg
-                     else (basis[i2][0] + lk, False, i2) for i2 in live)
-        for pos, (m, shares, i2) in enumerate(new):
-            # Criterion F: the first pair of an lcm speaks for all; it is
-            # dropped by the product criterion when its leads are coprime.
-            if shares and not (pos and new[pos - 1][0] == m):
-                heapq.heappush(heap, (m, i2, k))
+        pending.append((k, lk, lkg, live))  # soon -1: inhomogeneous input builds k's pairs at once
+        waiting, soon = waiting + len(live), min(soon, dk + 1) if homogeneous else -1
         live = [i2 for i2 in live if ((basis[i2][0] | guard) - lk) & guard != guard] + [k]
         reducers = [basis[i2] for i2 in live]
         if len(live) - n > MAX_BASIS:
@@ -545,7 +559,7 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> lis
     # Autoreduce each live tail by all live rules: a rule's own lead divides no
     # monomial below it, and reduction only lowers monomials, so it never fires.
     final = [(lead, tuple(_reduce(dict(t), reducers, guard, memo).items())) for lead, t in reducers]
-    return sorted(final, key=itemgetter(0), reverse=True)
+    return sorted(final, key=itemgetter(0), reverse=True), levels
 
 
 class RingPresentation:
@@ -556,7 +570,7 @@ class RingPresentation:
     the test suite).
     """
 
-    __slots__ = ("ring", "relations", "_reducers", "_inhomogeneous", "_nf")
+    __slots__ = ("ring", "relations", "_reducers", "_levels", "_inhomogeneous", "_nf")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
@@ -565,7 +579,9 @@ class RingPresentation:
         inhomogeneous = next((r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "_reducers", _buchberger(ring, packed, inhomogeneous is None))
+        reducers, levels = _buchberger(ring, packed, inhomogeneous is None)
+        object.__setattr__(self, "_reducers", reducers)
+        object.__setattr__(self, "_levels", levels)  # graded_component_dim's
         object.__setattr__(self, "_inhomogeneous", inhomogeneous)
         object.__setattr__(self, "_nf", {})  # normal_form's table
 
@@ -612,15 +628,14 @@ class RingPresentation:
     def graded_component_dim(self, d: int) -> int:
         """Dimension over the coefficient field of the degree-d component:
         the count of standard monomials of weighted degree d, built degree
-        by degree (_standard_level)."""
+        by degree (_standard_level) on the levels completion left."""
         if self._inhomogeneous is not None:
             raise InhomogeneousRelations(str(self._inhomogeneous))
         if d < 0:
             return 0
         if d >= 1 << SLOT_BITS - 2:
             raise MonomialOverflow(f"a weighted degree reached 2^{SLOT_BITS - 2}")
-        leads = {lead for lead, _ in self._reducers}
-        levels = [{0} - leads]
+        levels, leads = self._levels, {lead for lead, _ in self._reducers}
         while len(levels) <= d:
             levels.append(_standard_level(self.ring, levels, leads))
         return len(levels[d])

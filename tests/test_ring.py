@@ -1,12 +1,14 @@
 """Graded quotient rings: normal forms, ideal membership, graded dimensions."""
 
 import hashlib
+import heapq
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowforge import ring as ring_module
@@ -385,9 +387,12 @@ def test_completion_is_confluent(scenario, n, genus):
     elements reduces to 0, and no leading monomial divides a term of another
     element."""
     if genus is None:
-        pres = _needs_pairs_presentation(scenario)
+        _assert_confluent(_needs_pairs_presentation(scenario))
     else:
-        pres = _scenario_presentation(scenario, n, genus)
+        _assert_confluent(_scenario_presentation(scenario, n, genus))
+
+
+def _assert_confluent(pres):
     ring, basis = pres.ring, pres.groebner_basis
     assert all(pres.is_zero(r) for r in pres.relations)
     leads = [f.leading_exponent() for f in basis]
@@ -462,6 +467,13 @@ def test_completion_matches_sympy(name, size):
     coefficient is rational."""
     sympy = pytest.importorskip("sympy")
     pres = _needs_pairs_presentation(name)
+    assert len(pres.groebner_basis) == size
+    _assert_sympy_basis(sympy, pres)
+
+
+def _assert_sympy_basis(sympy, pres):
+    """The basis is sympy's reduced grevlex basis of the relations (weight-1
+    generators and rational coefficients)."""
     gens = sympy.symbols([gen.name for gen in pres.ring.generators])
 
     def poly(e):
@@ -469,8 +481,96 @@ def test_completion_matches_sympy(name, size):
                               for exps, c in e.terms.items()), *gens, domain=sympy.QQ).monic()
 
     theirs = sympy.groebner([poly(r) for r in pres.relations], *gens, order="grevlex")
-    assert len(pres.groebner_basis) == size
     assert {poly(b) for b in pres.groebner_basis} == {p.monic() for p in theirs.polys}
+
+
+def _rank_over_q(rows):
+    """The rank of sparse integer rows {column: int} by exact elimination over
+    Q, fraction-free: a step cross-multiplies and divides out the row's gcd."""
+    pivots = {}  # column -> the reduced row whose leading column it is
+    for row in sorted(rows, key=len):  # monomial rows first, as they fill nothing in
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, b = pivot[col], row[col]
+            row = {c: w for c in row.keys() | pivot.keys() if (w := a * row.get(c, 0) - b * pivot.get(c, 0))}
+            g = gcd(*row.values())
+            row = {c: w // g for c, w in row.items()}
+    return len(pivots)
+
+
+@st.composite
+def _small_ideals(draw):
+    """Weights, and relations as {exponent tuple: int}: 2-4 generators of
+    weight 1-3, and 1-5 relations of 2-4 terms (1 where a degree has one
+    monomial) of one weighted degree <= top = max(4, 2 * w_max + 1), with
+    coefficients in -3..3.  Some draws add a pure power of degree <= top of
+    every generator (an Artinian quotient) or of all but the first, and some
+    a relation with terms of two degrees."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+
+    def relation(d):
+        monos = _monomials(weights, d)
+        monos = draw(st.lists(st.sampled_from(monos), min_size=min(2, len(monos)), max_size=4, unique=True))
+        return {m: draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1))) for m in monos}
+
+    top = max(4, 2 * max(weights) + 1)
+    degrees = [d for d in range(1, top + 1) if _monomials(weights, d)]
+    rels = [relation(draw(st.sampled_from(degrees))) for _ in range(draw(st.integers(1, 5)))]
+    powered = draw(st.sampled_from([range(len(weights)), range(1, len(weights)), range(0)]))
+    for i in powered:
+        rels.append({tuple(draw(st.integers(min(2, top // weights[i]), top // weights[i])) if j == i else 0
+                           for j in range(len(weights))): 1})
+    if draw(st.integers(0, 3)) == 0:
+        high = draw(st.sampled_from(degrees))
+        rels.append({**relation(draw(st.sampled_from([0] + [d for d in degrees if d < high]))),
+                     **relation(high)})
+    return weights, rels
+
+
+@given(_small_ideals())
+# Corners the draws seldom reach.  In y (2) and z (3), z^2 and y^3 leave
+# degree 6 empty while the input y^2*z of degree 7 is queued.  In x, y, z,
+# y^3 and z^3 complete the pure powers after the inputs of degree 2, whose
+# S-pair of degree 3 is not built yet and gives x*z^2.
+@example(([2, 3], [{(0, 2): 1}, {(3, 0): 1}, {(3, 0): 1, (0, 2): 1}, {(2, 1): 1}]))
+@example(([1, 1, 1], [{(2, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1}, {(0, 3, 0): 1}, {(0, 0, 3): 1}]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_completion_matches_outside_oracles(case):
+    """Completion on random small ideals over Q against oracles that do not
+    use its basis.  A homogeneous draw's graded_component_dim(d) is the count
+    of monomials of degree d less the rank of the degree-d Macaulay matrix
+    (rows m * rel, Macaulay 1916), checked past the pure-power bound of its
+    input powers plus w_max, where completion may stop; that needs no
+    monomial order, so weights do not matter.  A weight-1 draw's basis is
+    sympy's, and every basis is confluent, so an inhomogeneous draw, which
+    completion must never stop early, is checked too."""
+    weights, rels = case
+    ring = PolyRing([Generator(f"x{i}", w) for i, w in enumerate(weights)])
+    pres = RingPresentation(ring, [ring.element(r) for r in rels])
+    _assert_confluent(pres)
+    if set(weights) == {1}:
+        try:
+            import sympy
+        except ImportError:
+            pass
+        else:
+            _assert_sympy_basis(sympy, pres)
+    degrees = [{sum(map(mul, m, weights)) for m in r} for r in rels]
+    if any(len(ds) > 1 for ds in degrees):
+        with pytest.raises(InhomogeneousRelations):
+            pres.graded_component_dim(0)
+        return
+    powers = {m.index(max(m)): max(m) for r in rels if len(r) == 1 for m in r if sum(map(bool, m)) == 1}
+    top = (sum((a - 1) * weights[i] for i, a in powers.items()) if len(powers) == len(weights)
+           else max(map(max, degrees)) + 2) + max(weights)
+    for d in range(top + 1):
+        rows = [{tuple(map(add, m, e)): c for e, c in r.items()}
+                for r in rels for m in _monomials(weights, d - sum(map(mul, next(iter(r)), weights)))]
+        assert pres.graded_component_dim(d) == len(_monomials(weights, d)) - _rank_over_q(rows), d
 
 
 def _completion_reduce_degrees(monkeypatch, ring, relations):
@@ -487,17 +587,35 @@ def _completion_reduce_degrees(monkeypatch, ring, relations):
     return degrees
 
 
-@pytest.mark.parametrize("n,genus,calls", [(3, "symbolic", 20), (24, 9, 650)])
+@pytest.mark.parametrize("n,genus,calls", [(3, "symbolic", 20), (24, 9, 650), (30, "symbolic", 992)])
 def test_completion_stops_where_the_quotient_vanishes(monkeypatch, n, genus, calls):
     """r2's quotient is 0 from degree 3 on.  Once delta^3 and each psi_i^2
     are leads, every queued S-pair reduces to 0, so completion reduces its
     inputs and autoreduces its basis and nothing more (40 and 5850 calls
-    when every S-pair is reduced)."""
+    when every S-pair is reduced).  Every S-pair has degree >= 3 and waits
+    while delta^3, an input of degree 3, goes first, so none is built."""
     from chowforge.scenarios import scenario_R2
 
     rels = scenario_R2(n, genus).derived_relations
+    pushed, push = [], heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
     degrees = _completion_reduce_degrees(monkeypatch, rels[0].ring, rels)
     assert len(degrees) == calls and max(degrees) == 3
+    assert not pushed
+
+
+def test_graded_dims_extend_the_levels_completion_built(monkeypatch):
+    """Completing r2 at 3 points builds its standard monomials of degrees
+    0..3 to stop, so the degree-2 and degree-3 queries build no level and
+    degree 4 builds one."""
+    from chowforge.scenarios import scenario_R2
+
+    rels = scenario_R2(3).derived_relations
+    pres = RingPresentation(rels[0].ring, rels)
+    built, level = [], ring_module._standard_level
+    monkeypatch.setattr(ring_module, "_standard_level", lambda *args: built.append(args) or level(*args))
+    assert [pres.graded_component_dim(d) for d in (2, 3)] == [1, 0] and not built
+    assert pres.graded_component_dim(4) == 0 and len(built) == 1
 
 
 def test_completion_stop_needs_w_max_empty_degrees():
