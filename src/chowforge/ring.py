@@ -21,8 +21,9 @@ reaches 2^(SLOT_BITS - 2), a spare bit below G; reduction never raises it.
 A basis element is stored as a rewrite rule lead -> tail: the monic element
 is x^lead - sum(tail), so a reduction step adds coeff * x^shift * tail and
 never negates.  groebner_basis spells each rule out as the monic element.
-Homogeneous completion builds a degree's S-pairs only when it reaches that
-degree, and stops where the quotient vanishes (see _buchberger).
+Relations are weighted-homogeneous, so completion builds a degree's S-pairs
+only when it reaches that degree, and stops where the quotient vanishes (see
+_buchberger).
 """
 
 from __future__ import annotations
@@ -39,18 +40,18 @@ class UnknownGenerator(KeyError):
 
 
 class NonterminatingHint(RuntimeError):
-    """Raised when basis completion adds over MAX_BASIS live elements to its input."""
+    """Raised when basis completion adds over MAX_BASIS elements to its input."""
 
 
 class InhomogeneousRelations(ValueError):
-    """Raised by graded dimension queries on inhomogeneous presentations."""
+    """Raised when a presentation's relation has terms of two weighted degrees."""
 
 
 class MonomialOverflow(OverflowError):
     """Raised when a monomial's weighted degree does not fit a packed slot."""
 
 
-MAX_BASIS = 200  # live elements completion may add to its input; past that it looks pathological
+MAX_BASIS = 200  # elements completion may add to its input; past that it looks pathological
 SLOT_BITS = 16  # width of one slot of a packed monomial
 _UNIT = RatFunc(1)  # the coefficient normal_form reduces a monomial with
 
@@ -452,33 +453,32 @@ def _standard_level(ring: PolyRing, levels: list, leads: set, budget=float("inf"
             if all(m - unit in ms for unit, ms in below if ((m | guard) - unit) & guard == guard)}
 
 
-def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> tuple[list, list]:
-    """The reduced Groebner basis of packed term dicts, as rewrite rules
-    (lead, tail) in descending order of leading monomial, and the standard
+def _buchberger(ring: PolyRing, relations: list[dict]) -> tuple[list, list]:
+    """The reduced Groebner basis of homogeneous packed term dicts, as rewrite
+    rules (lead, tail) in descending order of leading monomial, and the standard
     monomials of degrees 0, 1, ... as far as the stop check built them.
 
     Normal selection strategy (Giovini et al. 1991): a heap hands out the
     pair of smallest lcm first, and each input as a pair keyed by its
-    leading monomial; as int order is weighted grevlex, homogeneous input
-    completes degree by degree.  Each popped input or S-polynomial is
-    reduced by the live elements; a nonzero remainder becomes a new element.
+    leading monomial; as int order is weighted grevlex, completion goes
+    degree by degree.  Each popped input or S-polynomial is reduced by the
+    basis; a nonzero remainder becomes a new element.  Its lead has at least
+    the degree of every older lead, so dividing one would make them equal,
+    which reduction rules out: no element is ever superseded, and the basis
+    may exceed the input count by at most MAX_BASIS.
 
-    A new element k is paired with each element live on its arrival once,
-    and two deletion criteria of Gebauer and Moeller (1988) prune its pairs:
-    criterion F keeps one pair per lcm, and the product criterion drops every
-    pair of an lcm some pair of coprime leading monomials has.  Their
-    criteria B and M are left out: on every presentation the scenarios build
-    they prune no pair, and a criterion left out only adds pairs to reduce.
-    Inhomogeneous input builds k's pairs at once.  Homogeneous input keeps k
-    pending, as no live lead divides lk, so each pair has degree > deg(lk):
-    with p the least pending lead degree, pending pairs are built once the
-    heap is empty or its least item is a pair of degree > p or an input of
-    degree > p + 1 (a degree's inputs first).
+    A new element k is paired with each older element once, and two deletion
+    criteria of Gebauer and Moeller (1988) prune its pairs: criterion F keeps
+    one pair per lcm, and the product criterion drops every pair of an lcm
+    some pair of coprime leading monomials has.  Their criteria B and M are
+    left out: on every presentation the scenarios build they prune no pair,
+    and a criterion left out only adds pairs to reduce.  k is kept pending,
+    as no older lead divides lk, so each pair has degree > deg(lk): with p
+    the least pending lead degree, pending pairs are built once the heap is
+    empty or its least item is a pair of degree > p or an input of degree
+    > p + 1 (a degree's inputs first).
 
-    An element is live while no other element's leading monomial divides its
-    own; the live count may exceed the input count by at most MAX_BASIS.
-
-    Homogeneous input stops once the quotient vanishes from degree d = min(the
+    Completion stops once the quotient vanishes from degree d = min(the
     heap's least, p + 1) on (Traverso 1996): each queued item, built or
     pending, then reduces to 0.  It does if degrees d, ..., d + w_max - 1 hold
     no standard monomial (w_max the largest weight), as dropping factors one at
@@ -496,31 +496,29 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> tup
     n = len(inputs)
     heap = [(max(r), -1, r_index) for r_index, r in enumerate(inputs)]  # -1: an input
     heapq.heapify(heap)
-    basis, exps = [], []  # rules (lead, tail), and each lead's exponent tuple
-    live, reducers = [], []  # indices into basis and their rules, oldest first
-    # powers: the degree of a pure-power lead by its exponent slot; gate -1: never stop.
-    gate, powers, levels, seen = ring.ngens if homogeneous else -1, {}, [{0}], None
-    pending, waiting, soon = [], 0, never  # (k, lk, lk's guard bits, live partners), partner count, p + 1
+    basis, exps = [], []  # rules (lead, tail), oldest first, and each lead's exponent tuple
+    powers, levels, seen = {}, [{0}], None  # powers: the degree of a pure-power lead by its exponent slot
+    pending, waiting, soon = [], 0, never  # (k, lk, lk's guard bits), partner count, p + 1
     while heap or pending:
         least = heap[0][0] >> ring._top if heap else never
-        if len(powers) == gate and (d := min(least, soon), len(basis)) != seen:
+        if len(powers) == ring.ngens and (d := min(least, soon), len(basis)) != seen:
             seen, w_max = (d, len(basis)), max(ring._weights, default=1)
             if d > sum(powers.values()) - sum(ring._weights):
                 break  # each monomial of degree d has a pure-power lead x_i^a_i as a factor
-            leads = {lead for lead, _ in reducers}
+            leads = {lead for lead, _ in basis}
             while len(levels) < d + w_max and not any(levels[d:]) and (
                     level := _standard_level(ring, levels, leads, len(heap) + waiting)) is not None:
                 levels.append(level)
             if len(levels) >= d + w_max and not any(levels[d : d + w_max]):
                 break  # every queued item reduces to 0
         if not heap or least - (heap[0][1] < 0) >= soon:  # a pending pair may come next
-            for k, lk, lkg, partners in pending:
+            for k, lk, lkg in pending:
                 # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
                 # coprime leads the lcm is the product, never reduced, only compared;
                 # its slots stay below 2^(SLOT_BITS - 1), so none carries.
                 new = sorted((pack(map(max, exps[i2], exps[k])), True, i2)
                              if ((basis[i2][0] | guard) - low) & lkg
-                             else (basis[i2][0] + lk, False, i2) for i2 in partners)
+                             else (basis[i2][0] + lk, False, i2) for i2 in range(k))
                 for pos, (m, shares, i2) in enumerate(new):
                     # Criterion F: the first pair of an lcm speaks for all; it is
                     # dropped by the product criterion when its leads are coprime.
@@ -536,7 +534,7 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> tup
             (li, ti), (lj, tj) = basis[i], basis[j]
             s = {lcm - li + e: c for e, c in ti}
             _subtract(s, lcm - lj, tj, minus_one, memo)
-        s = _reduce(s, reducers, guard, memo)
+        s = _reduce(s, basis, guard, memo)
         if not s:
             continue
         k = len(basis)
@@ -549,40 +547,41 @@ def _buchberger(ring: PolyRing, relations: list[dict], homogeneous: bool) -> tup
         lkg = ((lk | guard) - low) & guard  # the guard bit of each exponent slot nonzero in lk
         if lkg and not lkg & lkg - 1:
             powers.setdefault(lkg, dk)  # lk is a pure power
-        pending.append((k, lk, lkg, live))  # soon -1: inhomogeneous input builds k's pairs at once
-        waiting, soon = waiting + len(live), min(soon, dk + 1) if homogeneous else -1
-        live = [i2 for i2 in live if ((basis[i2][0] | guard) - lk) & guard != guard] + [k]
-        reducers = [basis[i2] for i2 in live]
-        if len(live) - n > MAX_BASIS:
+        pending.append((k, lk, lkg))
+        waiting, soon = waiting + k, min(soon, dk + 1)
+        if len(basis) - n > MAX_BASIS:
             raise NonterminatingHint(
                 f"completion grew past its {n} relations by over {MAX_BASIS} live elements")
-    # Autoreduce each live tail by all live rules: a rule's own lead divides no
-    # monomial below it, and reduction only lowers monomials, so it never fires.
-    final = [(lead, tuple(_reduce(dict(t), reducers, guard, memo).items())) for lead, t in reducers]
+    # Autoreduce each tail by all rules: a rule's own lead divides no monomial
+    # below it, and reduction only lowers monomials, so it never fires.
+    final = [(lead, tuple(_reduce(dict(t), basis, guard, memo).items())) for lead, t in basis]
     return sorted(final, key=itemgetter(0), reverse=True), levels
 
 
 class RingPresentation:
     """Quotient-ring description: generators, relations, reduced basis.
 
-    The basis is computed eagerly; normal forms are unique (confluence is
-    certified by S-polynomial reduction during completion and re-checked by
-    the test suite).
+    Each relation is weighted-homogeneous, as the Chow grading makes every
+    relation the scenarios build; one with terms of two weighted degrees
+    raises InhomogeneousRelations before any completion.  The basis is
+    computed eagerly; normal forms are unique (confluence is certified by
+    S-polynomial reduction during completion and re-checked by the test
+    suite).
     """
 
-    __slots__ = ("ring", "relations", "_reducers", "_levels", "_inhomogeneous", "_nf")
+    __slots__ = ("ring", "relations", "_reducers", "_levels", "_nf")
 
     def __init__(self, ring: PolyRing, relations):
         rels = [ring.import_element(r) for r in relations]
         packed = [{ring.pack(e): c for e, c in r.terms.items()} for r in rels]
-        # The first relation with terms of two weighted degrees (a packed monomial's top slot).
-        inhomogeneous = next((r for r, p in zip(rels, packed) if len({m >> ring._top for m in p}) > 1), None)
+        for r, p in zip(rels, packed):
+            if len({m >> ring._top for m in p}) > 1:  # two weighted degrees (a packed monomial's top slot)
+                raise InhomogeneousRelations(str(r))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "relations", tuple(rels))
-        reducers, levels = _buchberger(ring, packed, inhomogeneous is None)
+        reducers, levels = _buchberger(ring, packed)
         object.__setattr__(self, "_reducers", reducers)
         object.__setattr__(self, "_levels", levels)  # graded_component_dim's
-        object.__setattr__(self, "_inhomogeneous", inhomogeneous)
         object.__setattr__(self, "_nf", {})  # normal_form's table
 
     def __setattr__(self, name, value):
@@ -629,8 +628,6 @@ class RingPresentation:
         """Dimension over the coefficient field of the degree-d component:
         the count of standard monomials of weighted degree d, built degree
         by degree (_standard_level) on the levels completion left."""
-        if self._inhomogeneous is not None:
-            raise InhomogeneousRelations(str(self._inhomogeneous))
         if d < 0:
             return 0
         if d >= 1 << SLOT_BITS - 2:

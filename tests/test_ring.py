@@ -83,13 +83,17 @@ def test_free_psi_ring_degree_one_dim():
     assert pres.graded_component_dim(1) == 3
 
 
-def test_inhomogeneous_relations_rejected():
-    ring = PolyRing([Generator("x")])
-    x = ring.gen("x")
-    pres = RingPresentation(ring, [x * x + x])
-    for d in range(-1, 5):
-        with pytest.raises(InhomogeneousRelations):
-            pres.graded_component_dim(d)
+def test_inhomogeneous_relations_rejected(monkeypatch):
+    """A relation with terms of two weighted degrees is refused before any
+    completion runs, with the relation's text."""
+    def never(*args):
+        raise AssertionError("completion ran")
+
+    monkeypatch.setattr(ring_module, "_buchberger", never)
+    ring = PolyRing([Generator("x"), Generator("y", 2)])
+    x, y = ring.gen("x"), ring.gen("y")
+    with pytest.raises(InhomogeneousRelations, match=r"^x\^2\+x$"):
+        RingPresentation(ring, [y, x * x + x])
 
 
 def test_unknown_generator():
@@ -347,7 +351,8 @@ def _scenario_presentation(scenario, n, genus):
 
 def _needs_pairs_presentation(name):
     """Small ideals whose completion adds S-polynomials; the scenarios'
-    presentations above complete by reducing their inputs alone."""
+    presentations above complete by reducing their inputs alone.  Cyclic-4
+    and katsura-3 are homogenized by a fifth generator h."""
     from chowforge.rationals import genus_poly
     from chowforge.scenarios import _core_classes
 
@@ -356,15 +361,15 @@ def _needs_pairs_presentation(name):
         ring = PolyRing([Generator("c1", 1), Generator("c2", 2)])
         c1, c2 = ring.gen("c1"), ring.gen("c2")
         return RingPresentation(ring, [c2 - (c1 * c1).scale(ratio), c1**3])
-    ring = PolyRing([Generator(v) for v in "xyzt"])
-    x, y, z, t = (ring.gen(v) for v in "xyzt")
+    ring = PolyRing([Generator(v) for v in "xyzth"])
+    x, y, z, t, h = (ring.gen(v) for v in "xyzth")
     return RingPresentation(ring, {
         "symbolic cubic": [x * x - (y * z).scale(G), x * y - z * z + t * t,
                            y**3 - (x * z * t).scale(2 * G + 1)],
         "cyclic-4": [x + y + z + t, x * y + y * z + z * t + t * x,
-                     x * y * z + y * z * t + z * t * x + t * x * y, x * y * z * t - 1],
-        "katsura-3": [x + (y + z + t).scale(2) - 1, x * x + (y * y + z * z + t * t).scale(2) - x,
-                      (x * y + y * z + z * t).scale(2) - y, y * y + (x * z + y * t).scale(2) - z],
+                     x * y * z + y * z * t + z * t * x + t * x * y, x * y * z * t - h**4],
+        "katsura-3": [x + (y + z + t).scale(2) - h, x * x + (y * y + z * z + t * t).scale(2) - x * h,
+                      (x * y + y * z + z * t).scale(2) - y * h, y * y + (x * z + y * t).scale(2) - z * h],
         # Each has a pair whose lcm equals its first (cubics 1) or its second
         # (cubics 2) element's lcm with a newer element: the edge case of
         # Gebauer-Moeller criterion B, which completion does not use.
@@ -381,13 +386,18 @@ def _needs_pairs_presentation(name):
     ("cyclic-4", None, None), ("katsura-3", None, None), ("cubics 1", None, None),
     ("cubics 2", None, None),
 ])
-def test_completion_is_confluent(scenario, n, genus):
+def test_completion_is_confluent(monkeypatch, scenario, n, genus):
     """Checked on the returned basis alone, whatever pairs completion pruned:
     every input reduces to 0, the S-polynomial of every pair of basis
     elements reduces to 0, and no leading monomial divides a term of another
-    element."""
+    element.  Each small ideal pushes an S-pair, as r2 pushes none."""
     if genus is None:
-        _assert_confluent(_needs_pairs_presentation(scenario))
+        pushed, push = [], heapq.heappush
+        with monkeypatch.context() as m:
+            m.setattr(heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
+            pres = _needs_pairs_presentation(scenario)
+        assert pushed
+        _assert_confluent(pres)
     else:
         _assert_confluent(_scenario_presentation(scenario, n, genus))
 
@@ -546,11 +556,17 @@ def test_completion_matches_outside_oracles(case):
     (rows m * rel, Macaulay 1916), checked past the pure-power bound of its
     input powers plus w_max, where completion may stop; that needs no
     monomial order, so weights do not matter.  A weight-1 draw's basis is
-    sympy's, and every basis is confluent, so an inhomogeneous draw, which
-    completion must never stop early, is checked too."""
+    sympy's, and every basis is confluent.  An inhomogeneous draw is refused
+    when the presentation is built."""
     weights, rels = case
     ring = PolyRing([Generator(f"x{i}", w) for i, w in enumerate(weights)])
-    pres = RingPresentation(ring, [ring.element(r) for r in rels])
+    elements = [ring.element(r) for r in rels]
+    degrees = [{sum(map(mul, m, weights)) for m in r} for r in rels]
+    if any(len(ds) > 1 for ds in degrees):
+        with pytest.raises(InhomogeneousRelations):
+            RingPresentation(ring, elements)
+        return
+    pres = RingPresentation(ring, elements)
     _assert_confluent(pres)
     if set(weights) == {1}:
         try:
@@ -559,11 +575,6 @@ def test_completion_matches_outside_oracles(case):
             pass
         else:
             _assert_sympy_basis(sympy, pres)
-    degrees = [{sum(map(mul, m, weights)) for m in r} for r in rels]
-    if any(len(ds) > 1 for ds in degrees):
-        with pytest.raises(InhomogeneousRelations):
-            pres.graded_component_dim(0)
-        return
     powers = {m.index(max(m)): max(m) for r in rels if len(r) == 1 for m in r if sum(map(bool, m)) == 1}
     top = (sum((a - 1) * weights[i] for i, a in powers.items()) if len(powers) == len(weights)
            else max(map(max, degrees)) + 2) + max(weights)
@@ -649,24 +660,6 @@ def test_completion_stops_past_the_pure_power_bound(monkeypatch):
     monkeypatch.setattr(ring_module, "_standard_level", lambda *args: built.append(args) or level(*args))
     assert _completion_reduce_degrees(monkeypatch, ring, [x**2, y**2, x**3 + y**3]) == [2, 2, 0, 0]
     assert not built
-
-
-def test_inhomogeneous_completion_is_never_stopped(monkeypatch):
-    """2x^3 - 1, 2y^3 - 1 and x^2 + y^2 + y generate the unit ideal, as
-    sympy's basis says.  Their leads are pure powers and no monomial of
-    degree 4 or 5 is standard, yet the S-pairs reduce to remainders of lower
-    degree: stopped as if homogeneous, completion keeps three elements."""
-    sympy = pytest.importorskip("sympy")
-    ring = PolyRing([Generator("x"), Generator("y")])
-    x, y = ring.gen("x"), ring.gen("y")
-    rels = [(x**3).scale(2) - 1, (y**3).scale(2) - 1, x * x + y * y + y]
-    sx, sy = sympy.symbols("x y")
-    theirs = sympy.groebner([2 * sx**3 - 1, 2 * sy**3 - 1, sx**2 + sy**2 + sy], sx, sy, order="grevlex")
-    assert list(theirs.exprs) == [1]
-    assert RingPresentation(ring, rels).groebner_basis == (ring.one(),)
-    buchberger = ring_module._buchberger
-    monkeypatch.setattr(ring_module, "_buchberger", lambda r, packed, _: buchberger(r, packed, True))
-    assert len(RingPresentation(ring, rels).groebner_basis) == 3
 
 
 def test_completion_stop_check_builds_few_levels(monkeypatch):
