@@ -22,7 +22,7 @@ from .points import (
     riemann_roch_counts,
     sample_curve_points,
 )
-from .rationals import PoleAtPoint, poly_str
+from .rationals import poly_str
 from .ring import NonterminatingHint
 from .scenarios import (
     Report,
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = build_report(cfg)
-    except (ValueError, PoleAtPoint, SamplingExhausted, NonterminatingHint) as exc:
+    except (ValueError, SamplingExhausted, NonterminatingHint) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     rendered = canonical_json(report) if cfg.format == "json" else render_text(report)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -251,6 +252,12 @@ def test_golden_comparison_roundtrip(tmp_path):
     (tmp_path / "i_g0.json").write_text(tampered)
     code, summary = compare_golden("i_g0", current, str(tmp_path))
     assert code == 1 and "differences" in summary
+    # A golden that differs on every line is reported by its first ten.
+    (tmp_path / "i_g0.json").write_text(current.replace("\n", " \n"))
+    code, summary = compare_golden("i_g0", current, str(tmp_path))
+    first, *entries = summary.splitlines()
+    assert code == 1 and first == "golden comparison differences:"
+    assert [re.match(r"line (\d+) \(.*\): golden ", e)[1] for e in entries] == [str(i) for i in range(1, 11)]
 
 
 def test_golden_run_renders_canonical_json_once(monkeypatch, capsys):

@@ -35,6 +35,8 @@ from chowforge.points import (
 )
 from chowforge.testcurves import rank_numeric
 
+from test_ring import _rank_over_q
+
 try:
     from sympy import GF, QQ, ZZ
     from sympy.polys.galoistools import gf_degree, gf_diff, gf_gcd, gf_mul, gf_sub_mul
@@ -480,29 +482,6 @@ def _rank_mod_oracle(matrix, prime):
     return r
 
 
-def _rank_q_oracle(matrix):
-    """Gaussian elimination over Q with Fraction entries."""
-    a = [[Fraction(v) for v in row] for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        for i in range(r + 1, nrows):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, ncols):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 # None stands for the rationals, whose rank is rank_numeric.
 ORACLE_PRIMES = (3, 5, 7, DEFAULT_PRIME, 2**61 - 1, None)
 
@@ -539,7 +518,7 @@ def test_rank_mod_p_matches_oracles(case):
 
     rank = rank_of(m)
     if p is None:
-        assert rank == _rank_q_oracle(m)
+        assert rank == _rank_over_q([dict(enumerate(row)) for row in m])
     else:
         assert rank == _rank_mod_oracle(m, p)
     if DomainMatrix is not None and m:

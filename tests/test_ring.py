@@ -4,7 +4,7 @@ import hashlib
 import heapq
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
@@ -27,6 +27,19 @@ from chowforge.ring import (
 )
 
 G = UniPoly.g()
+
+
+def _record(monkeypatch, owner, name, entry=lambda *args: args):
+    """Wrap owner.name so that each call appends entry(*args) to the
+    returned list, then runs as before."""
+    calls, original = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(entry(*args))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 def pv_presentation():
@@ -86,14 +99,12 @@ def test_free_psi_ring_degree_one_dim():
 def test_inhomogeneous_relations_rejected(monkeypatch):
     """A relation with terms of two weighted degrees is refused before any
     completion runs, with the relation's text."""
-    def never(*args):
-        raise AssertionError("completion ran")
-
-    monkeypatch.setattr(ring_module, "_buchberger", never)
+    completions = _record(monkeypatch, ring_module, "_buchberger")
     ring = PolyRing([Generator("x"), Generator("y", 2)])
     x, y = ring.gen("x"), ring.gen("y")
     with pytest.raises(InhomogeneousRelations, match=r"^x\^2\+x$"):
         RingPresentation(ring, [y, x * x + x])
+    assert not completions
 
 
 def test_unknown_generator():
@@ -392,9 +403,8 @@ def test_completion_is_confluent(monkeypatch, scenario, n, genus):
     elements reduces to 0, and no leading monomial divides a term of another
     element.  Each small ideal pushes an S-pair, as r2 pushes none."""
     if genus is None:
-        pushed, push = [], heapq.heappush
         with monkeypatch.context() as m:
-            m.setattr(heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
+            pushed = _record(m, heapq, "heappush")
             pres = _needs_pairs_presentation(scenario)
         assert pushed
         _assert_confluent(pres)
@@ -495,10 +505,13 @@ def _assert_sympy_basis(sympy, pres):
 
 
 def _rank_over_q(rows):
-    """The rank of sparse integer rows {column: int} by exact elimination over
-    Q, fraction-free: a step cross-multiplies and divides out the row's gcd."""
+    """The rank of sparse rational rows {column: int or Fraction} by exact
+    elimination over Q, fraction-free: each row is scaled to integers, and a
+    step cross-multiplies and divides out the row's gcd."""
     pivots = {}  # column -> the reduced row whose leading column it is
     for row in sorted(rows, key=len):  # monomial rows first, as they fill nothing in
+        den = lcm(*(w.denominator for w in row.values()))
+        row = {c: int(w * den) for c, w in row.items() if w}
         while row:
             col = max(row)
             pivot = pivots.get(col)
@@ -518,8 +531,7 @@ def _small_ideals(draw):
     weight 1-3, and 1-5 relations of 2-4 terms (1 where a degree has one
     monomial) of one weighted degree <= top = max(4, 2 * w_max + 1), with
     coefficients in -3..3.  Some draws add a pure power of degree <= top of
-    every generator (an Artinian quotient) or of all but the first, and some
-    a relation with terms of two degrees."""
+    every generator (an Artinian quotient) or of all but the first."""
     weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
 
     def relation(d):
@@ -534,10 +546,6 @@ def _small_ideals(draw):
     for i in powered:
         rels.append({tuple(draw(st.integers(min(2, top // weights[i]), top // weights[i])) if j == i else 0
                            for j in range(len(weights))): 1})
-    if draw(st.integers(0, 3)) == 0:
-        high = draw(st.sampled_from(degrees))
-        rels.append({**relation(draw(st.sampled_from([0] + [d for d in degrees if d < high]))),
-                     **relation(high)})
     return weights, rels
 
 
@@ -551,22 +559,16 @@ def _small_ideals(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_completion_matches_outside_oracles(case):
     """Completion on random small ideals over Q against oracles that do not
-    use its basis.  A homogeneous draw's graded_component_dim(d) is the count
-    of monomials of degree d less the rank of the degree-d Macaulay matrix
-    (rows m * rel, Macaulay 1916), checked past the pure-power bound of its
-    input powers plus w_max, where completion may stop; that needs no
-    monomial order, so weights do not matter.  A weight-1 draw's basis is
-    sympy's, and every basis is confluent.  An inhomogeneous draw is refused
-    when the presentation is built."""
+    use its basis.  graded_component_dim(d) is the count of monomials of
+    degree d less the rank of the degree-d Macaulay matrix (rows m * rel,
+    Macaulay 1916), checked past the pure-power bound of its input powers
+    plus w_max, where completion may stop; that needs no monomial order, so
+    weights do not matter.  A weight-1 draw's basis is sympy's, and every
+    basis is confluent."""
     weights, rels = case
     ring = PolyRing([Generator(f"x{i}", w) for i, w in enumerate(weights)])
-    elements = [ring.element(r) for r in rels]
-    degrees = [{sum(map(mul, m, weights)) for m in r} for r in rels]
-    if any(len(ds) > 1 for ds in degrees):
-        with pytest.raises(InhomogeneousRelations):
-            RingPresentation(ring, elements)
-        return
-    pres = RingPresentation(ring, elements)
+    pres = RingPresentation(ring, [ring.element(r) for r in rels])
+    degrees = [sum(map(mul, next(iter(r)), weights)) for r in rels]  # each relation is homogeneous
     _assert_confluent(pres)
     if set(weights) == {1}:
         try:
@@ -577,42 +579,39 @@ def test_completion_matches_outside_oracles(case):
             _assert_sympy_basis(sympy, pres)
     powers = {m.index(max(m)): max(m) for r in rels if len(r) == 1 for m in r if sum(map(bool, m)) == 1}
     top = (sum((a - 1) * weights[i] for i, a in powers.items()) if len(powers) == len(weights)
-           else max(map(max, degrees)) + 2) + max(weights)
+           else max(degrees) + 2) + max(weights)
     for d in range(top + 1):
         rows = [{tuple(map(add, m, e)): c for e, c in r.items()}
-                for r in rels for m in _monomials(weights, d - sum(map(mul, next(iter(r)), weights)))]
+                for r, dr in zip(rels, degrees) for m in _monomials(weights, d - dr)]
         assert pres.graded_component_dim(d) == len(_monomials(weights, d)) - _rank_over_q(rows), d
 
 
-def _completion_reduce_degrees(monkeypatch, ring, relations):
-    """The weighted degree of each item completing relations reduces."""
-    degrees, reduce = [], ring_module._reduce
-
-    def counted(terms, *rest):
-        degrees.append(max(terms, default=0) >> ring._top)
-        return reduce(terms, *rest)
-
+def _complete_counting_reductions(monkeypatch, ring, relations):
+    """The presentation of relations, and the weighted degree of each item
+    its completion reduces."""
     with monkeypatch.context() as m:
-        m.setattr(ring_module, "_reduce", counted)
-        RingPresentation(ring, relations)
-    return degrees
+        degrees = _record(m, ring_module, "_reduce", lambda terms, *rest: max(terms, default=0) >> ring._top)
+        return RingPresentation(ring, relations), degrees
 
 
-@pytest.mark.parametrize("n,genus,calls", [(3, "symbolic", 20), (24, 9, 650), (30, "symbolic", 992)])
+@pytest.mark.parametrize("n,genus,calls", [
+    (3, "symbolic", 20), (24, 9, 650), (30, "symbolic", 992), (40, "symbolic", 1722),
+])
 def test_completion_stops_where_the_quotient_vanishes(monkeypatch, n, genus, calls):
     """r2's quotient is 0 from degree 3 on.  Once delta^3 and each psi_i^2
     are leads, every queued S-pair reduces to 0, so completion reduces its
     inputs and autoreduces its basis and nothing more (40 and 5850 calls
-    when every S-pair is reduced).  Every S-pair has degree >= 3 and waits
-    while delta^3, an input of degree 3, goes first, so none is built."""
+    when every S-pair is reduced, 24,682 at n = 40), none of degree 4.
+    Every S-pair has degree >= 3 and waits while delta^3, an input of degree
+    3, goes first, so none is built (22,960 at n = 40 when built at once)."""
     from chowforge.scenarios import scenario_R2
 
     rels = scenario_R2(n, genus).derived_relations
-    pushed, push = [], heapq.heappush
-    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushed.append(item) or push(heap, item))
-    degrees = _completion_reduce_degrees(monkeypatch, rels[0].ring, rels)
+    pushed = _record(monkeypatch, heapq, "heappush")
+    pres, degrees = _complete_counting_reductions(monkeypatch, rels[0].ring, rels)
     assert len(degrees) == calls and max(degrees) == 3
     assert not pushed
+    assert [pres.graded_component_dim(d) for d in (2, 3)] == [1, 0]
 
 
 def test_graded_dims_extend_the_levels_completion_built(monkeypatch):
@@ -623,8 +622,7 @@ def test_graded_dims_extend_the_levels_completion_built(monkeypatch):
 
     rels = scenario_R2(3).derived_relations
     pres = RingPresentation(rels[0].ring, rels)
-    built, level = [], ring_module._standard_level
-    monkeypatch.setattr(ring_module, "_standard_level", lambda *args: built.append(args) or level(*args))
+    built = _record(monkeypatch, ring_module, "_standard_level")
     assert [pres.graded_component_dim(d) for d in (2, 3)] == [1, 0] and not built
     assert pres.graded_component_dim(4) == 0 and len(built) == 1
 
@@ -656,9 +654,8 @@ def test_completion_stops_past_the_pure_power_bound(monkeypatch):
     x, y = ring.gen("x"), ring.gen("y")
     pres = RingPresentation(ring, [y**2, x**2, x**2 + x * y])
     assert set(pres.groebner_basis) == {x**2, x * y, y**2}
-    built, level = [], ring_module._standard_level
-    monkeypatch.setattr(ring_module, "_standard_level", lambda *args: built.append(args) or level(*args))
-    assert _completion_reduce_degrees(monkeypatch, ring, [x**2, y**2, x**3 + y**3]) == [2, 2, 0, 0]
+    built = _record(monkeypatch, ring_module, "_standard_level")
+    assert _complete_counting_reductions(monkeypatch, ring, [x**2, y**2, x**3 + y**3])[1] == [2, 2, 0, 0]
     assert not built
 
 
@@ -668,13 +665,7 @@ def test_completion_stop_check_builds_few_levels(monkeypatch):
     degree 8000: unbudgeted, the check would build 8000 levels of up to
     8000 monomials each.  Leads with no pure power of some generator build
     none, past the slot bound too."""
-    built, level = [], ring_module._standard_level
-
-    def counted(ring, levels, *rest):
-        built.append(len(levels))
-        return level(ring, levels, *rest)
-
-    monkeypatch.setattr(ring_module, "_standard_level", counted)
+    built = _record(monkeypatch, ring_module, "_standard_level", lambda ring, levels, *rest: len(levels))
     ring = PolyRing([Generator("x"), Generator("z")])
     x, z = ring.gen("x"), ring.gen("z")
     assert len(RingPresentation(ring, [x**8000, z**8000, x**7999 * z]).groebner_basis) == 3
@@ -727,37 +718,16 @@ def test_completion_does_each_multiply_add_once(monkeypatch):
     once.  From n = 6 to 12 the relations grow by 63, and the RatFunc
     products and sums of completion by at most two per relation, the monic
     scaling of each new element (without the memo they grow by 2752)."""
-    from chowforge.ring import RingPresentation
-
-    calls = []
-
-    def counted(op):
-        def wrapper(a, b):
-            calls.append(op)
-            return op(a, b)
-
-        return wrapper
-
     counts = {}
     for n in (6, 12):
         pres = _scenario_presentation("r2", n, "symbolic")
-        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(RatFunc, "__mul__", counted(RatFunc.__mul__))
-            m.setattr(RatFunc, "__add__", counted(RatFunc.__add__))
+            products, sums = _record(m, RatFunc, "__mul__"), _record(m, RatFunc, "__add__")
             rebuilt = RingPresentation(pres.ring, pres.relations)
         assert rebuilt.groebner_basis == pres.groebner_basis
-        counts[n] = len(calls), len(pres.relations)
+        counts[n] = len(products) + len(sums), len(pres.relations)
     (ops6, rels6), (ops12, rels12) = counts[6], counts[12]
     assert ops12 - ops6 <= 2 * (rels12 - rels6), counts
-
-
-def _tuples_of_weighted_degree(weights, d):
-    if not weights:
-        return [()] if d == 0 else []
-    w = weights[0]
-    return [(e,) + rest for e in range(d // w + 1)
-            for rest in _tuples_of_weighted_degree(weights[1:], d - e * w)]
 
 
 @pytest.mark.parametrize("scenario,n,genus", [
@@ -779,7 +749,7 @@ def test_graded_dims_match_brute_force(scenario, n, genus):
     weights = [gen.degree for gen in pres.ring.generators]
     leads = [f.leading_exponent() for f in pres.groebner_basis]
     for d in range(5):
-        standard = [e for e in _tuples_of_weighted_degree(weights, d)
+        standard = [e for e in _monomials(weights, d)
                     if not any(all(x >= y for x, y in zip(e, lead)) for lead in leads)]
         assert pres.graded_component_dim(d) == len(standard), d
     assert pres.graded_component_dim(-1) == 0
@@ -854,12 +824,15 @@ def test_specialize_commutes_with_normal_form(g0, case_seed):
     assert lhs == num.normal_form(e_num)
 
 
-NF_TABLE_CASES = ["ctx", "i_g1", "w_n", "r2", "r2(3) at g=2", "r2(3) at g=3",
-                  "i_g1 at g=2", "i_g1 at g=3"]
+# r2(40) is warm only: a cold case would complete it 300 times.
+NF_TABLE_CASES = [(name, table) for name in ("ctx", "i_g1", "w_n", "r2", "r2(3) at g=2", "r2(3) at g=3",
+                                             "i_g1 at g=2", "i_g1 at g=3")
+                  for table in ("cold", "warm")] + [("r2(40)", "warm")]
 
 
 def _nf_table_presentation(name):
-    """The four c15 presentations, then r2 at 3 points and i_g1 at g = 2, 3."""
+    """The four c15 presentations, then r2 at 3 points and i_g1 at g = 2, 3,
+    and the completion of r2's relations at 40 points (861 rules)."""
     from chowforge.chern import standard_context
     from chowforge.scenarios import scenario_I_g1, scenario_R2, scenario_Wn
 
@@ -872,6 +845,7 @@ def _nf_table_presentation(name):
         "r2(3) at g=3": lambda: scenario_R2(3, 3).final_presentation,
         "i_g1 at g=2": lambda: scenario_I_g1(2).final_presentation,
         "i_g1 at g=3": lambda: scenario_I_g1(3).final_presentation,
+        "r2(40)": lambda: _scenario_presentation("r2", 40, "symbolic"),
     }[name]()
 
 
@@ -880,10 +854,18 @@ NF_TABLE_DENOMINATORS = [UniPoly([1]), UniPoly([2, 1]), UniPoly([3, 1]),
                          UniPoly([6, 5, 1]), UniPoly([4, 4, 1])]
 
 
-def _element_over_g_plus_2_and_3(rng, ring):
+def _element_over_g_plus_2_and_3(rng, ring, degree=None):
+    """Up to 8 terms, each monomial with exponents 0..3, or given degree, a
+    product of up to that many generators."""
     terms = {}
     for _ in range(rng.randint(1, 8)):
-        exps = tuple(rng.randint(0, 3) for _ in range(ring.ngens))
+        if degree is None:
+            exps = tuple(rng.randint(0, 3) for _ in range(ring.ngens))
+        else:
+            exps = [0] * ring.ngens
+            for i in rng.choices(range(ring.ngens), k=rng.randint(0, degree)):
+                exps[i] += 1
+            exps = tuple(exps)
         num = UniPoly([rng.randint(-5, 5), rng.randint(-2, 2), rng.randint(-1, 1)])
         terms[exps] = RatFunc(num, rng.choice(NF_TABLE_DENOMINATORS))
     return ring.element(terms)
@@ -899,26 +881,34 @@ def _whole_reduction(pres, e, reduce=ring_module._reduce):
     return ring.element({ring.unpack(m): c for m, c in done.items()})
 
 
-@pytest.mark.parametrize("table", ["cold", "warm"])
-@pytest.mark.parametrize("name", NF_TABLE_CASES)
-def test_normal_form_matches_whole_element_reduction(name, table):
+@pytest.mark.parametrize("name,table", NF_TABLE_CASES)
+def test_normal_form_matches_whole_element_reduction(monkeypatch, name, table):
     """normal_form sums c * NF(m) over the table of monomial normal forms;
     reducing the whole element is an independent path to the same form.
     A cold case queries a fresh presentation for each element; a warm one
-    queries one presentation whose table 300 other elements have filled."""
-    from chowforge.ring import RingPresentation
-
+    queries one presentation whose table 300 other elements have filled,
+    then queries its elements again: each is a table hit, which reduces
+    nothing and leaves the table as it was.  r2(40)'s elements have degree
+    <= 3, where its quotient lives; most of their monomials miss the table
+    and scan the 861 rules."""
     pres = _nf_table_presentation(name)
     ring = pres.ring
     rng = random.Random(f"nf-table:{name}")
+    degree = 3 if name == "r2(40)" else None
     if table == "warm":
         for _ in range(300):
-            pres.normal_form(_element_over_g_plus_2_and_3(rng, ring))
+            pres.normal_form(_element_over_g_plus_2_and_3(rng, ring, degree))
         assert pres._nf
+    forms = []
     for _ in range(300):
-        e = _element_over_g_plus_2_and_3(rng, ring)
+        e = _element_over_g_plus_2_and_3(rng, ring, degree)
         queried = RingPresentation(ring, pres.relations) if table == "cold" else pres
-        assert queried.normal_form(e) == _whole_reduction(pres, e)
+        forms.append((e, queried.normal_form(e)))
+        assert forms[-1][1] == _whole_reduction(pres, e)
+    if table == "warm":
+        size, reduced = len(pres._nf), _record(monkeypatch, ring_module, "_reduce")
+        assert all(pres.normal_form(e) == form for e, form in forms)
+        assert not reduced and len(pres._nf) == size
 
 
 def test_normal_form_reduces_each_monomial_once(monkeypatch):
@@ -926,19 +916,8 @@ def test_normal_form_reduces_each_monomial_once(monkeypatch):
     coefficient 1, and multiplies no coefficient of a standard monomial."""
     ring, pres = pv_presentation()  # z^2 -> -c1*z - c2
     z, c1, c2 = ring.gen("z"), ring.gen("c1"), ring.gen("c2")
-    calls, products = [], []
-    reduce, mul = ring_module._reduce, RatFunc.__mul__
-
-    def counted_reduce(terms, *rest):
-        calls.append(dict(terms))
-        return reduce(terms, *rest)
-
-    def counted_mul(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(ring_module, "_reduce", counted_reduce)
-    monkeypatch.setattr(RatFunc, "__mul__", counted_mul)
+    calls = _record(monkeypatch, ring_module, "_reduce", lambda terms, *rest: dict(terms))
+    products = _record(monkeypatch, RatFunc, "__mul__")
     a = RatFunc(UniPoly([1, 1]), UniPoly([2, 1]))  # (g+1)/(g+2)
     b = RatFunc(UniPoly([5]), UniPoly([3, 1]))  # 5/(g+3)
 
@@ -993,14 +972,7 @@ def test_normal_form_table_hit_packs_and_copies_nothing(monkeypatch):
     twin = PolyRing(ring.generators)
     assert twin == ring and twin is not ring
     foreign = twin.element(hit.terms)
-
-    packs, pack = [], PolyRing.pack
-
-    def counted_pack(self, exps):
-        packs.append(exps)
-        return pack(self, exps)
-
-    monkeypatch.setattr(PolyRing, "pack", counted_pack)
+    packs = _record(monkeypatch, PolyRing, "pack")
     assert pres.normal_form(hit) == expected
     assert pres.normal_form(foreign) == expected
     assert not packs

@@ -42,7 +42,7 @@ ALLOWED = {
     "points._monomials": "evaluation_matrix, a benchmark boundary, builds its rows with it",
     "points._rank_mod": "rank_exact, a benchmark boundary, eliminates with it",
     "rationals._bareiss": "bareiss_determinant and rank_numeric, benchmark boundaries, eliminate with it",
-    "ring.PolyRing.element": "perfbench's nf_queries and CI's n = 40 step build elements from terms",
+    "ring.PolyRing.element": "perfbench's nf_queries and the ring tests build elements from terms",
     "ring.RingElement.specialize": "perfbench's cli_report_sweep specializes the derived relations",
     "ring.RingPresentation.groebner_basis": ("perfbench's NfQueries.expect reads its leads, "
                                              "tracing._count_basis counts it, and tests compare it"),
@@ -83,14 +83,18 @@ def _stand_ins():
 
 
 def _golden_runs():
-    """(argv, exit code) for each golden configuration, compared against the
-    committed golden: exit 0 or 1 as the golden's own verdict says."""
+    """(argv, exit code) for each golden configuration: exit 0 or 1 as the
+    golden's own verdict says.  A run compares against its golden through
+    --golden-dir where the golden is <scenario>.json, the file compare_golden
+    reads; test_cli.py's test_committed_goldens_match pins all_g2.json and
+    all_g3.json."""
     regenerate = _load("regenerate_goldens", ROOT / "scripts" / "regenerate_goldens.py")
     golden_dir = ROOT / "goldens"
     for name, cfg in regenerate.golden_configs():
         passes = json.loads((golden_dir / name).read_text())["all_checks_pass"]
-        argv = ["--scenario", cfg.scenario, "--genus", str(cfg.genus), "--format", "json",
-                "--golden-dir", str(golden_dir)]
+        argv = ["--scenario", cfg.scenario, "--genus", str(cfg.genus), "--format", "json"]
+        if name == f"{cfg.scenario}.json":
+            argv += ["--golden-dir", str(golden_dir)]
         yield argv, 0 if passes else 1
 
 
@@ -117,7 +121,8 @@ def _functions() -> dict:
 def _entered(runs) -> set:
     """The (file, first line, name) of every code object called while the
     runs execute in this process, from a global trace function that asks
-    for no line events."""
+    for no line events.  Each run must exit with its code, and each golden
+    comparison must find no differences."""
     # A cached function's body runs only on a miss.
     for name, module in list(sys.modules.items()):
         if name.startswith("chowforge."):
@@ -132,13 +137,17 @@ def _entered(runs) -> set:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        exits = []
+        exits, outs = [], []
         for argv, _ in runs:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            outs.append(io.StringIO())
+            with contextlib.redirect_stdout(outs[-1]), contextlib.redirect_stderr(io.StringIO()):
                 exits.append(cli.main(argv))
     finally:
         sys.settrace(previous)
     assert exits == [code for _, code in runs], [argv for argv, _ in runs]
+    differing = [argv for (argv, _), out in zip(runs, outs) if "--golden-dir" in argv
+                 and not out.getvalue().endswith("golden comparison: no differences\n")]
+    assert not differing, differing
     return {(c.co_filename, c.co_firstlineno, c.co_name) for c in codes.values()}
 
 
