@@ -32,7 +32,7 @@ import heapq
 from operator import itemgetter, mul
 from fractions import Fraction
 
-from .rationals import RatFunc, UniPoly, power, ratfunc_str
+from .rationals import RatFunc, UniPoly, _coerce_ratfunc, power, ratfunc_str
 
 
 class UnknownGenerator(KeyError):
@@ -80,10 +80,8 @@ class Generator:
 
 
 def _coerce_coeff(c) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    if isinstance(c, (int, Fraction, UniPoly)):
-        return RatFunc(c)
+    if (out := _coerce_ratfunc(c)) is not None:
+        return out
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
@@ -472,61 +470,58 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> tuple[list, list]:
     one pair per lcm, and the product criterion drops every pair of an lcm
     some pair of coprime leading monomials has.  Their criteria B and M are
     left out: on every presentation the scenarios build they prune no pair,
-    and a criterion left out only adds pairs to reduce.  k is kept pending,
-    as no older lead divides lk, so each pair has degree > deg(lk): with p
-    the least pending lead degree, pending pairs are built once the heap is
-    empty or its least item is a pair of degree > p or an input of degree
-    > p + 1 (a degree's inputs first).
+    and a criterion left out only adds pairs to reduce.  No older lead
+    divides lk, so k's pairs have degree > dk = deg(lk) and wait: k joins the
+    heap as one entry keyed above each monomial of degree dk + 1 and below
+    those of degree dk + 2, and its pairs are built when that entry pops.
 
-    Completion stops once the quotient vanishes from degree d = min(the
-    heap's least, p + 1) on (Traverso 1996): each queued item, built or
-    pending, then reduces to 0.  It does if degrees d, ..., d + w_max - 1 hold
-    no standard monomial (w_max the largest weight), as dropping factors one at
-    a time brings a monomial of degree >= d into that window; with weights 1, 2
-    and leads x, y^3, degree 3 alone is empty.  It is checked once per change
-    of d or of the basis, once each x_i has a lead x_i^a_i (else every window
-    holds a power): past degree sum((a_i - 1) * w_i) at once, else on the
-    standard monomials kept by degree (_standard_level; a new lead of degree k
-    leaves level k and drops those above), building a level only while its
-    candidates do not outnumber the queued items, pending partners counted."""
-    guard, minus_one, pack, never = ring._guard, RatFunc(-1), ring.pack, float("inf")
+    Completion stops once the quotient vanishes from the heap's least degree
+    d on (Traverso 1996): each queued item, built or not, then reduces to 0.
+    It does if degrees d, ..., d + w_max - 1 hold no standard monomial (w_max
+    the largest weight), as dropping factors one at a time brings a monomial
+    of degree >= d into that window; with weights 1, 2 and leads x, y^3,
+    degree 3 alone is empty.  It is checked once per change of d or of the
+    basis, once each x_i has a lead x_i^a_i (else every window holds a
+    power): past degree sum((a_i - 1) * w_i) at once, else on the standard
+    monomials kept by degree (_standard_level; a new lead of degree k leaves
+    level k and drops those above), building a level only while its
+    candidates do not outnumber the heap's entries."""
+    guard, minus_one, pack, top = ring._guard, RatFunc(-1), ring.pack, ring._top
     memo: dict = {}  # _subtract's, for this run
     low = guard >> SLOT_BITS - 1  # the lowest bit of each exponent slot
     inputs = [r for r in relations if r]
     n = len(inputs)
-    heap = [(max(r), -1, r_index) for r_index, r in enumerate(inputs)]  # -1: an input
+    heap = [(max(r), -1, r_index) for r_index, r in enumerate(inputs)]  # -1: an input, -2: an element's entry
     heapq.heapify(heap)
     basis, exps = [], []  # rules (lead, tail), oldest first, and each lead's exponent tuple
     powers, levels, seen = {}, [{0}], None  # powers: the degree of a pure-power lead by its exponent slot
-    pending, waiting, soon = [], 0, never  # (k, lk, lk's guard bits), partner count, p + 1
-    while heap or pending:
-        least = heap[0][0] >> ring._top if heap else never
-        if len(powers) == ring.ngens and (d := min(least, soon), len(basis)) != seen:
+    while heap:
+        if len(powers) == ring.ngens and (d := heap[0][0] >> top, len(basis)) != seen:
             seen, w_max = (d, len(basis)), max(ring._weights, default=1)
             if d > sum(powers.values()) - sum(ring._weights):
                 break  # each monomial of degree d has a pure-power lead x_i^a_i as a factor
             leads = {lead for lead, _ in basis}
             while len(levels) < d + w_max and not any(levels[d:]) and (
-                    level := _standard_level(ring, levels, leads, len(heap) + waiting)) is not None:
+                    level := _standard_level(ring, levels, leads, len(heap))) is not None:
                 levels.append(level)
             if len(levels) >= d + w_max and not any(levels[d : d + w_max]):
                 break  # every queued item reduces to 0
-        if not heap or least - (heap[0][1] < 0) >= soon:  # a pending pair may come next
-            for k, lk, lkg in pending:
-                # k's pairs by ascending lcm, of one lcm coprime leads first.  Of
-                # coprime leads the lcm is the product, never reduced, only compared;
-                # its slots stay below 2^(SLOT_BITS - 1), so none carries.
-                new = sorted((pack(map(max, exps[i2], exps[k])), True, i2)
-                             if ((basis[i2][0] | guard) - low) & lkg
-                             else (basis[i2][0] + lk, False, i2) for i2 in range(k))
-                for pos, (m, shares, i2) in enumerate(new):
-                    # Criterion F: the first pair of an lcm speaks for all; it is
-                    # dropped by the product criterion when its leads are coprime.
-                    if shares and not (pos and new[pos - 1][0] == m):
-                        heapq.heappush(heap, (m, i2, k))
-            pending, waiting, soon = [], 0, never
-            continue
         lcm, i, j = heapq.heappop(heap)
+        if i == -2:  # element j's entry
+            lj = basis[j][0]
+            ljg = ((lj | guard) - low) & guard  # the guard bit of each exponent slot nonzero in lj
+            # j's pairs by ascending lcm, of one lcm coprime leads first.  Of
+            # coprime leads the lcm is the product, never reduced, only compared;
+            # its slots stay below 2^(SLOT_BITS - 1), so none carries.
+            new = sorted((pack(map(max, exps[i2], exps[j])), True, i2)
+                         if ((basis[i2][0] | guard) - low) & ljg
+                         else (basis[i2][0] + lj, False, i2) for i2 in range(j))
+            for pos, (m, shares, i2) in enumerate(new):
+                # Criterion F: the first pair of an lcm speaks for all; it is
+                # dropped by the product criterion when its leads are coprime.
+                if shares and not (pos and new[pos - 1][0] == m):
+                    heapq.heappush(heap, (m, i2, j))
+            continue
         if i < 0:
             s = inputs[j]
         else:
@@ -541,14 +536,13 @@ def _buchberger(ring: PolyRing, relations: list[dict]) -> tuple[list, list]:
         basis.append(_monic(s))
         lk = basis[k][0]
         exps.append(ring.unpack(lk))
-        if (dk := lk >> ring._top) < len(levels):
+        if (dk := lk >> top) < len(levels):
             levels[dk].discard(lk)
             del levels[dk + 1 :]
         lkg = ((lk | guard) - low) & guard  # the guard bit of each exponent slot nonzero in lk
         if lkg and not lkg & lkg - 1:
             powers.setdefault(lkg, dk)  # lk is a pure power
-        pending.append((k, lk, lkg))
-        waiting, soon = waiting + k, min(soon, dk + 1)
+        heapq.heappush(heap, ((dk + 2 << top) - 1, -2, k))  # top slot dk + 1, each lower bit set
         if len(basis) - n > MAX_BASIS:
             raise NonterminatingHint(
                 f"completion grew past its {n} relations by over {MAX_BASIS} live elements")

@@ -401,12 +401,18 @@ def test_completion_is_confluent(monkeypatch, scenario, n, genus):
     """Checked on the returned basis alone, whatever pairs completion pruned:
     every input reduces to 0, the S-polynomial of every pair of basis
     elements reduces to 0, and no leading monomial divides a term of another
-    element.  Each small ideal pushes an S-pair, as r2 pushes none."""
+    element.  Each small ideal pushes an S-pair (heap items (lcm, i, j) with
+    i >= 0), as r2 pushes none, and pops its heap in nondecreasing degree:
+    an element's pairs, of degree > its lead's, are built before any item of
+    a degree above theirs is popped."""
     if genus is None:
         with monkeypatch.context() as m:
-            pushed = _record(m, heapq, "heappush")
+            pairs = _record(m, heapq, "heappush", lambda heap, item: item[1] >= 0)
+            popped = _record(m, heapq, "heappop", lambda heap: heap[0][0])
             pres = _needs_pairs_presentation(scenario)
-        assert pushed
+        assert any(pairs)
+        degrees = [key >> pres.ring._top for key in popped]
+        assert degrees == sorted(degrees)
         _assert_confluent(pres)
     else:
         _assert_confluent(_scenario_presentation(scenario, n, genus))
@@ -602,15 +608,16 @@ def test_completion_stops_where_the_quotient_vanishes(monkeypatch, n, genus, cal
     are leads, every queued S-pair reduces to 0, so completion reduces its
     inputs and autoreduces its basis and nothing more (40 and 5850 calls
     when every S-pair is reduced, 24,682 at n = 40), none of degree 4.
-    Every S-pair has degree >= 3 and waits while delta^3, an input of degree
-    3, goes first, so none is built (22,960 at n = 40 when built at once)."""
+    Every S-pair has degree >= 3, and each element's pairs wait behind every
+    input of degree 3, delta^3 among them, so none is built (22,960 at
+    n = 40 when built at once)."""
     from chowforge.scenarios import scenario_R2
 
     rels = scenario_R2(n, genus).derived_relations
-    pushed = _record(monkeypatch, heapq, "heappush")
+    pairs = _record(monkeypatch, heapq, "heappush", lambda heap, item: item[1] >= 0)
     pres, degrees = _complete_counting_reductions(monkeypatch, rels[0].ring, rels)
     assert len(degrees) == calls and max(degrees) == 3
-    assert not pushed
+    assert not any(pairs)
     assert [pres.graded_component_dim(d) for d in (2, 3)] == [1, 0]
 
 
