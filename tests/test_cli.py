@@ -1,6 +1,5 @@
 """Command-line contract: exit codes, determinism, golden comparison."""
 
-import importlib.util
 import json
 import os
 import re
@@ -29,6 +28,14 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO / "goldens"
 
 
+def _python(*args, **kwargs):
+    """A fresh interpreter run on args with src first on PYTHONPATH; keyword
+    arguments (check, timeout) go to subprocess.run."""
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, **kwargs)
+
+
 def test_exit_zero_when_all_checks_pass(capsys):
     assert main(["--scenario", "i_g0", "--format", "json"]) == 0
     out = capsys.readouterr().out
@@ -47,13 +54,10 @@ def test_import_loads_no_dataclasses_or_inspect():
     dataclasses or its inspect import.  Both interpreters get the same
     environment, so a site hook that loads one of these modules does not
     count."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     listing = "import sys; print(' '.join(sys.modules))"
 
     def modules(code):
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        return set(out.split())
+        return set(_python("-c", code, check=True).stdout.split())
 
     base = modules(listing)
     added = modules("import chowforge.cli; " + listing) - base
@@ -165,17 +169,68 @@ def test_curve_conditions_witness_lies_on_a_smooth_curve(monkeypatch, capsys):
 def test_composite_prime_exits_two_within_seconds(prime):
     """Composite moduli used to print false witnesses (general_position) or
     hang in the square-root search (curve_conditions)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for scenario in ("general_position", "curve_conditions"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chowforge.cli", "--scenario", scenario,
-             "--genus", "2", "--prime", str(prime)],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        proc = _python("-m", "chowforge.cli", "--scenario", scenario,
+                       "--genus", "2", "--prime", str(prime), timeout=30)
         assert proc.returncode == 2
         assert f"modulus {prime} is not an odd prime" in proc.stderr
+
+
+# (arguments after --scenario, exit code, seconds allowed or None) at the
+# paper's bounds and past them.  Each bound includes interpreter start-up.
+AT_SCALE = [
+    # The Chow-ring bound n = 2g+6 at g = 7.
+    ("r2 --n 20 --genus 7", 0, None),
+    # n-1 = 3g+5 = 29 points and 2g+5 curve points impose independent
+    # conditions at g = 8.  The curve points' square roots take one
+    # exponentiation mod 1000003 = 3 (mod 4) and Tonelli-Shanks mod
+    # 101 = 1 (mod 4).
+    ("general_position --genus 8 --n 30", 0, None),
+    ("curve_conditions --genus 8", 0, None),
+    ("curve_conditions --genus 8 --prime 101", 0, None),
+    # The 36 x 36 matrix of n = 8 and the 55 x 55 matrix of n = 10.  At
+    # g = 9 the certificate compares the constant determinant with
+    # +-(2g-2)^n (2g)^C(n,2) at that genus, as at symbolic genus.  n = 10
+    # checks the one-pass block basis change past the other tests' n <= 6.
+    ("test_matrix --n 8", 0, 60),
+    ("test_matrix --n 10", 0, 60),
+    ("test_matrix --n 8 --genus 9", 0, 60),
+    # The 230 x 230 matrix of n = 20: the cross-check, which undoes the
+    # basis change on the block form, stays quadratic in the matrix size.
+    # Both formats print the strings of each matrix's to_dict() form.
+    ("test_matrix --n 20", 0, 5),
+    ("test_matrix --n 20 --format json", 0, 5),
+    # w_n at n = 2g+2 and r2 at n = 2g+6, then symbolic n = 30 and 40.  Each
+    # claim is read from the presentation at 3 points; building and
+    # printing the n-point relation lists is what grows with n.
+    ("w_n --n 30 --genus 14", 0, 10),
+    ("r2 --n 24 --genus 9", 0, 10),
+    ("r2 --n 30", 0, 10),
+    ("r2 --n 40", 0, 10),
+    ("w_n --n 40", 0, 10),
+    # 2g+5 = 2005 curve points.  The rank comes from an interpolation basis
+    # in O(n^2); eliminating the 2005 x 3006 evaluation matrix in O(n^3)
+    # takes well over 30 s.
+    ("curve_conditions --genus 1000", 0, 30),
+    # 2g+5 = 11 = p points need every residue mod 11 to be usable, which no
+    # form has; each form stops drawing once every residue is tried.
+    ("curve_conditions --genus 3 --prime 11", 2, 3),
+]
+
+
+@pytest.mark.parametrize("args, code, seconds", AT_SCALE, ids=[row[0] for row in AT_SCALE])
+def test_cli_at_scale(args, code, seconds):
+    """Every check passes, or the input is refused with one line, within
+    the row's bound."""
+    proc = _python("-m", "chowforge.cli", "--scenario", *args.split(), timeout=seconds)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("configuration error: ")
+    elif "--format json" in args:
+        assert json.loads(proc.stdout)["all_checks_pass"] is True
+    else:
+        assert "ALL CHECKS PASS" in proc.stdout.splitlines()
 
 
 def test_wn_symbolic_exits_zero(capsys):
@@ -312,23 +367,15 @@ def test_readme_command_line_examples(tmp_path, capsys):
         assert "golden comparison differences:" in capsys.readouterr().out
 
 
-def _regenerate_goldens_script():
-    path = REPO / "scripts" / "regenerate_goldens.py"
-    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.skipif(not GOLDEN_DIR.exists(), reason="goldens not generated")
-def test_committed_goldens_match():
-    """Every configuration of scripts/regenerate_goldens.py reproduces its
-    committed golden byte for byte, and every committed golden has one."""
-    names = []
-    for name, cfg in _regenerate_goldens_script().golden_configs():
-        assert canonical_json(build_report(cfg)) == (GOLDEN_DIR / name).read_text(), name
-        names.append(name)
-    assert sorted(names) == sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+def test_committed_goldens_match(tmp_path):
+    """scripts/regenerate_goldens.py writes goldens/ afresh: the same file
+    names, and the same bytes in each file."""
+    _python(str(REPO / "scripts" / "regenerate_goldens.py"), str(tmp_path), check=True)
+    names = sorted(p.name for p in GOLDEN_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_all_symbolic_skips_numeric_only_scenarios():

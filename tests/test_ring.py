@@ -559,9 +559,13 @@ def _small_ideals(draw):
 # Corners the draws seldom reach.  In y (2) and z (3), z^2 and y^3 leave
 # degree 6 empty while the input y^2*z of degree 7 is queued.  In x, y, z,
 # y^3 and z^3 complete the pure powers after the inputs of degree 2, whose
-# S-pair of degree 3 is not built yet and gives x*z^2.
+# S-pair of degree 3 is not built yet and gives x*z^2.  In x^2 + 2y^2, x^2,
+# xy, x^2*z, yz + z^2, z^3 becomes a lead while pairs of degree 3 wait, and
+# a completion that stops before building them misses x*z^2.
 @example(([2, 3], [{(0, 2): 1}, {(3, 0): 1}, {(3, 0): 1, (0, 2): 1}, {(2, 1): 1}]))
 @example(([1, 1, 1], [{(2, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 2): 1}, {(0, 3, 0): 1}, {(0, 0, 3): 1}]))
+@example(([1, 1, 1], [{(2, 0, 0): 1, (0, 2, 0): 2}, {(2, 0, 0): 1}, {(1, 1, 0): 1},
+                      {(2, 0, 1): 1}, {(0, 1, 1): 1, (0, 0, 2): 1}]))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_completion_matches_outside_oracles(case):
     """Completion on random small ideals over Q against oracles that do not

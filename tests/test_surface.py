@@ -4,7 +4,7 @@ Every function of the chowforge package (methods, nested functions, lambdas
 and generators included) is entered by some in-process run of `cli.main`
 below, or is on ALLOWED with the reason it stays.  The runs are every golden
 configuration of scripts/regenerate_goldens.py, compared against goldens/,
-and cheap stand-ins for the paths the CI's command-line inputs take.  A
+and cheap stand-ins for the paths test_cli.py's AT_SCALE inputs take.  A
 function that no run enters and no entry names is code nothing runs; an
 entry that a run enters, or that names no function, is stale.
 """
@@ -67,8 +67,8 @@ def _load(name: str, path: Path):
 
 
 def _stand_ins():
-    """(argv, exit code) for the paths CI's command-line inputs reach, at
-    sizes that keep the traced runs short."""
+    """(argv, exit code) for the paths the inputs of test_cli.py's AT_SCALE
+    table reach, at sizes that keep the traced runs short."""
     return [
         (["--scenario", "r2", "--n", "4"], 0),
         (["--scenario", "r2", "--n", "4", "--genus", "2"], 0),
