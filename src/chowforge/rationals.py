@@ -277,9 +277,9 @@ def poly_str(p: UniPoly) -> str:
 
     Examples: "2*g+1", "-8*g^3+8*g", "g", "-g^2", "0", "1/2*g".
     """
-    if p.is_zero:
-        return "0"
     nums, den = p.numerators, p.denominator
+    if len(nums) < 2:  # zero, or a constant that UniPoly keeps in lowest terms
+        return "0" if not nums else str(nums[0]) if den == 1 else f"{nums[0]}/{den}"
     parts = []
     for d in range(p.degree, -1, -1):
         c = nums[d]

@@ -40,21 +40,18 @@ class BlowupLedger:
     count may be a polynomial in g, e.g. the 2g+2 ramification points).
     derived value = base value - total count of exceptional points on the
     proper transform, since each blowup at a point of the section subtracts 1.
+    A section's derived value is computed when it is asked for, not stored.
     """
 
-    __slots__ = ("base_self_intersections", "exceptional_multiplicities",
-                 "derived_self_intersections")
+    __slots__ = ("base_self_intersections", "exceptional_multiplicities")
 
     def __init__(self, base_self_intersections: dict, exceptional_multiplicities: dict):
         self.base_self_intersections = base_self_intersections
         self.exceptional_multiplicities = exceptional_multiplicities
-        self.derived_self_intersections = {
-            name: base - sum(exceptional_multiplicities.get(name, {}).values())
-            for name, base in base_self_intersections.items()
-        }
 
     def derived(self, section: str) -> UniPoly:
-        return self.derived_self_intersections[section]
+        return (self.base_self_intersections[section]
+                - sum(self.exceptional_multiplicities.get(section, {}).values()))
 
 
 def family_ledger(gp: UniPoly, n: int, curve: tuple) -> BlowupLedger:

@@ -66,6 +66,10 @@ def _polys(draw):
 
 @given(_polys())
 @settings(max_examples=300, deadline=None)
+@example(UniPoly())
+@example(UniPoly([7]))
+@example(UniPoly([-7]))
+@example(UniPoly([Fraction(5, 3)]))
 @example(UniPoly([Fraction(-3, 4)]))
 @example(UniPoly([1, 0, 0, -1]))
 def test_poly_str_matches_fraction_formatting(p):

@@ -1,5 +1,6 @@
 """Blow-up ledgers, intersection matrices, and the full-rank certificate."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,15 +53,23 @@ def test_family_two_ledger_values():
 
 
 def test_ledger_values_are_derived_from_declared_exceptionals():
-    for n in range(1, 7):
-        for i in range(1, n + 1):
-            led = family_ledger(G, n, (i,))
+    for gp, n in itertools.product((G, UniPoly.const(3)), range(1, 7)):
+        for curve in [(i,) for i in range(1, n + 1)] + _pairs(n):
+            led = family_ledger(gp, n, curve)
+            if len(curve) == 2:  # a roaming pair adds the 2g+2 count to its unit counts
+                assert led.exceptional_multiplicities[f"sigma_{curve[0]}"]["E_ram"] == 2 * gp + 2
             for section, base in led.base_self_intersections.items():
                 total = sum(
                     (c if isinstance(c, UniPoly) else UniPoly.const(c))
                     for c in led.exceptional_multiplicities[section].values()
                 ) if led.exceptional_multiplicities[section] else UniPoly.const(0)
                 assert led.derived(section) == base - total
+
+
+def test_ledger_section_without_exceptionals_keeps_its_base():
+    led = BlowupLedger({"a": 2 * G, "b": UniPoly.const(-1)}, {"b": {"E": 1}})
+    assert led.derived("a") == 2 * G
+    assert led.derived("b") == UniPoly.const(-2)
 
 
 def test_family_ledger_refuses_other_index_tuples():
