@@ -6,14 +6,17 @@ fraction-free elimination behind every integer determinant and rational rank.
 A polynomial is stored as a tuple of integer numerators over one positive
 integer denominator in lowest terms, so its arithmetic runs on Python ints
 with one gcd or lcm per operation; `Fraction` coefficients are built only
-when asked for.  A gcd with a linear argument is a root test: one integer
-Horner evaluation of the other argument.  Other greatest common divisors
-come from the primitive remainder sequence over the integers (Brown 1971):
-every pseudo-remainder is divided by its content, which keeps the
-coefficients from growing exponentially.  Rational functions add and
-multiply with gcds of the smaller factors (Henrici 1956), add over a
-denominator 1 with no gcd at all, multiply by one with no product of
-denominators, and cancel common factors by exact integer quotients.
+when asked for.  A rational function is stored as two tuples of integer
+coefficients N and D in canonical form (see RatFunc), with no rational
+denominator of its own.  Both rest on one core on integer coefficient
+lists: sum, product, exact quotient and gcd.  A gcd with a linear argument
+is a root test: one integer Horner evaluation of the other argument.
+Other greatest common divisors come from the primitive remainder sequence
+over the integers (Brown 1971): every pseudo-remainder is divided by its
+content, which keeps the coefficients from growing exponentially.
+Rational functions add and multiply with gcds of the smaller factors
+(Henrici 1956), cancel common factors by exact integer quotients, and fix
+the content and sign once per result, each value on its own (see RatFunc).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -141,12 +144,7 @@ class UniPoly:
             den = math.lcm(da, db)
             a = [x * (den // da) for x in a]
             b = [x * (den // db) for x in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] += y
-        return _poly(out, den)
+        return _poly(_add(a, b), den)
 
     __radd__ = __add__
 
@@ -166,15 +164,7 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.numerators, o.numerators
-        if not a or not b:
-            return UniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return _poly(out, self.denominator * o.denominator)
+        return _poly(_mul(self.numerators, o.numerators), self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -299,6 +289,37 @@ def poly_str(p: UniPoly) -> str:
     return "".join(parts)
 
 
+def _add(a, b) -> list:
+    """The sum of two integer coefficient sequences (lowest degree first, as
+    in the helpers below), trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a, b) -> list:
+    """The product of two integer sequences; with no trailing zeros in
+    either, it has none."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:  # a constant factor, often 1 (a polynomial's denominator)
+        y = b[0]
+        return list(a) if y == 1 else [x * y for x in a]
+    if not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
 def _pseudo_divmod(a, b) -> tuple[int, list, list]:
     """(s, q, r) with s*a == q*b + r, deg r < deg b and s > 0, for integer
     coefficient sequences (lowest degree first; b nonzero, no trailing
@@ -335,15 +356,45 @@ def _primitive(nums) -> list:
     return [x // c for x in nums] if c != 1 else list(nums)
 
 
-def _exact_quotient(p: UniPoly, d: UniPoly) -> UniPoly:
-    """p / d for a d that divides p; a nonzero remainder raises
-    ArithmeticError.  The callers divide by monic gcds, whose numerators are
-    primitive (the leading one equals the denominator), so by Gauss's lemma
-    the pseudo-division runs with s = 1: an exact quotient over the
-    integers."""
-    s, q, r = _pseudo_divmod(p.numerators, d.numerators)
+def _divide(a, b) -> tuple[int, list]:
+    """(s, q) with s*a == q*b, for integer sequences where b divides a over
+    Q; a nonzero remainder raises ArithmeticError.  A primitive b gives
+    s = 1 (Gauss's lemma): an exact quotient over the integers."""
+    s, q, r = _pseudo_divmod(a, b)
     if any(r):
         raise ArithmeticError("inexact polynomial quotient")
+    return s, q
+
+
+def _gcd(a, b) -> list:
+    """The gcd of two nonzero integer sequences, primitive with a positive
+    leading entry: [1] when they are coprime over Q.
+
+    A linear argument r0 + r1*g is the gcd when the other argument vanishes
+    at its root -r0/r1.  Otherwise the primitive remainder sequence over the
+    integers runs (Brown 1971), and its last nonzero term is the gcd."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    if len(a) == 2 or len(b) == 2:
+        line, other = (a, b) if len(a) == 2 else (b, a)
+        return [1] if _homogeneous_value(other, -line[0], line[1]) else _primitive(line)
+    x, y = _primitive(a), _primitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        r = _pseudo_divmod(x, y)[2]
+        while r and not r[-1]:
+            r.pop()
+        if len(r) == 1:  # a nonzero constant remainder: coprime
+            return [1]
+        x, y = y, (_primitive(r) if r else r)
+    return x
+
+
+def _exact_quotient(p: UniPoly, d: UniPoly) -> UniPoly:
+    """p / d for a d that divides p; a nonzero remainder raises
+    ArithmeticError."""
+    s, q = _divide(p.numerators, d.numerators)
     return _poly([x * d.denominator for x in q], s * p.denominator)
 
 
@@ -357,31 +408,12 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; gcd(0, 0) = 0.
-
-    A linear argument r0 + r1*g is the gcd when the other argument vanishes
-    at its root -r0/r1, and 1 otherwise.  Otherwise the primitive remainder
-    sequence over the integers runs: its last nonzero term is primitive with
-    a positive leading coefficient, so over that coefficient it is already
-    the monic gcd in lowest terms."""
-    if a.degree == 0 or b.degree == 0:  # a nonzero constant divides both
-        return _ONE
+    """Monic greatest common divisor; gcd(0, 0) = 0.  The integer gcd is
+    primitive with a positive leading coefficient, so over that coefficient
+    it is already the monic gcd in lowest terms."""
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    if a.degree == 1 or b.degree == 1:
-        line, other = (a, b) if a.degree == 1 else (b, a)
-        r0, r1 = line.numerators
-        return _ONE if _homogeneous_value(other.numerators, -r0, r1) else line.monic()
-    x, y = _primitive(a.numerators), _primitive(b.numerators)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        r = _pseudo_divmod(x, y)[2]
-        while r and not r[-1]:
-            r.pop()
-        if len(r) == 1:  # a nonzero constant remainder: coprime
-            return _ONE
-        x, y = y, (_primitive(r) if r else r)
+    x = _gcd(a.numerators, b.numerators)
     return _raw(tuple(x), x[-1])
 
 
@@ -393,59 +425,61 @@ def square_free_part(p: UniPoly) -> UniPoly:
     return _exact_quotient(p, d).monic()
 
 
-def _monic_den(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """num/den with both rescaled so that den is monic."""
-    lead, dd = den.numerators[-1], den.denominator
-    if lead == dd:
-        return num, den
-    return _poly([x * dd for x in num.numerators], num.denominator * lead), den.monic()
-
-
 class RatFunc:
-    """Normalized rational function num/den in g: den monic, gcd(num, den) = 1.
-
-    Zero is represented as 0/1.  Equality is structural thanks to the
-    normalization, which is enforced by the constructor.
+    """Rational function N/D in g: n and d are the integer coefficient
+    tuples of N and D, lowest degree first, in canonical form (N and D
+    coprime in Q[g], no content common to both, D's leading coefficient
+    positive; zero is ((), (1,))), so equal values have equal tuples.
+    Operations build no UniPoly for an intermediate and fix content and sign
+    once per result; num and den give the pair with den monic.  Each value
+    is normalized on its own: one common Z[g] denominator per ring element
+    was measured slower.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "d")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = UniPoly.const(num)
-        if den is None:
-            den = _ONE
+    def __new__(cls, num, den=1):
+        num, den = (x if isinstance(x, UniPoly) else UniPoly.const(x) for x in (num, den))
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero:
-            num, den = UniPoly(), _ONE
-        else:
+        a, b = num.numerators, den.numerators
+        if a:
             common = poly_gcd(num, den)
             if not common.is_one():
-                num, den = _exact_quotient(num, common), _exact_quotient(den, common)
-            num, den = _monic_den(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+                a, b = _divide(a, common.numerators)[1], _divide(b, common.numerators)[1]
+            # (a/p) / (b/q) is (a*q) / (b*p).
+            a, b = [x * den.denominator for x in a], [x * num.denominator for x in b]
+        return _reduced(a, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     @property
+    def num(self) -> UniPoly:
+        """The numerator over a monic denominator."""
+        return _poly(list(self.n), self.d[-1])
+
+    @property
+    def den(self) -> UniPoly:
+        """The denominator, monic."""
+        return _poly(list(self.d), self.d[-1])
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.n
 
     def is_polynomial(self) -> bool:
-        return self.den.is_one()
+        return len(self.d) == 1
 
     def __eq__(self, other):
         other = _coerce_ratfunc(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
         # A polynomial hashes as its numerator, as it compares equal to it.
-        return hash(self.num) if self.den.is_one() else hash((self.num, self.den))
+        return hash(self.num) if len(self.d) == 1 else hash((self.n, self.d))
 
     def __add__(self, other):
         # Henrici: with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)),
@@ -453,30 +487,24 @@ class RatFunc:
         o = _coerce_ratfunc(other)
         if o is None:
             return NotImplemented
-        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
-        if a.is_zero or c.is_zero:
-            return o if a.is_zero else self
-        # With b = 1, gcd(a*d + c, d) = gcd(c, d) = 1: the sum is in lowest terms.
-        if b.is_one():
-            return _ratfunc(a * d + c, d)
-        if d.is_one():
-            return _ratfunc(c * b + a, b)
-        g = poly_gcd(b, d)
-        if g.is_one():
-            return _ratfunc(a * d + c * b, b * d)
-        b, d = _exact_quotient(b, g), _exact_quotient(d, g)
-        num = a * d + c * b
-        if num.is_zero:
-            return _ratfunc(num, _ONE)
-        h = poly_gcd(num, g)
-        if not h.is_one():
-            num, g = _exact_quotient(num, h), _exact_quotient(g, h)
-        return _ratfunc(num, b * d * g)
+        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
+        if not a or not c:
+            return o if not a else self
+        g = _gcd(b, d)
+        if len(g) == 1:  # coprime: (a*d + c*b) / (b*d) is in lowest terms
+            return _reduced(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
+        b, d = _divide(b, g)[1], _divide(d, g)[1]
+        num = _add(_mul(a, d), _mul(c, b))
+        if num:
+            h = _gcd(num, g)
+            if len(h) > 1:
+                num, g = _divide(num, h)[1], _divide(g, h)[1]
+        return _reduced(num, _mul(_mul(b, d), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _ratfunc(-self.num, self.den)  # -num/den is already normalized
+        return _new(tuple(-x for x in self.n), self.d)
 
     def __sub__(self, other):
         o = _coerce_ratfunc(other)
@@ -489,17 +517,16 @@ class RatFunc:
         o = _coerce_ratfunc(other)
         if o is None:
             return NotImplemented
-        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
-        if a.is_zero or c.is_zero:
-            return _ratfunc(UniPoly(), _ONE)
-        g = poly_gcd(a, d)
-        if not g.is_one():
-            a, d = _exact_quotient(a, g), _exact_quotient(d, g)
-        g = poly_gcd(c, b)
-        if not g.is_one():
-            c, b = _exact_quotient(c, g), _exact_quotient(b, g)
-        # A denominator 1 leaves the other one as the product's.
-        return _ratfunc(a * c, d if b.is_one() else b if d.is_one() else b * d)
+        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
+        if not a or not c:
+            return _ZERO
+        g = _gcd(a, d)
+        if len(g) > 1:
+            a, d = _divide(a, g)[1], _divide(d, g)[1]
+        g = _gcd(c, b)
+        if len(g) > 1:
+            c, b = _divide(c, g)[1], _divide(b, g)[1]
+        return _reduced(_mul(a, c), _mul(b, d))
 
     __rmul__ = __mul__
 
@@ -510,9 +537,9 @@ class RatFunc:
         return self * o.invert()
 
     def invert(self) -> "RatFunc":
-        if self.is_zero:
+        if not self.n:
             raise ZeroDivisionError("inverting the zero rational function")
-        return _ratfunc(*_monic_den(self.den, self.num))
+        return _reduced(self.d, self.n)
 
     def __call__(self, g0) -> Fraction:
         """Exact value at g0; raises PoleAtPoint if the denominator vanishes."""
@@ -528,24 +555,41 @@ class RatFunc:
         return f"RatFunc({ratfunc_str(self)})"
 
 
-_set_num, _set_den = RatFunc.num.__set__, RatFunc.den.__set__
+_set_n, _set_d = RatFunc.n.__set__, RatFunc.d.__set__
 
 
-def _ratfunc(num: UniPoly, den: UniPoly) -> RatFunc:
-    """A RatFunc from a pair that is already normalized."""
+def _new(n: tuple, d: tuple) -> RatFunc:
+    """A RatFunc from tuples already in canonical form."""
     out = object.__new__(RatFunc)
-    _set_num(out, num)
-    _set_den(out, den)
+    _set_n(out, n)
+    _set_d(out, d)
     return out
+
+
+_ZERO = _new((), (1,))
+
+
+def _reduced(num, den) -> RatFunc:
+    """num/den for integer sequences coprime over Q, den nonzero and
+    neither with a trailing zero: the content of both together divided out
+    and den's leading coefficient made positive."""
+    if not num:
+        return _ZERO
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        return _new(tuple(x // c for x in num), tuple(x // c for x in den))
+    return _new(tuple(num), tuple(den))
 
 
 def _coerce_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _ratfunc(UniPoly.const(x), _ONE)
     if isinstance(x, UniPoly):
-        return _ratfunc(x, _ONE)
+        return _new(x.numerators, (x.denominator,))
+    if isinstance(x, (int, Fraction)):
+        return _new((x.numerator,), (x.denominator,)) if x else _ZERO
     return None
 
 

@@ -361,7 +361,7 @@ def element_str(e: RingElement) -> str:
             for g, ex in zip(ring.generators, exps)
             if ex > 0
         )
-        s, bare = ratfunc_str(c), c.is_polynomial() and c.num.degree <= 0
+        s, bare = ratfunc_str(c), len(c.d) == 1 and len(c.n) <= 1
         if not mono:
             term = s if bare else f"({s})"
         elif bare and s == "1":
@@ -394,22 +394,16 @@ def _subtract(work: dict, shift: int, tail, coeff: RatFunc, memo: dict) -> None:
     on packed monomials.
 
     memo maps the operands of a multiply-add w + coeff * c, or of coeff * c
-    for a new term, to its result.  A key holds each RatFunc's numerators,
-    common denominator and denominator numerators: RatFuncs are normalized
-    with monic denominators, so equal keys mean equal operands and a hit is
-    the value the arithmetic would give.  r2's relations are one pattern
-    renamed over index pairs, so its reductions repeat the same few."""
-    n = coeff.num
-    ck = n.numerators, n.denominator, coeff.den.numerators
+    for a new term, to its result.  A key holds each RatFunc's two integer
+    coefficient tuples: their form is canonical, so equal keys mean equal
+    operands and a hit is the value the arithmetic would give.  r2's
+    relations are one pattern renamed over index pairs, so its reductions
+    repeat the same few."""
+    ck = coeff.n, coeff.d
     for e, c in tail:
         e += shift
-        w, n = work.get(e), c.num
-        if w is None:
-            key = ck, n.numerators, n.denominator, c.den.numerators
-        else:
-            v = w.num
-            key = (ck, n.numerators, n.denominator, c.den.numerators,
-                   v.numerators, v.denominator, w.den.numerators)
+        w = work.get(e)
+        key = (ck, c.n, c.d) if w is None else (ck, c.n, c.d, w.n, w.d)
         t = memo.get(key)
         if t is None:
             t = memo[key] = coeff * c if w is None else w + coeff * c

@@ -26,6 +26,7 @@ from chowforge.rationals import (
     ratfunc_str,
     sturm_roots_geq,
 )
+from chowforge.ring import _subtract
 
 G = UniPoly.g()
 
@@ -163,6 +164,10 @@ def test_power_squares_only_while_bits_remain():
 def test_normalize_cancellation():
     assert RatFunc(G**2 - 1, G - 1) == RatFunc(G + 1)
     assert RatFunc(2 * G + 2, UniPoly.const(2)) == RatFunc(G + 1)
+    # An int or Fraction denominator is coerced as the numerator is.
+    assert RatFunc(1, 2) == Fraction(1, 2)
+    assert RatFunc(G + 1, 3) == (G + 1) * Fraction(1, 3)
+    assert RatFunc(1, Fraction(1, 2)) == 2
 
 
 @pytest.mark.parametrize("call, error", [
@@ -171,7 +176,9 @@ def test_normalize_cancellation():
     (lambda: power(G, -1, UniPoly.const(1)), ValueError),
     (lambda: poly_divmod(G, UniPoly()), ZeroPolynomial),
     (lambda: RatFunc(0).invert(), ZeroDivisionError),
-], ids=["str coefficient", "leading of zero", "negative power", "divmod by zero", "invert zero"])
+    (lambda: RatFunc("x"), TypeError),
+], ids=["str coefficient", "leading of zero", "negative power", "divmod by zero", "invert zero",
+        "str numerator"])
 def test_refusals(call, error):
     with pytest.raises(error):
         call()
@@ -180,6 +187,8 @@ def test_refusals(call, error):
 def test_normalize_zero_denominator():
     with pytest.raises(ZeroDenominator):
         RatFunc(G, UniPoly())
+    with pytest.raises(ZeroDenominator):
+        RatFunc(1, 0)
 
 
 def test_normalize_quartic_constant():
@@ -301,6 +310,20 @@ def test_constants_hash_as_their_values():
     # A polynomial rational function hashes as its numerator.
     assert RatFunc(2 * G + 2, UniPoly.const(2)) in {G + 1}
     assert hash(RatFunc(G, G + 1)) != hash(RatFunc(G + 1, G))
+    # Rational coefficients and their integer rescaling give one value: equal,
+    # with equal hashes and equal keys in ring._subtract's memo.
+    for num, den, scale in ((G * Fraction(1, 2) + Fraction(1, 3), G * Fraction(2, 3) - 1, 6),
+                            (G * Fraction(-3, 4) + 1, UniPoly.const(Fraction(5, 2)), 4)):
+        x, y = RatFunc(num, den), RatFunc(num * scale, den * scale)
+        assert x == y and hash(x) == hash(y)
+        keys = []
+        for c in (x, y):
+            memo: dict = {}
+            _subtract({}, 0, ((0, c),), c, memo)  # a new term: coeff * c
+            _subtract({0: c}, 0, ((0, c),), c, memo)  # a multiply-add: w + coeff * c
+            keys.append(set(memo))
+        assert keys[0] == keys[1] and len(keys[0]) == 2
+    assert RatFunc(G * Fraction(-3, 4) + 1, Fraction(5, 2)) in {G * Fraction(-3, 10) + Fraction(2, 5)}
 
 
 def test_exact_quotient_rejects_a_remainder():
@@ -454,6 +477,55 @@ def test_ratfunc_arithmetic_matches_fraction_oracle(a, b, c, d, e):
     for got, num, den in cases:
         _assert_canonical(got.num), _assert_canonical(got.den)
         assert (got.num.coeffs, got.den.coeffs) == _oracle_normalize(num, den)
+
+
+def _normalized_pair(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """num/den as a UniPoly pair: both divided by poly_gcd, then rescaled so
+    that den is monic."""
+    if num.is_zero:
+        return UniPoly(), UniPoly.const(1)
+    common = poly_gcd(num, den)
+    num, den = _exact_quotient(num, common), _exact_quotient(den, common)
+    return num * (1 / den.leading), den.monic()
+
+
+def _assert_integer_pair(r: RatFunc, num: UniPoly, den: UniPoly):
+    """r's integer tuples are canonical, and its num and den are the pair
+    _normalized_pair makes of num/den."""
+    n, d = r.n, r.d
+    assert type(n) is tuple and type(d) is tuple and all(type(x) is int for x in n + d)
+    assert (not n or n[-1]) and d[-1] > 0  # no trailing zero; D's leading coefficient positive
+    assert math.gcd(*n, *d) == 1  # no content common to N and D
+    if n:  # N and D coprime in Q[g]
+        assert _oracle_gcd([Fraction(x) for x in n], [Fraction(x) for x in d]) == [1]
+    else:
+        assert d == (1,)
+    assert (r.num, r.den) == _normalized_pair(num, den)
+
+
+@given(polys, nonzero_polys, polys, nonzero_polys)
+@settings(deadline=None)
+# x = 1/(g(g+1)) and z = 1/g: y = z - x = 1/(g+1), and x + y cancels g + 1.
+@example(UniPoly([1]), G * (G + 1), UniPoly([1]), G)
+# x = -2/3 / (4 - 2g) has content 2 and a negative leading denominator to fix.
+@example(UniPoly([Fraction(-2, 3)]), UniPoly([4, -2]), G * 2, UniPoly([Fraction(-1, 2), 3]))
+def test_ratfunc_results_are_canonical_integer_pairs(a, b, c, d):
+    """Built from rational-coefficient UniPolys and through every operation,
+    a RatFunc keeps its canonical integer pair.  y = z - x gives x and y
+    denominators that share x's factors, which x + y = z cancels through
+    Henrici's second gcd."""
+    X, Z = _normalized_pair(a, b), _normalized_pair(c, d)
+    x, z = RatFunc(a, b), RatFunc(c, d)
+    Y = _normalized_pair(Z[0] * X[1] - X[0] * Z[1], Z[1] * X[1])
+    y = z - x
+    cases = [(x, X), (z, Z), (y, Y), (-x, (-X[0], X[1])),
+             (x + y, (X[0] * Y[1] + Y[0] * X[1], X[1] * Y[1])),
+             (x * y, (X[0] * Y[0], X[1] * Y[1])), (x * z, (X[0] * Z[0], X[1] * Z[1]))]
+    if not x.is_zero:
+        cases += [(x.invert(), (X[1], X[0])), (y / x, (Y[0] * X[1], Y[1] * X[0]))]
+    for r, (num, den) in cases:
+        _assert_integer_pair(r, num, den)
+    assert x + y == z
 
 
 kernel_lines = st.builds(lambda r0, r1: UniPoly([r0, r1]), kernel_coeffs,
