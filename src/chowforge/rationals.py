@@ -3,20 +3,20 @@ over arbitrary-precision rationals, normalized rational functions, evaluation,
 Sturm-sequence real-root counting for rank certificates, and the one
 fraction-free elimination behind every integer determinant and rational rank.
 
-A polynomial is stored as a tuple of integer numerators over one positive
-integer denominator in lowest terms, so its arithmetic runs on Python ints
-with one gcd or lcm per operation; `Fraction` coefficients are built only
-when asked for.  A rational function is stored as two tuples of integer
-coefficients N and D in canonical form (see RatFunc), with no rational
-denominator of its own.  Both rest on one core on integer coefficient
-lists: sum, product, exact quotient and gcd.  A gcd with a linear argument
-is a root test: one integer Horner evaluation of the other argument.
-Other greatest common divisors come from the primitive remainder sequence
-over the integers (Brown 1971): every pseudo-remainder is divided by its
-content, which keeps the coefficients from growing exponentially.
-Rational functions add and multiply with gcds of the smaller factors
-(Henrici 1956), cancel common factors by exact integer quotients, and fix
-the content and sign once per result, each value on its own (see RatFunc).
+A rational function is stored as two tuples of integer coefficients N and
+D in canonical form (see RatFunc), so its arithmetic runs on Python ints;
+`Fraction` coefficients are built only when asked for.  A polynomial is the
+rational function whose D has one entry, a positive integer, and is built
+as a UniPoly: one canonical form, one arithmetic, one equality and hash.
+It all rests on one core on integer coefficient lists: sum, product, exact
+quotient and gcd.  A gcd with a linear argument is a root test: one integer
+Horner evaluation of the other argument.  Other greatest common divisors
+come from the primitive remainder sequence over the integers (Brown 1971):
+every pseudo-remainder is divided by its content, which keeps the
+coefficients from growing exponentially.  Rational functions add and
+multiply with gcds of the smaller factors (Henrici 1956), cancel common
+factors by exact integer quotients, and fix the content and sign once per
+result, each value on its own (see RatFunc).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -51,37 +51,178 @@ def _rational(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class UniPoly:
-    """Dense univariate polynomial in the formal parameter g over Q.
-
-    The value is sum(numerators[i] * g**i) / denominator.  Trailing zero
-    numerators are stripped, and the denominator is positive and shares no
-    factor with all the numerators, so equal polynomials have equal fields.
-    The leading numerator is nonzero unless the polynomial is zero, which is
-    ((), 1) and has degree -1 (sentinel for "minus infinity").
+class RatFunc:
+    """Rational function N/D in g: n and d are the integer coefficient
+    tuples of N and D, lowest degree first, in canonical form (N and D
+    coprime in Q[g], no content common to both, D's leading coefficient
+    positive; zero is ((), (1,))), so equal values have equal tuples.
+    A value whose d has one entry is a polynomial, and is built as a
+    UniPoly.  Operations build no polynomial object for an intermediate
+    and fix content and sign once per result; num and den give the pair
+    with den monic.  Each value is normalized on its own: one common Z[g]
+    denominator per ring element was measured slower.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("n", "d")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, num, den=1):
+        num, den = (x if isinstance(x, UniPoly) else UniPoly.const(x) for x in (num, den))
+        if den.is_zero:
+            raise ZeroDenominator("rational function with zero denominator")
+        a, b = num.n, den.n
+        if a:
+            common = poly_gcd(num, den)
+            if not common.is_one():
+                a, b = _divide(a, common.n)[1], _divide(b, common.n)[1]
+            # (a/p) / (b/q) is (a*q) / (b*p).
+            a, b = [x * den.d[0] for x in a], [x * num.d[0] for x in b]
+        return _reduced(a, b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def num(self) -> "UniPoly":
+        """The numerator over a monic denominator."""
+        return _reduced(self.n, self.d[-1:])
+
+    @property
+    def den(self) -> "UniPoly":
+        """The denominator, monic."""
+        return _reduced(self.d, self.d[-1:])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.n
+
+    def __eq__(self, other):
+        other = _coerce_ratfunc(other)
+        if other is None:
+            return NotImplemented
+        return self.n == other.n and self.d == other.d
+
+    def __hash__(self):
+        # A constant hashes as its value, as it compares equal to it.
+        n, d = self.n, self.d
+        if len(n) > 1 or len(d) > 1:
+            return hash((n, d))
+        return hash(Fraction(n[0], d[0])) if n else 0
+
+    def __add__(self, other):
+        # Henrici: with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)),
+        # and only a factor of g can cancel from that.
+        o = _coerce_ratfunc(other)
+        if o is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
+        if not a or not c:
+            return o if not a else self
+        if b == (1,) == d:  # integer polynomials: a sum of them has no content to remove
+            return _new(tuple(_add(a, c)), b)
+        g = _gcd(b, d)
+        if len(g) == 1:  # coprime: (a*d + c*b) / (b*d) is in lowest terms
+            return _reduced(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
+        b, d = _divide(b, g)[1], _divide(d, g)[1]
+        num = _add(_mul(a, d), _mul(c, b))
+        if num:
+            h = _gcd(num, g)
+            if len(h) > 1:
+                num, g = _divide(num, h)[1], _divide(g, h)[1]
+        return _reduced(num, _mul(_mul(b, d), g))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _new(tuple(-x for x in self.n), self.d)
+
+    def __sub__(self, other):
+        o = _coerce_ratfunc(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        # Henrici: cancel gcd(a, d) and gcd(c, b) before multiplying a/b by c/d.
+        o = _coerce_ratfunc(other)
+        if o is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
+        if not a or not c:
+            return _ZERO
+        if b == (1,) == d:  # integer polynomials: so is their product
+            return _new(tuple(_mul(a, c)), b)
+        g = _gcd(a, d)
+        if len(g) > 1:
+            a, d = _divide(a, g)[1], _divide(d, g)[1]
+        g = _gcd(c, b)
+        if len(g) > 1:
+            c, b = _divide(c, g)[1], _divide(b, g)[1]
+        return _reduced(_mul(a, c), _mul(b, d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _coerce_ratfunc(other)
+        if o is None:
+            return NotImplemented
+        return self * o.invert()
+
+    def __pow__(self, k: int):
+        return power(self, k, _ONE)
+
+    def invert(self) -> "RatFunc":
+        if not self.n:
+            raise ZeroDivisionError("inverting the zero rational function")
+        return _reduced(self.d, self.n)
+
+    def __call__(self, g0) -> Fraction:
+        """Exact value at g0; raises PoleAtPoint if the denominator vanishes."""
+        g0 = _rational(g0)
+        p, q = g0.numerator, g0.denominator
+        den = _homogeneous_value(self.d, p, q)
+        if not den:
+            raise PoleAtPoint(f"pole at g = {g0}")
+        # N(p/q) / D(p/q), with N and D homogenized to their own degrees.
+        num, shift = _homogeneous_value(self.n, p, q), len(self.d) - len(self.n)
+        return Fraction(num * q**shift, den) if shift >= 0 else Fraction(num, den * q**-shift)
+
+    def __str__(self):
+        return ratfunc_str(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({ratfunc_str(self)})"
+
+
+class UniPoly(RatFunc):
+    """Dense univariate polynomial in the formal parameter g over Q: the
+    RatFunc whose denominator tuple d has one entry, a positive integer.
+
+    The value is sum(n[i] * g**i) / d[0], and d[0] shares no factor with
+    all of n, so equal polynomials have equal fields.  The leading entry
+    of n is nonzero unless the polynomial is zero, which is ((), (1,)) and
+    has degree -1 (sentinel for "minus infinity").
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs=()):
         cs = [_rational(c) for c in coeffs]
         # The lcm of reduced denominators leaves the numerators coprime to it.
         den = math.lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (den // c.denominator) for c in cs]
         while nums and not nums[-1]:
             nums.pop()
-        object.__setattr__(self, "numerators", tuple(nums))
-        object.__setattr__(self, "denominator", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
+        return _new(tuple(nums), (den,))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> "UniPoly":
         c = _rational(c)
-        return _raw((c.numerator,), c.denominator) if c else _raw((), 1)
+        return _new((c.numerator,), (c.denominator,)) if c else _ZERO
 
     @staticmethod
     def g() -> "UniPoly":
@@ -93,110 +234,26 @@ class UniPoly:
     @property
     def coeffs(self) -> tuple:
         """coeffs[i] is the coefficient of g**i, as a Fraction."""
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.numerators
+        return tuple(Fraction(x, self.d[0]) for x in self.n)
 
     @property
     def degree(self) -> int:
-        return len(self.numerators) - 1
+        return len(self.n) - 1
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        if not self.n:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
+        return Fraction(self.n[-1], self.d[0])
 
     def is_one(self) -> bool:
-        return self.numerators == (1,) and self.denominator == 1
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.numerators == o.numerators and self.denominator == o.denominator
-
-    def __hash__(self):
-        # A constant hashes as its value, as it compares equal to it.
-        if self.degree <= 0:
-            return hash(self.leading) if self.numerators else 0
-        return hash((self.numerators, self.denominator))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.numerators, o.numerators
-        da, db = self.denominator, o.denominator
-        den = da
-        if da != db:
-            den = math.lcm(da, db)
-            a = [x * (den // da) for x in a]
-            b = [x * (den // db) for x in b]
-        return _poly(_add(a, b), den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw(tuple(-x for x in self.numerators), self.denominator)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _poly(_mul(self.numerators, o.numerators), self.denominator * o.denominator)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return power(self, k, _ONE)
+        return self.n == self.d == (1,)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return _poly(list(self.numerators), self.numerators[-1])
+        return _reduced(self.n, self.n[-1:]) if self.n else self
 
     def derivative(self) -> "UniPoly":
-        return _poly([i * x for i, x in enumerate(self.numerators)][1:], self.denominator)
-
-    def __call__(self, g0) -> Fraction:
-        g0 = _rational(g0)
-        p, q = g0.numerator, g0.denominator
-        acc = _homogeneous_value(self.numerators, p, q)
-        return Fraction(acc, self.denominator * q ** max(self.degree, 0))
-
-    # -- printing ----------------------------------------------------------
-
-    def __str__(self):
-        return poly_str(self)
-
-    def __repr__(self):
-        return f"UniPoly({poly_str(self)})"
-
-
-# The slots' own setters, which bypass the __setattr__ that keeps instances
-# immutable; they are the fast way to fill a fresh instance.
-_set_numerators, _set_denominator = UniPoly.numerators.__set__, UniPoly.denominator.__set__
+        return _reduced([i * x for i, x in enumerate(self.n)][1:], self.d)
 
 
 def _homogeneous_value(nums, p: int, q: int) -> int:
@@ -207,34 +264,6 @@ def _homogeneous_value(nums, p: int, q: int) -> int:
         acc = acc * p + x * qpow
         qpow *= q
     return acc
-
-
-def _raw(nums: tuple, den: int) -> UniPoly:
-    """A UniPoly from fields already in canonical form."""
-    p = object.__new__(UniPoly)
-    _set_numerators(p, nums)
-    _set_denominator(p, den)
-    return p
-
-
-def _poly(nums: list, den: int) -> UniPoly:
-    """The polynomial sum(nums[i] * g**i) / den, for a fresh list of ints
-    (consumed) and a nonzero int, in lowest terms."""
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return _raw((), 1)
-    if den != 1:
-        c = math.gcd(den, *nums)
-        if den < 0:
-            c = -c
-        if c != 1:
-            nums = [x // c for x in nums]
-            den //= c
-    return _raw(tuple(nums), den)
-
-
-_ONE = UniPoly.const(1)
 
 
 def power(base, k: int, one):
@@ -267,8 +296,8 @@ def poly_str(p: UniPoly) -> str:
 
     Examples: "2*g+1", "-8*g^3+8*g", "g", "-g^2", "0", "1/2*g".
     """
-    nums, den = p.numerators, p.denominator
-    if len(nums) < 2:  # zero, or a constant that UniPoly keeps in lowest terms
+    nums, den = p.n, p.d[0]
+    if len(nums) < 2:  # zero, or a constant kept in lowest terms
         return "0" if not nums else str(nums[0]) if den == 1 else f"{nums[0]}/{den}"
     parts = []
     for d in range(p.degree, -1, -1):
@@ -303,15 +332,13 @@ def _add(a, b) -> list:
 
 
 def _mul(a, b) -> list:
-    """The product of two integer sequences; with no trailing zeros in
-    either, it has none."""
+    """The product of two nonzero integer sequences; with no trailing zeros
+    in either, it has none."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:  # a constant factor, often 1 (a polynomial's denominator)
         y = b[0]
         return list(a) if y == 1 else [x * y for x in a]
-    if not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -394,17 +421,19 @@ def _gcd(a, b) -> list:
 def _exact_quotient(p: UniPoly, d: UniPoly) -> UniPoly:
     """p / d for a d that divides p; a nonzero remainder raises
     ArithmeticError."""
-    s, q = _divide(p.numerators, d.numerators)
-    return _poly([x * d.denominator for x in q], s * p.denominator)
+    s, q = _divide(p.n, d.n)
+    return _reduced([x * d.d[0] for x in q], (s * p.d[0],))
 
 
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Euclidean division a = q*b + r with deg r < deg b."""
     if b.is_zero:
         raise ZeroPolynomial("division by the zero polynomial")
-    s, q, r = _pseudo_divmod(a.numerators, b.numerators)
-    den = s * a.denominator
-    return _poly([x * b.denominator for x in q], den), _poly(r, den)
+    s, q, r = _pseudo_divmod(a.n, b.n)
+    while r and not r[-1]:
+        r.pop()
+    den = (s * a.d[0],)
+    return _reduced([x * b.d[0] for x in q], den), _reduced(r, den)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -413,8 +442,8 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     it is already the monic gcd in lowest terms."""
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    x = _gcd(a.numerators, b.numerators)
-    return _raw(tuple(x), x[-1])
+    x = _gcd(a.n, b.n)
+    return _new(tuple(x), (x[-1],))
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
@@ -425,148 +454,19 @@ def square_free_part(p: UniPoly) -> UniPoly:
     return _exact_quotient(p, d).monic()
 
 
-class RatFunc:
-    """Rational function N/D in g: n and d are the integer coefficient
-    tuples of N and D, lowest degree first, in canonical form (N and D
-    coprime in Q[g], no content common to both, D's leading coefficient
-    positive; zero is ((), (1,))), so equal values have equal tuples.
-    Operations build no UniPoly for an intermediate and fix content and sign
-    once per result; num and den give the pair with den monic.  Each value
-    is normalized on its own: one common Z[g] denominator per ring element
-    was measured slower.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __new__(cls, num, den=1):
-        num, den = (x if isinstance(x, UniPoly) else UniPoly.const(x) for x in (num, den))
-        if den.is_zero:
-            raise ZeroDenominator("rational function with zero denominator")
-        a, b = num.numerators, den.numerators
-        if a:
-            common = poly_gcd(num, den)
-            if not common.is_one():
-                a, b = _divide(a, common.numerators)[1], _divide(b, common.numerators)[1]
-            # (a/p) / (b/q) is (a*q) / (b*p).
-            a, b = [x * den.denominator for x in a], [x * num.denominator for x in b]
-        return _reduced(a, b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @property
-    def num(self) -> UniPoly:
-        """The numerator over a monic denominator."""
-        return _poly(list(self.n), self.d[-1])
-
-    @property
-    def den(self) -> UniPoly:
-        """The denominator, monic."""
-        return _poly(list(self.d), self.d[-1])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.n
-
-    def is_polynomial(self) -> bool:
-        return len(self.d) == 1
-
-    def __eq__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self.n == other.n and self.d == other.d
-
-    def __hash__(self):
-        # A polynomial hashes as its numerator, as it compares equal to it.
-        return hash(self.num) if len(self.d) == 1 else hash((self.n, self.d))
-
-    def __add__(self, other):
-        # Henrici: with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)),
-        # and only a factor of g can cancel from that.
-        o = _coerce_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
-        if not a or not c:
-            return o if not a else self
-        g = _gcd(b, d)
-        if len(g) == 1:  # coprime: (a*d + c*b) / (b*d) is in lowest terms
-            return _reduced(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
-        b, d = _divide(b, g)[1], _divide(d, g)[1]
-        num = _add(_mul(a, d), _mul(c, b))
-        if num:
-            h = _gcd(num, g)
-            if len(h) > 1:
-                num, g = _divide(num, h)[1], _divide(g, h)[1]
-        return _reduced(num, _mul(_mul(b, d), g))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _new(tuple(-x for x in self.n), self.d)
-
-    def __sub__(self, other):
-        o = _coerce_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        # Henrici: cancel gcd(a, d) and gcd(c, b) before multiplying a/b by c/d.
-        o = _coerce_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        (a, b), (c, d) = (self.n, self.d), (o.n, o.d)
-        if not a or not c:
-            return _ZERO
-        g = _gcd(a, d)
-        if len(g) > 1:
-            a, d = _divide(a, g)[1], _divide(d, g)[1]
-        g = _gcd(c, b)
-        if len(g) > 1:
-            c, b = _divide(c, g)[1], _divide(b, g)[1]
-        return _reduced(_mul(a, c), _mul(b, d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce_ratfunc(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
-
-    def invert(self) -> "RatFunc":
-        if not self.n:
-            raise ZeroDivisionError("inverting the zero rational function")
-        return _reduced(self.d, self.n)
-
-    def __call__(self, g0) -> Fraction:
-        """Exact value at g0; raises PoleAtPoint if the denominator vanishes."""
-        d = self.den(g0)
-        if d == 0:
-            raise PoleAtPoint(f"pole at g = {g0}")
-        return self.num(g0) / d
-
-    def __str__(self):
-        return ratfunc_str(self)
-
-    def __repr__(self):
-        return f"RatFunc({ratfunc_str(self)})"
-
-
 _set_n, _set_d = RatFunc.n.__set__, RatFunc.d.__set__
 
 
 def _new(n: tuple, d: tuple) -> RatFunc:
-    """A RatFunc from tuples already in canonical form."""
-    out = object.__new__(RatFunc)
+    """A RatFunc from tuples already in canonical form: a UniPoly when d
+    has one entry."""
+    out = object.__new__(UniPoly if len(d) == 1 else RatFunc)
     _set_n(out, n)
     _set_d(out, d)
     return out
 
 
-_ZERO = _new((), (1,))
+_ZERO, _ONE = _new((), (1,)), _new((1,), (1,))
 
 
 def _reduced(num, den) -> RatFunc:
@@ -586,17 +486,15 @@ def _reduced(num, den) -> RatFunc:
 def _coerce_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, UniPoly):
-        return _new(x.numerators, (x.denominator,))
     if isinstance(x, (int, Fraction)):
-        return _new((x.numerator,), (x.denominator,)) if x else _ZERO
+        return UniPoly.const(x)
     return None
 
 
 def ratfunc_str(f: RatFunc) -> str:
-    """Canonical form: "num" if the denominator is 1, else "(num)/(den)"."""
-    if f.is_polynomial():
-        return poly_str(f.num)
+    """Canonical form: a polynomial as poly_str prints it, else "(num)/(den)"."""
+    if isinstance(f, UniPoly):
+        return poly_str(f)
     return f"({poly_str(f.num)})/({poly_str(f.den)})"
 
 

@@ -32,7 +32,7 @@ import heapq
 from operator import itemgetter, mul
 from fractions import Fraction
 
-from .rationals import RatFunc, UniPoly, _coerce_ratfunc, power, ratfunc_str
+from .rationals import RatFunc, _coerce_ratfunc, power, ratfunc_str
 
 
 class UnknownGenerator(KeyError):
@@ -221,7 +221,7 @@ class RingElement:
             if other.ring is self.ring or other.ring == self.ring:
                 return other
             return self.ring.import_element(other)
-        if isinstance(other, (int, Fraction, UniPoly, RatFunc)):
+        if isinstance(other, (int, Fraction, RatFunc)):
             return self.ring.const(other)
         return None
 

@@ -187,7 +187,7 @@ def block_change_of_basis(m: IntersectionMatrix) -> IntersectionMatrix:
 
 def bareiss_determinant(m: IntersectionMatrix, genus: int) -> int:
     """Fraction-free (Bareiss 1968) determinant of m over Z at an integer genus."""
-    return _bareiss([[_homogeneous_value(e.numerators, genus, 1) for e in row]
+    return _bareiss([[_homogeneous_value(e.n, genus, 1) for e in row]
                      for row in m.entries])[1]
 
 

@@ -12,6 +12,7 @@ try:
 except ImportError:  # sympy is an optional second oracle
     sympy = None
 
+from chowforge import rationals
 from chowforge.rationals import (
     PoleAtPoint,
     RatFunc,
@@ -74,6 +75,7 @@ def _polys(draw):
 @example(UniPoly([Fraction(-3, 4)]))
 @example(UniPoly([1, 0, 0, -1]))
 def test_poly_str_matches_fraction_formatting(p):
+    _assert_canonical(p)
     assert poly_str(p) == _poly_str_via_fractions(p)
 
 
@@ -123,7 +125,7 @@ def test_gcd_with_a_linear_argument():
         for got in (poly_gcd(line, other), poly_gcd(other, line)):
             assert got == expected
             # Primitive numerators, as _exact_quotient needs of a divisor.
-            assert math.gcd(*got.numerators) == 1 and got.numerators[-1] == got.denominator
+            assert math.gcd(*got.n) == 1 and got.d == got.n[-1:]
     assert RatFunc(4 * G**2 - 1, 2 * G + 1) == RatFunc(2 * G - 1)
     assert RatFunc(quartic, 6 * G + 3) == RatFunc((G + 1) ** 2 * (2 * G + 1) * Fraction(4, 3))
 
@@ -136,9 +138,41 @@ def test_sum_with_a_polynomial_needs_no_cancelling():
     for c, num in cases:
         for got in (x + c, c + x):
             assert (got.num, got.den) == (num * Fraction(1, 2), G + Fraction(1, 2))
-            assert got == RatFunc(num, 2 * G + 1) and _is_normalized(got)
+            assert got == RatFunc(num, 2 * G + 1)
+            _assert_canonical(got)
     zero = RatFunc(G**2 - 3) + RatFunc(3 - G**2)
     assert zero.is_zero and zero.den.is_one() and zero == RatFunc(0)
+
+
+def test_one_arithmetic_for_polynomials_and_rational_functions():
+    """Reflected subtraction, powers and division work on every value, and a
+    value whose denominator is a constant is a UniPoly, however it was made."""
+    x = RatFunc(G, G + 1)
+    assert 1 - x == -(x - 1) == RatFunc(1, G + 1)
+    assert x**3 == x * x * x == RatFunc(G**3, (G + 1) ** 3)
+    q = (G**2 - 1) / (G + 1)
+    assert q == G - 1 and isinstance(q, UniPoly)
+    assert type(x) is RatFunc and type(RatFunc(2 * G + 2, 4)) is UniPoly
+    assert type(x * (G + 1)) is UniPoly and type(x.invert() - RatFunc(1, G)) is UniPoly
+
+
+def test_integer_polynomial_sums_and_products_take_no_gcd(monkeypatch):
+    """Polynomials over the denominator 1, as the test-curve matrices hold,
+    add and multiply with neither a gcd nor the normaliser: such a sum or
+    product has no content to remove (testcurves._pair_operations and
+    _block_product)."""
+    p, q = 2 * G - 2, 2 * G**2 + 3 * G - 1
+    calls = []
+
+    def recorded(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    for name in ("_gcd", "_reduced"):
+        monkeypatch.setattr(rationals, name, recorded(getattr(rationals, name)))
+    results = [p + q, p - q, p - p, p * q, 3 * p, q + 1]
+    assert not calls
+    assert results == [UniPoly([-3, 5, 2]), UniPoly([-1, -1, -2]), 0, UniPoly([2, -8, 2, 4]),
+                       UniPoly([-6, 6]), UniPoly([0, 3, 2])]
 
 
 class _CountedProducts:
@@ -239,6 +273,7 @@ constant_polys = small_fracs.map(lambda c: UniPoly([c]))
 @given(polys, polys)
 def test_gcd_divides_both_exactly(a, b):
     d = poly_gcd(a, b)
+    _assert_canonical(d)
     if d.is_zero:
         assert a.is_zero and b.is_zero
         return
@@ -249,15 +284,35 @@ def test_gcd_divides_both_exactly(a, b):
 
 @given(ratfuncs, ratfuncs, ratfuncs)
 def test_ratfunc_field_identities(x, y, z):
-    assert (x + y) * z == x * z + y * z
-    assert x + y == y + x
-    assert x - x == RatFunc(0)
+    pairs = [((x + y) * z, x * z + y * z), (x + y, y + x), (x - x, RatFunc(0)), (1 - x, -(x - 1)),
+             (x**3, x * x * x)]
     if not x.is_zero:
-        assert x * x.invert() == RatFunc(1)
+        pairs += [(x * x.invert(), RatFunc(1)), (y / x, y * x.invert())]
+    for left, right in pairs:
+        assert left == right
+        _assert_canonical(left), _assert_canonical(right)
 
 
-def _is_normalized(r: RatFunc) -> bool:
-    return r.den.leading == 1 and poly_gcd(r.num, r.den).is_one()
+def _assert_canonical(r: RatFunc):
+    """r's integer tuples n and d are in canonical form: no trailing zero,
+    D's leading coefficient positive, no content common to N and D, N and D
+    coprime over Q (the Fraction Euclid below), zero as ((), (1,)).  r is a
+    UniPoly exactly when d has one entry; a polynomial's Fraction
+    coefficients rebuild the same fields, and den is monic."""
+    n, d = r.n, r.d
+    assert type(n) is tuple and type(d) is tuple and all(type(x) is int for x in n + d)
+    assert (not n or n[-1]) and d[-1] > 0
+    assert math.gcd(*n, *d) == 1
+    if n:
+        assert _oracle_gcd([Fraction(x) for x in n], [Fraction(x) for x in d]) == [1]
+    else:
+        assert d == (1,)
+    assert isinstance(r, UniPoly) == (len(d) == 1)
+    assert r.den.leading == 1
+    if isinstance(r, UniPoly):
+        assert all(type(c) is Fraction for c in r.coeffs)
+        rebuilt = UniPoly(r.coeffs)
+        assert (rebuilt.n, rebuilt.d) == (n, d)
 
 
 @given(
@@ -272,10 +327,10 @@ def test_ratfunc_normalized_with_constant_parts(num, den, other):
     x = RatFunc(num, den)
     assert x.num * den == num * x.den
     for r in (x, -x, x + other, x - other, x * other, other - x):
-        assert _is_normalized(r)
+        _assert_canonical(r)
     if not x.is_zero:
-        assert _is_normalized(x.invert())
-        assert _is_normalized(other / x)
+        _assert_canonical(x.invert())
+        _assert_canonical(other / x)
 
 
 @given(ratfuncs, ratfuncs, st.integers(min_value=2, max_value=20))
@@ -284,8 +339,10 @@ def test_eval_commutes_with_arithmetic(x, y, g0):
         vx, vy = x(g0), y(g0)
     except PoleAtPoint:
         return
-    assert (x * y)(g0) == vx * vy
-    assert (x + y)(g0) == vx + vy
+    product, total = x * y, x + y
+    _assert_canonical(product), _assert_canonical(total)
+    assert product(g0) == vx * vy
+    assert total(g0) == vx + vy
 
 
 @given(
@@ -299,6 +356,7 @@ def test_sturm_matches_known_integer_roots(roots, bound, scale):
     for r in roots:
         p = p * (G - r)
     expected = len({r for r in roots if r >= bound})
+    _assert_canonical(p)
     assert sturm_roots_geq(p, bound) == expected
 
 
@@ -403,14 +461,6 @@ def _oracle_normalize(num, den):
     return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
 
 
-def _assert_canonical(p: UniPoly):
-    assert all(type(c) is Fraction for c in p.coeffs)
-    assert p.denominator > 0 and math.gcd(p.denominator, *p.numerators) == 1
-    assert not p.numerators or p.numerators[-1] != 0
-    rebuilt = UniPoly(p.coeffs)
-    assert (p.numerators, p.denominator) == (rebuilt.numerators, rebuilt.denominator)
-
-
 _huge = st.integers(min_value=2**70, max_value=2**80)
 kernel_ints = st.one_of(st.integers(min_value=-9, max_value=9), _huge, _huge.map(lambda x: -x))
 kernel_coeffs = st.one_of(
@@ -447,7 +497,8 @@ def test_kernel_matches_fraction_oracle(a, b, c, k):
         _assert_canonical(q), _assert_canonical(r)
         assert (list(q.coeffs), list(r.coeffs)) == _oracle_divmod(A, B)
         x = RatFunc(a, b)
-        _assert_canonical(x.num), _assert_canonical(x.den)
+        for part in (x, x.num, x.den):
+            _assert_canonical(part)
         assert (x.num.coeffs, x.den.coeffs) == _oracle_normalize(A, B)
     for u, v in ((a, b), (a * c, b * c)):
         d = poly_gcd(u, v)
@@ -475,7 +526,7 @@ def test_ratfunc_arithmetic_matches_fraction_oracle(a, b, c, d, e):
     if not x.is_zero:
         cases.append((x.invert(), X[1], X[0]))
     for got, num, den in cases:
-        _assert_canonical(got.num), _assert_canonical(got.den)
+        _assert_canonical(got)
         assert (got.num.coeffs, got.den.coeffs) == _oracle_normalize(num, den)
 
 
@@ -487,20 +538,6 @@ def _normalized_pair(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
     common = poly_gcd(num, den)
     num, den = _exact_quotient(num, common), _exact_quotient(den, common)
     return num * (1 / den.leading), den.monic()
-
-
-def _assert_integer_pair(r: RatFunc, num: UniPoly, den: UniPoly):
-    """r's integer tuples are canonical, and its num and den are the pair
-    _normalized_pair makes of num/den."""
-    n, d = r.n, r.d
-    assert type(n) is tuple and type(d) is tuple and all(type(x) is int for x in n + d)
-    assert (not n or n[-1]) and d[-1] > 0  # no trailing zero; D's leading coefficient positive
-    assert math.gcd(*n, *d) == 1  # no content common to N and D
-    if n:  # N and D coprime in Q[g]
-        assert _oracle_gcd([Fraction(x) for x in n], [Fraction(x) for x in d]) == [1]
-    else:
-        assert d == (1,)
-    assert (r.num, r.den) == _normalized_pair(num, den)
 
 
 @given(polys, nonzero_polys, polys, nonzero_polys)
@@ -524,7 +561,8 @@ def test_ratfunc_results_are_canonical_integer_pairs(a, b, c, d):
     if not x.is_zero:
         cases += [(x.invert(), (X[1], X[0])), (y / x, (Y[0] * X[1], Y[1] * X[0]))]
     for r, (num, den) in cases:
-        _assert_integer_pair(r, num, den)
+        _assert_canonical(r)
+        assert (r.num, r.den) == _normalized_pair(num, den)
     assert x + y == z
 
 
@@ -539,16 +577,20 @@ kernel_lines = st.builds(lambda r0, r1: UniPoly([r0, r1]), kernel_coeffs,
 def test_linear_gcds_and_polynomial_sums_match_fraction_oracle(line, p, a, b, k):
     """The root test against the Fraction Euclid, and sums over a
     denominator 1 against the gcd-normalized sum."""
-    assert poly_gcd(line * p, line) == poly_gcd(line, line * p * k) == line.monic()
+    gcds = [poly_gcd(line * p, line), poly_gcd(line, line * p * k), poly_gcd(line, p), poly_gcd(p, line)]
+    for d in gcds:
+        _assert_canonical(d)
+    assert gcds[0] == gcds[1] == line.monic()
     L, P = list(line.coeffs), list(p.coeffs)
-    assert list(poly_gcd(line, p).coeffs) == _oracle_gcd(L, P) == list(poly_gcd(p, line).coeffs)
+    assert list(gcds[2].coeffs) == _oracle_gcd(L, P) == list(gcds[3].coeffs)
     x, y = RatFunc(a, b), RatFunc(p)
     X = (list(x.num.coeffs), list(x.den.coeffs))
     expected = _oracle_normalize(_oracle_add(X[0], _oracle_mul(P, X[1])), X[1])
     for got in (x + y, y + x):
-        _assert_canonical(got.num), _assert_canonical(got.den)
+        _assert_canonical(got)
         assert (got.num.coeffs, got.den.coeffs) == expected
     both = y + RatFunc(a)  # both denominators 1
+    _assert_canonical(both)
     assert (both.num.coeffs, both.den.coeffs) == _oracle_normalize(
         _oracle_add(P, list(a.coeffs)), [Fraction(1)])
 
@@ -568,6 +610,7 @@ def _from_sympy(p) -> list:
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_sympy(a, b, c):
     u, v = a * c, b * c
+    _assert_canonical(poly_gcd(u, v))
     assert list(poly_gcd(u, v).coeffs) == _from_sympy(_to_sympy(u).gcd(_to_sympy(v)))
     if v.is_zero:
         return
@@ -575,6 +618,8 @@ def test_kernel_matches_sympy(a, b, c):
     sq, sr = _to_sympy(u).div(_to_sympy(v))
     assert (list(q.coeffs), list(r.coeffs)) == (_from_sympy(sq), _from_sympy(sr))
     x = RatFunc(u, v)
+    for part in (q, r, x):
+        _assert_canonical(part)
     sn, sd = (_from_sympy(p) for p in _to_sympy(u).cancel(_to_sympy(v), include=True))
     # sympy's cancelled pair may differ from x by a constant factor.
     assert (x.num.degree, x.den.degree) == (len(sn) - 1, len(sd) - 1)

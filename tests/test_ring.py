@@ -202,14 +202,15 @@ def test_foreign_operands_and_assignment_are_refused():
     pres = RingPresentation(ring, [x**2])
     foreign = object()
     for value in (G + 1, RatFunc(G, G + 1), x + 1):
-        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__eq__"):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__eq__"):
             if hasattr(value, name):
                 assert getattr(value, name)(foreign) is NotImplemented, (value, name)
-    for record, field in ((G, "numerators"), (RatFunc(G), "num"), (ring, "generators"),
+    for record, field in ((G, "n"), (RatFunc(G, G + 1), "d"), (ring, "generators"),
                           (x, "terms"), (pres, "relations")):
         with pytest.raises(AttributeError, match="is immutable"):
             setattr(record, field, None)
-    assert repr(RatFunc(G, G + 1)) == "RatFunc((g)/(g+1))"
+    assert repr(RatFunc(G, G + 1)) == "RatFunc((g)/(g+1))" and repr(G + 1) == "UniPoly(g+1)"
 
 
 def test_grevlex_order_fiber_first():
